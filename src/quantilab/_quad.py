@@ -4,6 +4,9 @@ Panels are bisected worst-estimated-error first until the summed panel
 error bound meets the requested tolerance.  Endpoint power singularities
 ``|x - end|**p`` with ``p`` in (-1, 0) are removed by a monomial change
 of variable rather than by brute-force subdivision.
+
+``integrate_batch`` runs many integrals at once as ``(panels, 16)`` node
+arrays, with the same per-integral stopping test and subdivision budget.
 """
 
 from __future__ import annotations
@@ -116,6 +119,106 @@ def integrate(
         push(mid, b, whole=right)
 
     return total, err_total
+
+
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+_CHUNK = 1024  # panels per integrand call: bounds the node arrays' memory
+
+
+def _panels(fn: BatchIntegrand, a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    out = np.empty(a.size)
+    for s in range(0, a.size, _CHUNK):
+        part = slice(s, s + _CHUNK)
+        half = 0.5 * (b[part] - a[part])
+        x = (0.5 * (a[part] + b[part]))[:, None] + half[:, None] * _NODES
+        out[part] = half * (fn(x, owner[part]) @ _WEIGHTS)
+    return out
+
+
+def integrate_batch(
+    fn: BatchIntegrand,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    *,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
+    max_subdivisions: int = 4000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``m`` integrands over ``[lo[k], hi[k]]`` in one array pass.
+
+    ``fn(x, owner)`` evaluates integrand ``owner[j]`` at the nodes ``x[j]``
+    of a ``(p, 16)`` array.  Refinement is level-synchronous: each round
+    bisects, in every integral that has not yet met ``integrate``'s test
+    (summed panel error <= max(abs_tol, rel_tol * |total|)), the panels
+    whose error exceeds an even share of half that tolerance.  Returns
+    ``(values, error_bounds)``; empty or reversed intervals give zero.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    m = lo.size
+    total = np.zeros(m)
+    err_total = np.zeros(m)
+    owner = np.flatnonzero(lo < hi)
+    a, b = lo[owner], hi[owner]
+    mid = 0.5 * (a + b)
+    whole, left, right = _panels(
+        fn, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), np.concatenate((owner,) * 3)
+    ).reshape(3, -1)
+    err = np.abs(left + right - whole)
+    count = np.bincount(owner, minlength=m)
+    while True:
+        refined = left + right
+        sums = np.bincount(owner, refined, m)
+        errs = np.bincount(owner, err, m)
+        if not np.all(np.isfinite(refined)):
+            k = owner[~np.isfinite(refined)][0]
+            raise QuadratureError("integrand produced non-finite values", sums[k], math.inf)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(sums))
+        npan = np.bincount(owner, minlength=m)
+        finished = (npan > 0) & (errs <= tol)
+        total[finished] = sums[finished]
+        err_total[finished] = errs[finished]
+        live = ~finished[owner]
+        if not live.any():
+            return total, err_total
+        owner, a, b, left, right, err = (
+            v[live] for v in (owner, a, b, left, right, err)
+        )
+        split = err > (0.5 * tol / np.maximum(npan, 1))[owner]
+        mid = 0.5 * (a + b)
+        # a panel at machine resolution keeps its value; its error is no
+        # longer charged against the budget
+        floor = split & ~((a < mid) & (mid < b))
+        err[floor] = 0.0
+        split &= ~floor
+        count += 2 * np.bincount(owner[split], minlength=m)
+        over = np.flatnonzero(count > max_subdivisions)
+        if over.size:
+            k = over[0]
+            raise QuadratureError(
+                f"no convergence within {max_subdivisions} panels "
+                f"(estimate {sums[k]:.17g}, error bound {errs[k]:.3g})",
+                sums[k],
+                errs[k],
+            )
+        sa, sm, sb, sk = a[split], mid[split], b[split], owner[split]
+        q1, q3 = 0.5 * (sa + sm), 0.5 * (sm + sb)
+        l1, r1, l2, r2 = _panels(
+            fn,
+            np.concatenate((sa, q1, sm, q3)),
+            np.concatenate((q1, sm, q3, sb)),
+            np.concatenate((sk,) * 4),
+        ).reshape(4, -1)
+        keep = ~split
+        err = np.concatenate(
+            (err[keep], np.abs(l1 + r1 - left[split]), np.abs(l2 + r2 - right[split]))
+        )
+        owner = np.concatenate((owner[keep], sk, sk))
+        a = np.concatenate((a[keep], sa, sm))
+        b = np.concatenate((b[keep], sm, sb))
+        left = np.concatenate((left[keep], l1, l2))
+        right = np.concatenate((right[keep], r1, r2))
 
 
 def integrate_endpoint_power(

@@ -1,10 +1,11 @@
 """Analytic models of the Gaussian, exponential and Gamma families.
 
 Provides densities, distribution/quantile functions, cell-wise moment
-integrals by adaptive quadrature, and the closed-form constants tied to
-each family: the density-power normaliser ``c_fr``, the asymptotic
-distortion coefficient ``zador_q`` and the limiting codebook point
-density ``empirical_density``.
+integrals by adaptive quadrature (one cell at a time, or all cells of a
+grid in one batch), and the closed-form constants tied to each family:
+the density-power normaliser ``c_fr``, the asymptotic distortion
+coefficient ``zador_q`` and the limiting codebook point density
+``empirical_density``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from ._quad import QuadratureError, integrate, integrate_endpoint_power
+from ._quad import QuadratureError, integrate, integrate_batch, integrate_endpoint_power
 
 __all__ = [
     "Family",
@@ -248,17 +249,21 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
     return _ret(out, scalar)
 
 
-def interval_mass(spec: DistributionSpec, lo: float, hi: float) -> float:
-    """P([lo, hi]) using whichever of cdf/sf avoids cancellation."""
-    if hi <= lo:
-        return 0.0
-    mid_ref = cdf(spec, lo) if math.isfinite(lo) else 0.0
-    if mid_ref > 0.5:
-        hi_sf = sf(spec, hi) if math.isfinite(hi) else 0.0
-        return max(float(sf(spec, lo) - hi_sf), 0.0)
-    lo_cdf = float(cdf(spec, lo)) if math.isfinite(lo) else 0.0
-    hi_cdf = float(cdf(spec, hi)) if math.isfinite(hi) else 1.0
-    return max(hi_cdf - lo_cdf, 0.0)
+def interval_mass(spec: DistributionSpec, lo, hi) -> np.ndarray | float:
+    """P([lo, hi]) using whichever of cdf/sf avoids cancellation.
+
+    Elementwise over arrays of cells; infinite limits are allowed.
+    """
+    los, lo_scalar = _as_array(lo)
+    his, hi_scalar = _as_array(hi)
+    los, his = np.broadcast_arrays(np.atleast_1d(los), np.atleast_1d(his))
+    lo_cdf = cdf(spec, los)
+    upper = lo_cdf > 0.5
+    mass = np.empty(los.shape)
+    mass[~upper] = cdf(spec, his[~upper]) - lo_cdf[~upper]
+    mass[upper] = sf(spec, los[upper]) - sf(spec, his[upper])
+    mass = np.where(his > los, np.maximum(mass, 0.0), 0.0)
+    return float(mass[0]) if lo_scalar and hi_scalar else mass
 
 
 # --------------------------------------------------------------------------
@@ -266,20 +271,29 @@ def interval_mass(spec: DistributionSpec, lo: float, hi: float) -> float:
 # --------------------------------------------------------------------------
 
 def _effective_bounds(
-    spec: DistributionSpec, lo: float, hi: float, cut: float
-) -> tuple[float, float, list[float]]:
-    """Clip to the support and truncate infinite ends at tail quantiles."""
+    spec: DistributionSpec, lo, hi, cut: float, pt=0.0, q: float = 0.0
+):
+    """Clip [lo, hi] to the support and truncate infinite ends at tail quantiles.
+
+    Elementwise over arrays of cells.  Also returns the truncation's error
+    bound for the weight |x - pt|**q: the dropped mass ``cut`` times
+    |t - pt|**max(q, 0) at each truncation point t.
+    """
     s_lo, s_hi = spec.support
-    lo_e = max(lo, s_lo)
-    hi_e = min(hi, s_hi)
-    trunc_points: list[float] = []
-    if lo_e == -_INF:
-        lo_e = float(quantile(spec, cut))
-        trunc_points.append(lo_e)
-    if hi_e == _INF:
-        hi_e = float(quantile_sf(spec, cut))
-        trunc_points.append(hi_e)
-    return lo_e, hi_e, trunc_points
+    lo_e = np.maximum(lo, s_lo)
+    hi_e = np.minimum(hi, s_hi)
+    err = 0.0
+    lo_cut = np.isneginf(lo_e)
+    if np.any(lo_cut):
+        t = float(quantile(spec, cut))
+        lo_e = np.where(lo_cut, t, lo_e)
+        err = err + np.where(lo_cut, cut * np.abs(t - pt) ** max(q, 0.0), 0.0)
+    hi_cut = np.isposinf(hi_e)
+    if np.any(hi_cut):
+        t = float(quantile_sf(spec, cut))
+        hi_e = np.where(hi_cut, t, hi_e)
+        err = err + np.where(hi_cut, cut * np.abs(t - pt) ** max(q, 0.0), 0.0)
+    return lo_e, hi_e, err
 
 
 def _weighted_piece(
@@ -348,10 +362,9 @@ def _abs_moment(
     signed: bool = False,
 ) -> tuple[float, float]:
     """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi] with bound."""
-    lo_e, hi_e, trunc = _effective_bounds(spec, lo, hi, opts.tail_mass_cut)
+    lo_e, hi_e, err = map(float, _effective_bounds(spec, lo, hi, opts.tail_mass_cut, pt, q))
     if not lo_e < hi_e:
         return 0.0, 0.0
-    err = sum(opts.tail_mass_cut * abs(t - pt) ** max(q, 0.0) for t in trunc)
     if signed:
         if pt <= lo_e:
             pieces = [(lo_e, hi_e, -1.0)]
@@ -370,6 +383,85 @@ def _abs_moment(
         total += sgn * v
         err += e
     return total, err
+
+
+def _abs_moments(
+    spec: DistributionSpec,
+    pt: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    q: float,
+    opts: QuadratureOpts,
+    signed: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``_abs_moment``: all cells in one batched integration.
+
+    Each cell is split at its point, which then sits at or beyond one end
+    of each piece.  A piece is integrated in u = t**c, where t is the
+    distance from its singular end: the point, or the origin for a Gamma
+    shape below 1.  The exponent c cancels a negative power of t (the
+    weight for q < 0, the Gamma density) against the Jacobian of the map;
+    c = 1 elsewhere.
+    """
+    pt = np.asarray(pt, dtype=float)
+    m = pt.size
+    lo_e, hi_e, err = _effective_bounds(spec, lo, hi, opts.tail_mass_cut, pt, q)
+    hi_e = np.maximum(hi_e, lo_e)
+    cut = np.clip(pt, lo_e, hi_e)
+    a = np.concatenate((lo_e, cut))
+    b = np.concatenate((cut, hi_e))
+    cell = np.concatenate((np.arange(m),) * 2)
+    sign = np.concatenate((np.ones(m), np.full(m, -1.0 if signed else 1.0)))
+    pt_above = np.arange(2 * m) < m  # the point is at or above b, else at or below a
+    gamma_sing = spec.family is Family.GAMMA and spec.a < 1.0
+    if gamma_sing and q < 0.0:
+        # singular at both ends of [0, pt]: give each end its own piece
+        both = np.flatnonzero((a == 0.0) & pt_above & (b == pt[cell]) & (b > 0.0))
+        half = 0.5 * b[both]
+        a = np.concatenate((a, half))
+        b = np.concatenate((b, b[both]))
+        b[both] = half
+        cell = np.concatenate((cell, cell[both]))
+        sign = np.concatenate((sign, sign[both]))
+        pt_above = np.concatenate((pt_above, np.ones(both.size, dtype=bool)))
+    origin = (a == 0.0) & gamma_sing
+    from_b = pt_above & ~origin
+    end = np.where(from_b, b, a)
+    step = np.where(from_b, -1.0, 1.0)
+    shift = step * (end - pt[cell])  # |x - pt| = |t + shift| at x = end + step * t
+    at_pt = shift == 0.0
+    t_pow = np.where(at_pt, q, 0.0) + np.where(origin, spec.a - 1.0, 0.0)
+    c = 1.0 + np.minimum(t_pow, 0.0)
+    if np.any(c <= 0.0):
+        raise ValueError("non-integrable singularity at the support edge")
+    inv_c = 1.0 / c
+    t_pow = np.maximum(t_pow, 0.0)
+    shift_pow = np.where(at_pt, 0.0, q)
+    scale = math.exp(spec.a * math.log(spec.lam) - math.lgamma(spec.a))
+
+    def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+        t = u ** inv_c[k, None]
+        x = end[k, None] + step[k, None] * t
+        f = pdf(spec, x)
+        rows = origin[k]
+        if rows.any():
+            f[rows] = scale * np.exp(-spec.lam * x[rows])  # density without x**(a-1)
+        return (
+            f
+            * t ** t_pow[k, None]
+            * np.abs(t + shift[k, None]) ** shift_pow[k, None]
+            * inv_c[k, None]
+        )
+
+    val, val_err = integrate_batch(
+        integrand,
+        np.zeros(a.size),
+        (b - a) ** c,
+        abs_tol=opts.abs_tol,
+        rel_tol=opts.rel_tol,
+        max_subdivisions=opts.max_subdivisions,
+    )
+    return np.bincount(cell, sign * val, m), err + np.bincount(cell, val_err, m)
 
 
 def cell_moment(

@@ -12,7 +12,7 @@ from .distributions import (
     DEFAULT_QUAD,
     DistributionSpec,
     QuadratureOpts,
-    cell_moment,
+    _abs_moments,
 )
 
 __all__ = [
@@ -98,9 +98,12 @@ class DilationParams:
             raise ValueError("theta must be positive")
 
 
-def voronoi_bounds(grid: Grid) -> np.ndarray:
-    """Cell boundaries [-inf, midpoints..., +inf]; length n + 1."""
-    pts = grid.points
+def voronoi_bounds(grid: Grid | np.ndarray) -> np.ndarray:
+    """Cell boundaries [-inf, midpoints..., +inf]; length n + 1.
+
+    Takes a Grid or a sorted array of points.
+    """
+    pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     mids = 0.5 * (pts[:-1] + pts[1:])
     return np.concatenate(([-math.inf], mids, [math.inf]))
 
@@ -136,11 +139,11 @@ def distortion(
 ) -> float:
     """The r-th power quantization error of the grid.
 
-    Sums |x - a_i|**r f(x) over the Voronoi cells; callers wanting the
-    error in norm units take the 1/r root themselves.
+    Integrates |x - a_i|**r f(x) over all Voronoi cells in one batch;
+    callers wanting the error in norm units take the 1/r root themselves.
     """
+    if r <= 0.0:
+        raise ValueError("r must be positive")
     bounds = voronoi_bounds(grid)
-    total = 0.0
-    for i, a in enumerate(grid.points):
-        total += cell_moment(spec, float(a), bounds[i], bounds[i + 1], r, opts)
-    return total
+    moments, _ = _abs_moments(spec, grid.points, bounds[:-1], bounds[1:], r, opts)
+    return float(np.sum(moments))

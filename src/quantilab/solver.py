@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +24,10 @@ from .distributions import (
     Family,
     QuadratureOpts,
     _abs_moment,
+    _abs_moments,
+    _effective_bounds,
     cdf,
-    cell_gradient,
+    cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
     empirical_measure_law,
     interval_mass,
     pdf,
@@ -32,7 +35,7 @@ from .distributions import (
     quantile_sf,
     sf,
 )
-from .quantizer import Grid
+from .quantizer import Grid, voronoi_bounds
 
 __all__ = [
     "SolverOpts",
@@ -99,33 +102,119 @@ class SolveResult:
 
 
 # --------------------------------------------------------------------------
-# single-cell optimisation
+# cell optimisation, all cells at once
 # --------------------------------------------------------------------------
 
-def _conditional_mean(spec: DistributionSpec, lo: float, hi: float) -> float:
+def _require_mass(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     mass = interval_mass(spec, lo, hi)
-    if mass <= 0.0:
+    if np.any(mass <= 0.0):
         raise SolverError("empty-mass cell", np.array([]), math.nan)
+    return mass
+
+
+def _conditional_mean(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    mass = _require_mass(spec, lo, hi)
     if spec.family is Family.GAUSSIAN:
-        f_hi = pdf(spec, hi) if math.isfinite(hi) else 0.0
-        f_lo = pdf(spec, lo) if math.isfinite(lo) else 0.0
-        return spec.m - spec.sigma2 * (f_hi - f_lo) / mass
+        return spec.m - spec.sigma2 * (pdf(spec, hi) - pdf(spec, lo)) / mass
     a = spec.a if spec.family is Family.GAMMA else 1.0
     lifted = DistributionSpec.gamma(a + 1.0, spec.lam)
     return (a / spec.lam) * interval_mass(lifted, lo, hi) / mass
 
 
-def _conditional_median(spec: DistributionSpec, lo: float, hi: float) -> float:
-    mass = interval_mass(spec, lo, hi)
-    if mass <= 0.0:
-        raise SolverError("empty-mass cell", np.array([]), math.nan)
-    lo_cdf = float(cdf(spec, lo)) if math.isfinite(lo) else 0.0
-    if lo_cdf <= 0.5:
-        p = min(max(lo_cdf + 0.5 * mass, 1e-300), 1.0 - 1e-16)
-        return float(quantile(spec, p))
-    q = float(sf(spec, lo)) - 0.5 * mass if math.isfinite(lo) else 1.0 - 0.5 * mass
-    q = min(max(q, 1e-300), 1.0 - 1e-16)
-    return float(quantile_sf(spec, q))
+def _conditional_median(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    mass = _require_mass(spec, lo, hi)
+    lo_cdf = cdf(spec, lo)
+    lower = lo_cdf <= 0.5
+    out = np.empty(mass.shape)
+    p = lo_cdf[lower] + 0.5 * mass[lower]
+    out[lower] = quantile(spec, np.clip(p, 1e-300, 1.0 - 1e-16))
+    q = sf(spec, lo[~lower]) - 0.5 * mass[~lower]
+    out[~lower] = quantile_sf(spec, np.clip(q, 1e-300, 1.0 - 1e-16))
+    return out
+
+
+def _increasing_roots(
+    g, lo: np.ndarray, hi: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
+    """Roots of increasing functions on brackets [lo, hi], all at once.
+
+    ``g(x, idx)`` evaluates functions ``idx`` at points ``x``.  Where g
+    has one sign over the whole bracket the nearer end is returned.
+    Chandrupatla's method: inverse quadratic interpolation where it is
+    safe, bisection otherwise, to |x - root| <= 1e-12 + 8.9e-16 |x|.
+    The first trial point is ``start`` (a guess near the root), else the
+    bracket midpoint.
+    """
+    m = lo.size
+    cells = np.arange(m)
+    ends = g(np.concatenate((lo, hi)), np.concatenate((cells, cells)))
+    g_lo, g_hi = ends[:m], ends[m:]
+    out = np.where(g_lo >= 0.0, lo, hi)
+    idx = np.flatnonzero((g_lo < 0.0) & (g_hi > 0.0))
+    x1, f1, x2, f2 = lo[idx], g_lo[idx], hi[idx], g_hi[idx]
+    x3, f3 = x2, f2
+    if start is None:
+        t = np.full(idx.size, 0.5)
+    else:  # keep the first trial point off the bracket ends
+        t = np.clip((start[idx] - x1) / (x2 - x1), 0.01, 0.99)
+    for _ in range(200):
+        if not idx.size:
+            break
+        xt = x1 + t * (x2 - x1)
+        ft = g(xt, idx)
+        keep_x2 = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(keep_x2, x1, x2), np.where(keep_x2, f1, f2)
+        x2, f2 = np.where(keep_x2, x2, x1), np.where(keep_x2, f2, f1)
+        x1, f1 = xt, ft
+        better = np.abs(f1) < np.abs(f2)
+        xm = np.where(better, x1, x2)
+        fm = np.where(better, f1, f2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = (1e-12 + 8.9e-16 * np.abs(xm)) / np.abs(x2 - x1)
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (
+                f3 - f1
+            ) * f2 / (f3 - f2)
+        done = (tl > 0.5) | (fm == 0.0)
+        out[idx[done]] = xm[done]
+        use_iqi = (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t = np.clip(np.where(use_iqi, iqi, 0.5), tl, 1.0 - tl)
+        live = ~done
+        idx, x1, f1, x2, f2, x3, f3, t = (
+            v[live] for v in (idx, x1, f1, x2, f2, x3, f3, t)
+        )
+    out[idx] = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+    return out
+
+
+def _cell_argmins(
+    spec: DistributionSpec,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    r: float,
+    opts: SolverOpts,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """The L^r-optimal point of every cell [lo[i], hi[i]], for r >= 1.
+
+    r = 1: the conditional median; r = 2: the conditional mean; otherwise
+    the root of the moment derivative (unique for these unimodal
+    densities) within the cell clipped to the support and tail cuts,
+    searched first at ``start`` when given.
+    """
+    if r == 1.0:
+        return _conditional_median(spec, lo, hi)
+    if r == 2.0:
+        return _conditional_mean(spec, lo, hi)
+    _require_mass(spec, lo, hi)
+    q = opts.quad
+    lo_e, hi_e, _ = _effective_bounds(spec, lo, hi, q.tail_mass_cut)
+
+    def grad(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return _abs_moments(spec, x, lo[idx], hi[idx], r - 1.0, q, signed=True)[0]
+
+    return _increasing_roots(grad, lo_e, hi_e, start)
 
 
 def cell_argmin(
@@ -137,63 +226,35 @@ def cell_argmin(
 ) -> float:
     """The point minimising the cell's L^r moment over (lo, hi).
 
-    r > 1: root of the moment derivative (unique for these unimodal
-    integrands); r = 1: the conditional median; r < 1: derivative-free
+    r >= 1: as one cell of the batched sweep (closed form for r = 1, 2,
+    else the root of the moment derivative); r < 1: derivative-free
     bounded minimisation of the moment itself.
     """
     opts = opts or SolverOpts()
+    if r >= 1.0:
+        return float(_cell_argmins(spec, np.array([lo], float), np.array([hi], float), r, opts)[0])
     q = opts.quad
-    if r == 1.0:
-        return _conditional_median(spec, lo, hi)
-    if r == 2.0:
-        return _conditional_mean(spec, lo, hi)
-    mass = interval_mass(spec, lo, hi)
-    if mass <= 0.0:
-        raise SolverError("empty-mass cell", np.array([]), math.nan)
-    s_lo, s_hi = spec.support
-    lo_e = max(lo, s_lo)
-    hi_e = min(hi, s_hi)
-    if lo_e == -math.inf:
-        lo_e = float(quantile(spec, q.tail_mass_cut))
-    if hi_e == math.inf:
-        hi_e = float(quantile_sf(spec, q.tail_mass_cut))
-    if r < 1.0:
-        res = minimize_scalar(
-            lambda x: _abs_moment(spec, x, lo, hi, r, q, signed=False)[0],
-            bounds=(lo_e, hi_e),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        return float(res.x)
-    g = lambda x: cell_gradient(spec, x, lo, hi, r, q)
-    g_lo = g(lo_e)
-    if g_lo >= 0.0:
-        return lo_e
-    g_hi = g(hi_e)
-    if g_hi <= 0.0:
-        return hi_e
-    return float(brentq(g, lo_e, hi_e, xtol=1e-12, rtol=8.9e-16))
+    _require_mass(spec, lo, hi)
+    lo_e, hi_e, _ = map(float, _effective_bounds(spec, lo, hi, q.tail_mass_cut))
+    res = minimize_scalar(
+        lambda x: _abs_moment(spec, x, lo, hi, r, q, signed=False)[0],
+        bounds=(lo_e, hi_e),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(res.x)
 
 
 # --------------------------------------------------------------------------
 # stationarity system
 # --------------------------------------------------------------------------
 
-def _cell_bounds(pts: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    return np.concatenate(([-math.inf], mids, [math.inf]))
-
-
 def _residual(
     spec: DistributionSpec, pts: np.ndarray, r: float, q: QuadratureOpts
 ) -> np.ndarray:
-    b = _cell_bounds(pts)
-    return np.array(
-        [
-            cell_gradient(spec, float(pts[i]), b[i], b[i + 1], r, q)
-            for i in range(pts.size)
-        ]
-    )
+    b = voronoi_bounds(pts)
+    grad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, q, signed=True)
+    return r * grad
 
 
 def _jacobian_banded(
@@ -205,16 +266,11 @@ def _jacobian_banded(
     shared cell midpoints, each with derivative 1/2.
     """
     n = pts.size
-    b = _cell_bounds(pts)
-    diag = np.empty(n)
+    b = voronoi_bounds(pts)
     if r == 1.0:
-        diag[:] = 2.0 * pdf(spec, pts)
+        diag = 2.0 * pdf(spec, pts)
     else:
-        for i in range(n):
-            i2, _ = _abs_moment(
-                spec, float(pts[i]), b[i], b[i + 1], r - 2.0, q, signed=False
-            )
-            diag[i] = r * (r - 1.0) * i2
+        diag = r * (r - 1.0) * _abs_moments(spec, pts, b[:-1], b[1:], r - 2.0, q)[0]
     if n > 1:
         w = 0.5 * np.diff(pts)
         f_mid = pdf(spec, b[1:-1])
@@ -232,7 +288,9 @@ def _jacobian_banded(
 def _lloyd_sweep(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> np.ndarray:
-    b = _cell_bounds(pts)
+    b = voronoi_bounds(pts)
+    if r >= 1.0:
+        return _cell_argmins(spec, b[:-1], b[1:], r, opts, start=pts)
     return np.array(
         [cell_argmin(spec, b[i], b[i + 1], r, opts) for i in range(pts.size)]
     )
@@ -508,12 +566,31 @@ class GridCache:
     def load(
         self, spec: DistributionSpec, n: int, r: float, grad_tol: float
     ) -> Grid | None:
+        """The stored grid, or None on a miss.
+
+        A file that is missing or unreadable, does not parse, or does not
+        hold n finite, strictly increasing points is a miss.
+        """
         path = self._path(spec, n, r, grad_tol)
-        if not path.is_file():
+        try:
+            pts = np.array([float(tok) for tok in path.read_text().split()])
+        except (OSError, ValueError):
             return None
-        return Grid.from_text(path.read_text())
+        if pts.size != n or not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0.0):
+            return None
+        grid = Grid(pts)
+        return grid if grid.n == n else None
 
     def store(
         self, spec: DistributionSpec, n: int, r: float, grad_tol: float, grid: Grid
     ) -> None:
-        self._path(spec, n, r, grad_tol).write_text(grid.to_text())
+        """Write the grid atomically: readers see the old file or the new one."""
+        path = self._path(spec, n, r, grad_tol)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(grid.to_text())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

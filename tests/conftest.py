@@ -7,15 +7,6 @@ GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-tables",
-        action="store_true",
-        default=False,
-        help="run the table reproduction up to n=900",
-    )
-
-
 @pytest.fixture(scope="session")
 def shared_cache(tmp_path_factory) -> GridCache:
     """On-disk grid cache shared by the whole session so repeated solves

@@ -5,7 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from quantilab.analysis import (
     empirical_identity_check,
@@ -88,9 +87,7 @@ def test_criterion_1_table1_gaussian(shared_cache):
     )
 
 
-def test_criterion_1_full_table1(request, shared_cache):
-    if not request.config.getoption("--full-tables"):
-        pytest.skip("full table reproduction runs with --full-tables")
+def test_criterion_1_full_table1(shared_cache):
     ns = tuple(TABLE1_FULL_A12)
     rows = (
         table_experiment(GAUSS, 2.0, 1.0, ns, cache=shared_cache),
@@ -120,9 +117,7 @@ def test_criterion_2_table2_exponential(shared_cache):
     )
 
 
-def test_criterion_2_full_table2(request, shared_cache):
-    if not request.config.getoption("--full-tables"):
-        pytest.skip("full table reproduction runs with --full-tables")
+def test_criterion_2_full_table2(shared_cache):
     ns = tuple(TABLE2_FULL_A12)
     rows = (
         table_experiment(EXPO, 2.0, 1.0, ns, cache=shared_cache),

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from quantilab.distributions import (
+    DEFAULT_QUAD,
     DistributionSpec,
     QuadratureOpts,
     UnsupportedDimensionError,
+    _abs_moment,
+    _abs_moments,
     c_fr,
     cdf,
     cell_gradient,
@@ -19,6 +22,8 @@ from quantilab.distributions import (
     scaled_density_power_integral,
     zador_q,
 )
+from quantilab.quantizer import voronoi_bounds
+from quantilab.solver import SolverOpts
 
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
@@ -147,6 +152,46 @@ def test_cell_moment_budget_exhaustion_is_diagnosable():
     starved = QuadratureOpts(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
     with pytest.raises(QuadratureError) as exc:
         cell_moment(GAUSS, 0.0, -math.inf, math.inf, 1.5, starved)
+    assert math.isfinite(exc.value.estimate)
+    assert exc.value.error_bound > 0.0
+
+
+# -- batched cell integrals against the scalar oracle -------------------------
+
+ORACLE_SPECS = [
+    DistributionSpec.gaussian(0.3, 2.0),
+    DistributionSpec.exponential(1.7),
+    DistributionSpec.gamma(2.0),
+    DistributionSpec.gamma(0.5),  # singular density in the cell at 0
+]
+
+
+@pytest.mark.parametrize("opts", [DEFAULT_QUAD, SolverOpts().quad], ids=["default", "solver"])
+@pytest.mark.parametrize("n", [1, 3, 5, 40])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
+def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
+    law = empirical_measure_law(spec, 2.0)
+    pts = np.asarray(quantile(law, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
+    b = voronoi_bounds(pts)  # the two end cells are the unbounded tails
+    # r = 1.5: gradient weight, Jacobian weight (singular at the point), moment
+    for q, signed in ((0.5, True), (-0.5, False), (1.5, False)):
+        vals, _ = _abs_moments(spec, pts, b[:-1], b[1:], q, opts, signed)
+        for i in range(n):
+            ref, _ = _abs_moment(spec, float(pts[i]), b[i], b[i + 1], q, opts, signed)
+            # a signed integral can cancel to ~0; its two pieces carry the error
+            size, _ = _abs_moment(spec, float(pts[i]), b[i], b[i + 1], q, opts)
+            tol = max(opts.abs_tol, opts.rel_tol * abs(size))
+            assert abs(vals[i] - ref) <= tol, (q, signed, i, vals[i], ref)
+
+
+def test_batched_cell_integrals_budget_exhaustion():
+    from quantilab.distributions import QuadratureError
+
+    starved = QuadratureOpts(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    pts = np.array([-1.0, 0.0, 1.0])
+    b = voronoi_bounds(pts)
+    with pytest.raises(QuadratureError) as exc:
+        _abs_moments(GAUSS, pts, b[:-1], b[1:], 1.5, starved)
     assert math.isfinite(exc.value.estimate)
     assert exc.value.error_bound > 0.0
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy import special
 
-from quantilab._quad import QuadratureError, integrate, integrate_endpoint_power
+from quantilab._quad import (
+    QuadratureError,
+    integrate,
+    integrate_batch,
+    integrate_endpoint_power,
+)
 
 
 def test_polynomial_is_exact():
@@ -57,3 +62,42 @@ def test_endpoint_power_at_upper_end():
 def test_endpoint_power_rejects_nonintegrable():
     with pytest.raises(ValueError):
         integrate_endpoint_power(lambda x: x, -1.0, 0.0, 1.0)
+
+
+# -- batched integrator ------------------------------------------------------
+
+BATCH = [
+    lambda x: 3.0 * x**2,
+    lambda x: np.exp(-0.5 * ((x - 3.0) / 0.05) ** 2),  # needs refinement
+    lambda x: np.sqrt(np.abs(x)),  # algebraic endpoint at 0
+]
+
+
+def _stacked(x, k):
+    out = np.empty_like(x)
+    for j, fn in enumerate(BATCH):
+        rows = k == j
+        out[rows] = fn(x[rows])
+    return out
+
+
+def test_batch_matches_scalar_integrator():
+    lo = np.array([0.0, 2.0, 0.0, 1.0])
+    hi = np.array([2.0, 4.0, 1.0, 1.0])  # the last interval is empty
+    owner = np.array([0, 1, 2, 0])
+    vals, errs = integrate_batch(lambda x, k: _stacked(x, owner[k]), lo, hi)
+    for j in range(3):
+        ref, _ = integrate(BATCH[owner[j]], lo[j], hi[j])
+        assert abs(vals[j] - ref) <= max(1e-12, 1e-10 * abs(ref))
+        assert errs[j] <= max(1e-12, 1e-10 * abs(vals[j]))
+    assert vals[3] == 0.0 and errs[3] == 0.0
+
+
+def test_batch_budget_exhaustion_carries_diagnostics():
+    rough = lambda x, k: np.abs(np.sin(50.0 / (np.abs(x) + 1e-3)))
+    with pytest.raises(QuadratureError) as exc:
+        integrate_batch(
+            rough, np.zeros(2), np.ones(2), abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=8
+        )
+    assert math.isfinite(exc.value.estimate)
+    assert exc.value.error_bound > 0.0

@@ -53,6 +53,15 @@ def test_cell_argmin_empty_cell_raises():
         cell_argmin(GAUSS, 50.0, 60.0, 2.0)
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+def test_batched_sweep_empty_cell_raises(r):
+    from quantilab.solver import _lloyd_sweep
+
+    # the middle cell [55, 65] holds no Gaussian mass in double precision
+    with pytest.raises(SolverError):
+        _lloyd_sweep(GAUSS, np.array([50.0, 60.0, 70.0]), r, SolverOpts())
+
+
 # -- optimal_grid ----------------------------------------------------------------
 
 def test_one_point_grids_are_the_classic_centres(grid_of):
@@ -239,6 +248,28 @@ def test_grid_cache_round_trip(tmp_path):
     again = optimal_grid(EXPO, 4, 2.0, opts, cache=cache)
     assert again == first
     assert files[0].read_text() == first.to_text()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: "".join(text.splitlines(keepends=True)[:4]),  # truncated
+        lambda text: text.replace("\n", "x\n", 1),  # does not parse
+        lambda text: "".join(reversed(text.splitlines(keepends=True))),  # not increasing
+    ],
+    ids=["truncated", "garbage", "unordered"],
+)
+def test_grid_cache_damaged_file_is_a_miss(tmp_path, damage):
+    cache = GridCache(tmp_path)
+    opts = SolverOpts()
+    first = optimal_grid(EXPO, 10, 2.0, opts, cache=cache)
+    (path,) = tmp_path.iterdir()
+    path.write_text(damage(path.read_text()))
+    assert cache.load(EXPO, 10, 2.0, opts.grad_tol) is None
+    again = optimal_grid(EXPO, 10, 2.0, opts, cache=cache)
+    assert again == first
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text() == first.to_text()
 
 
 def test_grid_cache_from_env(tmp_path, monkeypatch):
