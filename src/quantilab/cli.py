@@ -321,6 +321,11 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_FAILURES as err:
         print(f"quantilab: numeric failure: {err}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as err:
+        # the library rejects invalid arguments with ValueError; OSError is
+        # an unreadable --grid-file or unwritable -o path
+        print(f"quantilab: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

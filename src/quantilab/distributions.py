@@ -115,9 +115,10 @@ class DistributionSpec:
 class QuadratureOpts:
     """Tolerances for the adaptive integrator.
 
-    Infinite integration limits are truncated at the ``tail_mass_cut``
-    and ``1 - tail_mass_cut`` quantiles; the neglected mass enters the
-    error bound as mass * (distance to the truncation point)**r.
+    An infinite integration limit is truncated where the neglected tail
+    holds the fraction ``tail_mass_cut`` of the cell's mass; the
+    neglected mass enters the error bound as mass * (distance to the
+    truncation point)**r.
     """
 
     abs_tol: float = 1e-12
@@ -275,24 +276,30 @@ def _effective_bounds(
 ):
     """Clip [lo, hi] to the support and truncate infinite ends at tail quantiles.
 
-    Elementwise over arrays of cells.  Also returns the truncation's error
-    bound for the weight |x - pt|**q: the dropped mass ``cut`` times
-    |t - pt|**max(q, 0) at each truncation point t.
+    Elementwise over 1-D arrays of cells.  The cut is relative to the cell's
+    own mass: an infinite upper end drops the fraction ``cut`` of the mass
+    beyond the finite lower end, and vice versa, so far-tail cells keep
+    the same relative accuracy as central ones.  Also returns the
+    truncation's error bound for the weight |x - pt|**q: the dropped mass
+    times |t - pt|**max(q, 0) at each truncation point t.
     """
     s_lo, s_hi = spec.support
     lo_e = np.maximum(lo, s_lo)
     hi_e = np.minimum(hi, s_hi)
-    err = 0.0
-    lo_cut = np.isneginf(lo_e)
-    if np.any(lo_cut):
-        t = float(quantile(spec, cut))
-        lo_e = np.where(lo_cut, t, lo_e)
-        err = err + np.where(lo_cut, cut * np.abs(t - pt) ** max(q, 0.0), 0.0)
-    hi_cut = np.isposinf(hi_e)
-    if np.any(hi_cut):
-        t = float(quantile_sf(spec, cut))
-        hi_e = np.where(hi_cut, t, hi_e)
-        err = err + np.where(hi_cut, cut * np.abs(t - pt) ** max(q, 0.0), 0.0)
+    err = np.zeros(lo_e.shape)
+    pt = np.broadcast_to(pt, lo_e.shape)
+    tiny = np.finfo(float).tiny  # the dropped mass when the cell's own mass underflows
+    lo_cut = np.flatnonzero(np.isneginf(lo_e))
+    hi_cut = np.flatnonzero(np.isposinf(hi_e))
+    if hi_cut.size:  # read before lo_e changes: a cell can be infinite at both ends
+        hi_drop = np.maximum(cut * sf(spec, lo_e[hi_cut]), tiny)
+    if lo_cut.size:
+        lo_drop = np.maximum(cut * cdf(spec, hi_e[lo_cut]), tiny)
+        lo_e[lo_cut] = quantile(spec, lo_drop)
+        err[lo_cut] += lo_drop * np.abs(lo_e[lo_cut] - pt[lo_cut]) ** max(q, 0.0)
+    if hi_cut.size:
+        hi_e[hi_cut] = quantile_sf(spec, hi_drop)
+        err[hi_cut] += hi_drop * np.abs(hi_e[hi_cut] - pt[hi_cut]) ** max(q, 0.0)
     return lo_e, hi_e, err
 
 
@@ -362,7 +369,10 @@ def _abs_moment(
     signed: bool = False,
 ) -> tuple[float, float]:
     """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi] with bound."""
-    lo_e, hi_e, err = map(float, _effective_bounds(spec, lo, hi, opts.tail_mass_cut, pt, q))
+    lo_e, hi_e, err = (
+        float(v[0])
+        for v in _effective_bounds(spec, np.array([lo]), np.array([hi]), opts.tail_mass_cut, pt, q)
+    )
     if not lo_e < hi_e:
         return 0.0, 0.0
     if signed:
@@ -496,8 +506,7 @@ def cell_gradient(
 ) -> float:
     """d/da of cell_moment: r * integral |x-a|**(r-1) sign(a-x) f(x) dx.
 
-    Zero exactly at the cell's L^r-optimal point.  Requires r >= 1; below
-    that the derivative is singular and the solver refines without it.
+    Zero exactly at the cell's L^r-optimal point.  Requires r >= 1.
     """
     _require_d1(spec, "cell_gradient")
     if r < 1.0:

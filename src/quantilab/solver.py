@@ -2,7 +2,8 @@
 
 Two routes: a generalized Lloyd sweep warm-started at the limiting point
 density quantiles followed by a damped Newton polish of the stationarity
-system (any family), and the closed-form implicit recursion that yields
+system (any family; for r < 1 Anderson-accelerated Lloyd iteration
+instead of Newton), and the closed-form implicit recursion that yields
 the exact optimal grid of the exponential law.
 """
 
@@ -17,13 +18,12 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .distributions import (
     DistributionSpec,
     Family,
     QuadratureOpts,
-    _abs_moment,
     _abs_moments,
     _effective_bounds,
     cdf,
@@ -51,6 +51,9 @@ __all__ = [
 
 CACHE_ENV_VAR = "QUANTILAB_CACHE_DIR"
 
+_ANDERSON_DEPTH = 10  # past Lloyd iterates mixed into each r < 1 step
+_MAX_FIXED_POINT_SWEEPS = 400  # sweep budget of the r < 1 route
+
 
 def _tight_quad() -> QuadratureOpts:
     # Deep tail cut and small absolute floor: stationarity residuals of
@@ -65,7 +68,7 @@ def _tight_quad() -> QuadratureOpts:
 class SolverOpts:
     """Iteration controls for ``optimal_grid``."""
 
-    max_lloyd_iters: int = 30
+    max_lloyd_iters: int = 2
     max_newton_iters: int = 60
     grad_tol: float = 1e-10
     step_damping: float = 0.5
@@ -196,12 +199,13 @@ def _cell_argmins(
     opts: SolverOpts,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The L^r-optimal point of every cell [lo[i], hi[i]], for r >= 1.
+    """The L^r-optimal point of every cell [lo[i], hi[i]].
 
     r = 1: the conditional median; r = 2: the conditional mean; otherwise
-    the root of the moment derivative (unique for these unimodal
-    densities) within the cell clipped to the support and tail cuts,
-    searched first at ``start`` when given.
+    the root of the moment derivative r * integral |x - a|**(r-1)
+    sign(a - x) f(x) (unique for these unimodal densities; for r < 1 its
+    weight is singular at a) within the cell clipped to the support and
+    tail cuts, searched first at ``start`` when given.
     """
     if r == 1.0:
         return _conditional_median(spec, lo, hi)
@@ -210,9 +214,17 @@ def _cell_argmins(
     _require_mass(spec, lo, hi)
     q = opts.quad
     lo_e, hi_e, _ = _effective_bounds(spec, lo, hi, q.tail_mass_cut)
+    # a Gamma density ~ x**(a-1) with a + r <= 1 makes the derivative -inf
+    # at the origin, where it is not integrated but given a negative value
+    pole = spec.family is Family.GAMMA and spec.a + r <= 1.0
 
     def grad(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _abs_moments(spec, x, lo[idx], hi[idx], r - 1.0, q, signed=True)[0]
+        live = x > 0.0 if pole else slice(None)
+        out = np.full(x.shape, -1.0)
+        out[live] = _abs_moments(
+            spec, x[live], lo[idx[live]], hi[idx[live]], r - 1.0, q, signed=True
+        )[0]
+        return out
 
     return _increasing_roots(grad, lo_e, hi_e, start)
 
@@ -226,23 +238,11 @@ def cell_argmin(
 ) -> float:
     """The point minimising the cell's L^r moment over (lo, hi).
 
-    r >= 1: as one cell of the batched sweep (closed form for r = 1, 2,
-    else the root of the moment derivative); r < 1: derivative-free
-    bounded minimisation of the moment itself.
+    One cell of the batched sweep: a closed form for r = 1, 2, else the
+    root of the moment derivative.
     """
     opts = opts or SolverOpts()
-    if r >= 1.0:
-        return float(_cell_argmins(spec, np.array([lo], float), np.array([hi], float), r, opts)[0])
-    q = opts.quad
-    _require_mass(spec, lo, hi)
-    lo_e, hi_e, _ = map(float, _effective_bounds(spec, lo, hi, q.tail_mass_cut))
-    res = minimize_scalar(
-        lambda x: _abs_moment(spec, x, lo, hi, r, q, signed=False)[0],
-        bounds=(lo_e, hi_e),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x)
+    return float(_cell_argmins(spec, np.array([lo], float), np.array([hi], float), r, opts)[0])
 
 
 # --------------------------------------------------------------------------
@@ -289,25 +289,36 @@ def _lloyd_sweep(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> np.ndarray:
     b = voronoi_bounds(pts)
-    if r >= 1.0:
-        return _cell_argmins(spec, b[:-1], b[1:], r, opts, start=pts)
-    return np.array(
-        [cell_argmin(spec, b[i], b[i + 1], r, opts) for i in range(pts.size)]
-    )
+    return _cell_argmins(spec, b[:-1], b[1:], r, opts, start=pts)
+
+
+def _admissible(spec: DistributionSpec, pts: np.ndarray, cut: float) -> bool:
+    """Strictly increasing inside the support, every cell with mass > cut.
+
+    A point pushed into a cell of negligible mass has a vanishing
+    stationarity residual wherever it sits; such iterates are refused.
+    """
+    s_lo, s_hi = spec.support
+    if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
+        return False
+    b = voronoi_bounds(pts)
+    return bool(np.min(interval_mass(spec, b[:-1], b[1:])) > cut)
+
+
+def _scale(pts: np.ndarray) -> float:
+    return 1.0 + float(np.max(np.abs(pts)))
 
 
 def _newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     q = opts.quad
-    s_lo, s_hi = spec.support
     res = _residual(spec, pts, r, q)
     sup = float(np.max(np.abs(res)))
     last_step = math.inf
     iters = 0
     for _ in range(opts.max_newton_iters):
-        scale = 1.0 + float(np.max(np.abs(pts)))
-        if sup <= opts.grad_tol and last_step <= opts.position_tol * scale:
+        if sup <= opts.grad_tol and last_step <= opts.position_tol * _scale(pts):
             return pts, res, iters, True
         ab = _jacobian_banded(spec, pts, r, q)
         try:
@@ -318,8 +329,7 @@ def _newton(
         moved = False
         while lam >= 1e-7:
             cand = pts + lam * step
-            ordered = np.all(np.diff(cand) > 0.0) if cand.size > 1 else True
-            if ordered and cand[0] > s_lo and cand[-1] < s_hi:
+            if _admissible(spec, cand, q.tail_mass_cut):
                 c_res = _residual(spec, cand, r, q)
                 c_sup = float(np.max(np.abs(c_res)))
                 if c_sup <= sup or c_sup <= opts.grad_tol:
@@ -331,9 +341,91 @@ def _newton(
         iters += 1
         if not moved:
             break
-    scale = 1.0 + float(np.max(np.abs(pts)))
-    ok = sup <= opts.grad_tol and last_step <= opts.position_tol * scale
+    ok = sup <= opts.grad_tol and last_step <= opts.position_tol * _scale(pts)
     return pts, res, iters, ok
+
+
+def _anderson_lloyd(
+    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
+) -> tuple[np.ndarray, int]:
+    """The fixed point of the Lloyd sweep, and the sweeps it took.
+
+    Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) of the
+    map x -> sweep(x): each step mixes the last ``_ANDERSON_DEPTH`` sweep
+    images by least squares on their residuals sweep(x) - x.  A mixed
+    iterate that is not admissible is replaced by the plain sweep image
+    and the history restarts.  Stops once a sweep moves no point by
+    ``position_tol`` (1 + max|x|) or more; raises ``SolverError`` when
+    ``_MAX_FIXED_POINT_SWEEPS`` sweeps do not get there.
+    """
+    d_res: list[np.ndarray] = []  # differences of successive residuals
+    d_img: list[np.ndarray] = []  # ... and of successive sweep images
+    prev = None
+    x = pts
+    for sweeps in range(1, _MAX_FIXED_POINT_SWEEPS + 1):
+        img = _lloyd_sweep(spec, x, r, opts)
+        res = img - x
+        move = float(np.max(np.abs(res)))
+        if move < opts.position_tol * _scale(img):
+            return img, sweeps
+        if prev is not None:
+            d_res = (d_res + [res - prev[0]])[-_ANDERSON_DEPTH:]
+            d_img = (d_img + [img - prev[1]])[-_ANDERSON_DEPTH:]
+        prev = res, img
+        x = img
+        if d_res:
+            gamma = np.linalg.lstsq(np.column_stack(d_res), res, rcond=None)[0]
+            mixed = img - np.column_stack(d_img) @ gamma
+            if _admissible(spec, mixed, opts.quad.tail_mass_cut):
+                x = mixed
+            else:
+                d_res, d_img = [], []
+    raise SolverError(
+        f"Lloyd iteration not settled after {_MAX_FIXED_POINT_SWEEPS} sweeps"
+        f" (last move {move:.3g})",
+        img,
+        math.nan,
+    )
+
+
+def _lloyd_newton(
+    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Lloyd sweeps, then Newton, verified by one more sweep.
+
+    Returns the points, the residual, the sweeps and the Newton
+    iterations.  A Newton result is accepted only if a Lloyd sweep moves
+    it by at most ``lloyd_move_tol`` (1 + max|x|): the residual is
+    weighted by cell mass, so it alone cannot tell a stationary grid from
+    one with a point stranded in the far tail.  Otherwise 20 more sweeps
+    run and Newton restarts, up to three times.
+    """
+    sweeps = 0
+    for _ in range(opts.max_lloyd_iters):
+        new = _lloyd_sweep(spec, pts, r, opts)
+        move = float(np.max(np.abs(new - pts)))
+        pts = new
+        sweeps += 1
+        if move < opts.lloyd_move_tol:
+            break
+    newton_iters = 0
+    for _ in range(3):
+        pts, res, iters, ok = _newton(spec, pts, r, opts)
+        newton_iters += iters
+        if ok:
+            sweeps += 1
+            check = _lloyd_sweep(spec, pts, r, opts)
+            if np.max(np.abs(check - pts)) <= opts.lloyd_move_tol * _scale(pts):
+                return pts, res, sweeps, newton_iters
+        for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
+            pts = _lloyd_sweep(spec, pts, r, opts)
+            sweeps += 1
+    sup = float(np.max(np.abs(res)))
+    raise SolverError(
+        f"no verified convergence for n={pts.size}, r={r} (residual sup {sup:.3g})",
+        pts,
+        sup,
+    )
 
 
 def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:
@@ -354,10 +446,13 @@ def optimal_grid(
 ) -> Grid | SolveResult:
     """Solve for the L^r-optimal n-point grid of ``spec`` (d = 1).
 
-    Lloyd sweeps run until the max point move drops below
-    ``lloyd_move_tol`` (or the sweep budget runs out), then Newton with
-    the exact tridiagonal Jacobian drives the stationarity residual below
-    ``grad_tol``.  For log-concave densities (all three families with
+    r >= 1: up to ``max_lloyd_iters`` Lloyd sweeps (fewer once the max
+    point move drops below ``lloyd_move_tol``), then Newton with the
+    exact tridiagonal Jacobian drives the stationarity residual below
+    ``grad_tol``; the result must also be a fixed point of the Lloyd
+    sweep.  r < 1: Anderson-accelerated Lloyd iteration to
+    ``position_tol``.  Raises ``SolverError`` rather than return an
+    unverified grid.  For log-concave densities (all three families with
     shape >= 1) the stationary point is the global optimum; Gamma shapes
     below 1 are flagged ``stationary_only`` in the full result.
     """
@@ -383,64 +478,25 @@ def optimal_grid(
     else:
         pts = _initial_points(spec, n, r)
 
-    sweeps = 0
-    for _ in range(opts.max_lloyd_iters):
-        new = _lloyd_sweep(spec, pts, r, opts)
-        move = float(np.max(np.abs(new - pts)))
-        pts = new
-        sweeps += 1
-        if move < opts.lloyd_move_tol:
-            break
-
-    stationary_only = spec.family is Family.GAMMA and spec.a < 1.0
-
     if r < 1.0:
-        # no usable derivative: iterate the sweep to the position tolerance
-        for _ in range(400):
-            new = _lloyd_sweep(spec, pts, r, opts)
-            move = float(np.max(np.abs(new - pts)))
-            pts = new
-            sweeps += 1
-            if move < opts.position_tol * (1.0 + float(np.max(np.abs(pts)))):
-                break
-        grid = Grid(pts)
-        if grid.n != n:
-            raise SolverError(
-                f"points collapsed during solve (kept {grid.n} of {n})", pts, math.nan
-            )
-        if cache is not None:
-            cache.store(spec, n, r, opts.grad_tol, grid)
-        result = SolveResult(grid, math.nan, sweeps, 0, stationary_only)
-        return result if full_result else grid
-
-    newton_iters = 0
-    for attempt in range(3):
-        pts, res, iters, ok = _newton(spec, pts, r, opts)
-        newton_iters += iters
-        if ok:
-            break
-        for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
-            pts = _lloyd_sweep(spec, pts, r, opts)
-            sweeps += 1
+        # the Jacobian's weight |x - a|**(r-2) is not integrable: no Newton,
+        # Lloyd iteration runs to the position tolerance
+        pts, sweeps = _anderson_lloyd(spec, pts, r, opts)
+        res_sup, newton_iters = math.nan, 0
     else:
-        sup = float(np.max(np.abs(res)))
-        raise SolverError(
-            f"no convergence for n={n}, r={r} (residual sup {sup:.3g})", pts, sup
-        )
+        pts, res, sweeps, newton_iters = _lloyd_newton(spec, pts, r, opts)
+        res_sup = float(np.max(np.abs(res)))
 
     grid = Grid(pts)
     if grid.n != n:
         raise SolverError(
-            f"points collapsed during solve (kept {grid.n} of {n})",
-            pts,
-            float(np.max(np.abs(res))),
+            f"points collapsed during solve (kept {grid.n} of {n})", pts, res_sup
         )
     if cache is not None:
         cache.store(spec, n, r, opts.grad_tol, grid)
     if full_result:
-        return SolveResult(
-            grid, float(np.max(np.abs(res))), sweeps, newton_iters, stationary_only
-        )
+        stationary_only = spec.family is Family.GAMMA and spec.a < 1.0
+        return SolveResult(grid, res_sup, sweeps, newton_iters, stationary_only)
     return grid
 
 

@@ -140,3 +140,24 @@ def test_numeric_failures_exit_1(capsys):
     code = main(["theta-star", "--dist", "gamma", "--a", "3", "--r", "1", "--s", "5"])
     assert code == 1
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--n", "0", "--r", "2"),
+        ("grid", "--n", "3", "--r", "2", "--d", "2"),
+        ("distortion", "--grid-file", "{empty}"),
+        ("distortion", "--grid-file", "{missing}"),
+    ],
+    ids=["n-zero", "d-two", "empty-grid-file", "missing-grid-file"],
+)
+def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    paths = {"empty": empty, "missing": tmp_path / "missing.txt"}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("quantilab: error: ")
+    assert err.count("\n") == 1

@@ -10,6 +10,7 @@ from quantilab.distributions import (
     UnsupportedDimensionError,
     _abs_moment,
     _abs_moments,
+    _effective_bounds,
     c_fr,
     cdf,
     cell_gradient,
@@ -182,6 +183,20 @@ def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
             size, _ = _abs_moment(spec, float(pts[i]), b[i], b[i + 1], q, opts)
             tol = max(opts.abs_tol, opts.rel_tol * abs(size))
             assert abs(vals[i] - ref) <= tol, (q, signed, i, vals[i], ref)
+
+
+def test_tail_cut_is_relative_to_the_cell_mass():
+    cut = 1e-12
+    lo = np.array([0.0, 30.0])
+    lo_e, hi_e, err = _effective_bounds(EXPO, lo, np.full(2, INF), cut, pt=lo + 1.0, q=2.0)
+    # memoryless law: each tail is cut the same distance beyond its start
+    np.testing.assert_allclose(hi_e, lo - math.log(cut), rtol=1e-14)
+    np.testing.assert_allclose(err, cut * np.exp(-lo) * (hi_e - lo - 1.0) ** 2, rtol=1e-12)
+    lo_e, hi_e, err = _effective_bounds(GAUSS, np.array([-INF]), np.array([-8.0]), cut)
+    assert cdf(GAUSS, lo_e[0]) == pytest.approx(cut * cdf(GAUSS, -8.0), rel=1e-9)
+    # a two-sided infinite cell drops cut at each end, as an absolute cut would
+    lo_e, hi_e, _ = _effective_bounds(GAUSS, np.array([-INF]), np.array([INF]), cut)
+    assert (lo_e[0], hi_e[0]) == (quantile(GAUSS, cut), -quantile(GAUSS, cut))
 
 
 def test_batched_cell_integrals_budget_exhaustion():

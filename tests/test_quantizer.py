@@ -139,6 +139,13 @@ def test_adding_a_point_never_hurts():
         assert after <= before + 1e-9
 
 
+def test_point_beyond_double_precision_tail_adds_an_empty_cell():
+    # the cell [40, inf) of Grid([0, 80]) has Gaussian mass below 1e-308,
+    # so its relative tail cut has no mass to scale
+    far = distortion(Grid(np.array([0.0, 80.0])), GAUSS, 2.0, TIGHT)
+    assert far == pytest.approx(distortion(Grid(np.array([0.0])), GAUSS, 2.0, TIGHT), abs=1e-12)
+
+
 # -- serialisation -----------------------------------------------------------
 
 def test_text_round_trip_is_exact_and_deterministic():

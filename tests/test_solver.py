@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
-from quantilab.distributions import DistributionSpec, QuadratureOpts
+from quantilab import solver
+from quantilab.distributions import (
+    DistributionSpec,
+    QuadratureOpts,
+    _abs_moment,
+    _effective_bounds,
+    cell_moment,
+    interval_mass,
+)
 from quantilab.quantizer import Grid, distortion, voronoi_bounds
 from quantilab.solver import (
     AkSequence,
@@ -51,6 +59,66 @@ def test_cell_argmin_subunit_exponent_minimises_moment():
 def test_cell_argmin_empty_cell_raises():
     with pytest.raises(SolverError):
         cell_argmin(GAUSS, 50.0, 60.0, 2.0)
+
+
+def _argmin_by_minimisation(spec, lo, hi, r, opts):
+    """Oracle: bounded scalar minimisation of the cell moment itself.
+
+    This locates a minimum only to about sqrt(machine eps) relative: the
+    moment changes by M'' d**2 / 2 at a distance d from its minimum,
+    which sinks below rounding once d < ~1e-8.
+    """
+    cut = opts.quad.tail_mass_cut
+    lo_e, hi_e, _ = _effective_bounds(spec, np.array([lo]), np.array([hi]), cut)
+    res = minimize_scalar(
+        lambda x: cell_moment(spec, x, lo, hi, r, opts.quad),
+        bounds=(float(lo_e[0]), float(hi_e[0])),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(res.x)
+
+
+SUBUNIT_CELLS = [
+    ("gauss", GAUSS, -0.5, 2.0),
+    ("gauss", GAUSS, 1.0, INF),
+    ("gauss", GAUSS, -INF, INF),
+    ("exp", EXPO, 0.0, 2.0),
+    ("exp", EXPO, 1.0, INF),
+    ("gamma2", DistributionSpec.gamma(2.0), 0.0, 1.5),
+    ("gamma2", DistributionSpec.gamma(2.0), 2.0, INF),
+    ("gamma0.5", DistributionSpec.gamma(0.5), 0.0, 0.8),  # r = 0.5: gradient -inf at 0
+    ("gamma0.5", DistributionSpec.gamma(0.5), 0.3, 2.0),
+    ("gamma0.5", DistributionSpec.gamma(0.5), 0.0, INF),
+]
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize(
+    "spec, lo, hi",
+    [c[1:] for c in SUBUNIT_CELLS],
+    ids=[f"{c[0]}-[{c[2]},{c[3]}]" for c in SUBUNIT_CELLS],
+)
+def test_subunit_cell_argmin_matches_minimisation_oracle(spec, lo, hi, r):
+    opts = SolverOpts()
+    a = cell_argmin(spec, lo, hi, r, opts)
+    assert a == pytest.approx(_argmin_by_minimisation(spec, lo, hi, r, opts), abs=5e-8)
+    # sharper, from the scalar integrator: the moment derivative changes
+    # sign across a, to well below the oracle's resolution
+    h = 1e-9 * (1.0 + abs(a))
+    below, _ = _abs_moment(spec, a - h, lo, hi, r - 1.0, opts.quad, signed=True)
+    above, _ = _abs_moment(spec, a + h, lo, hi, r - 1.0, opts.quad, signed=True)
+    assert below < 0.0 < above
+
+
+def test_subunit_argmin_respects_memorylessness_and_symmetry():
+    # the exponential law is memoryless; the Gaussian one symmetric
+    opts = SolverOpts()
+    for r in (0.3, 0.5, 0.8):
+        tail = cell_argmin(EXPO, 1.0, INF, r, opts)
+        assert tail == pytest.approx(1.0 + cell_argmin(EXPO, 0.0, INF, r, opts), abs=1e-12)
+        left = cell_argmin(GAUSS, -INF, -1.0, r, opts)
+        assert left == pytest.approx(-cell_argmin(GAUSS, 1.0, INF, r, opts), abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
@@ -175,6 +243,96 @@ def test_full_result_reports_and_gamma_flag():
     res2 = optimal_grid(EXPO, 3, 2.0, full_result=True)
     assert not res2.stationary_only
     assert res2.residual_sup <= SolverOpts().grad_tol
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (EXPO, 2.0),
+        (GAUSS, 4.0),
+        (DistributionSpec.gamma(2.0), 2.0),
+        (DistributionSpec.gamma(2.0), 4.0),
+    ],
+    ids=["exp-r2", "gauss-r4", "gamma2-r2", "gamma2-r4"],
+)
+def test_poor_seed_never_converges_to_a_wrong_grid(spec, r, grid_of):
+    # without Lloyd sweeps, Newton alone can push the last point into a
+    # cell of negligible mass, where the stationarity residual vanishes
+    try:
+        poor = optimal_grid(spec, 200, r, SolverOpts(max_lloyd_iters=0))
+    except SolverError:
+        return
+    np.testing.assert_allclose(poor.points, grid_of(spec, 200, r).points, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
+)
+def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
+    opts = SolverOpts(max_lloyd_iters=0)
+    pts, _, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, opts)
+    b = voronoi_bounds(pts)
+    assert np.min(interval_mass(spec, b[:-1], b[1:])) > opts.quad.tail_mass_cut
+
+
+@pytest.mark.parametrize(
+    "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
+)
+def test_newton_success_is_checked_by_a_lloyd_sweep(spec, r):
+    # Newton tolerances far looser than the sweep check: Newton alone
+    # would stop on a grid several units from stationary
+    opts = SolverOpts(max_lloyd_iters=0, grad_tol=1e-3, position_tol=1e-3)
+    try:
+        grid = optimal_grid(spec, 30, r, opts)
+    except SolverError:
+        return
+    swept = solver._lloyd_sweep(spec, grid.points, r, opts)
+    scale = 1.0 + np.max(np.abs(grid.points))
+    assert np.max(np.abs(swept - grid.points)) <= opts.lloyd_move_tol * scale
+
+
+@pytest.mark.parametrize("sweeps", [0, 2])
+@pytest.mark.parametrize("r", [2.0, 4.0])
+def test_planted_tail_point_never_converges_to_a_wrong_grid(r, sweeps):
+    exact = exp_optimal_grid(10, r)
+    planted = exact.points.copy()
+    planted[-1] = 60.0  # its cell holds mass ~1e-15
+    opts = SolverOpts(max_lloyd_iters=sweeps)
+    try:
+        res = optimal_grid(EXPO, 10, r, opts, init_grid=Grid(planted))
+    except SolverError:
+        return
+    np.testing.assert_allclose(res.points, exact.points, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_far_tail_cells_are_unbiased_by_truncation(n, grid_of):
+    # the last exponential cell at n = 200, r = 4 holds mass ~3e-11; an
+    # absolute tail cut at 1e-20 moved its centre by 3.5e-6
+    np.testing.assert_allclose(
+        grid_of(EXPO, n, 4.0).points, exp_optimal_grid(n, 4.0).points, rtol=0, atol=1e-8
+    )
+
+
+def test_subunit_exponent_matches_closed_form():
+    res = optimal_grid(EXPO, 20, 0.5, full_result=True)
+    assert res.newton_iters == 0
+    np.testing.assert_allclose(res.grid.points, exp_optimal_grid(20, 0.5).points, atol=1e-6)
+
+
+def test_subunit_exponent_sweep_budget_raises(monkeypatch):
+    # n = 20 needs ~50 accelerated sweeps; an unconverged grid is never returned
+    monkeypatch.setattr(solver, "_MAX_FIXED_POINT_SWEEPS", 10)
+    with pytest.raises(SolverError, match="not settled") as exc:
+        optimal_grid(EXPO, 20, 0.5)
+    assert exc.value.points.size == 20
+
+
+def test_subunit_gamma_pole_at_origin_solves():
+    # Gamma(0.5) at r = 0.5: the first cell's moment derivative is -inf at 0
+    res = optimal_grid(DistributionSpec.gamma(0.5), 3, 0.5, full_result=True)
+    assert res.grid.n == 3 and res.grid.points[0] > 0.0
+    assert res.newton_iters == 0 and res.stationary_only
 
 
 def test_subunit_exponent_solving_is_lloyd_only():
