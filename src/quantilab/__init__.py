@@ -58,6 +58,7 @@ from .solver import (
     exp_ak_sequence,
     exp_optimal_grid,
     optimal_grid,
+    solve,
 )
 
 __version__ = "0.1.0"

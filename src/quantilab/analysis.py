@@ -21,7 +21,7 @@ from .distributions import (
     scaled_density_power_integral,
 )
 from .quantizer import Grid
-from .solver import GridCache, SolverError, SolverOpts, exp_optimal_grid, optimal_grid
+from .solver import GridCache, SolverError, SolverOpts, solve
 
 __all__ = [
     "OlsFit",
@@ -106,18 +106,6 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
     return OlsFit(a, b, float(np.sqrt(np.mean(resid**2))), float(np.max(np.abs(resid))))
 
 
-def _solve(
-    spec: DistributionSpec,
-    n: int,
-    exponent: float,
-    opts: SolverOpts,
-    cache: GridCache | None,
-) -> Grid:
-    if spec.family is Family.EXPONENTIAL:
-        return exp_optimal_grid(n, exponent, spec.lam)
-    return optimal_grid(spec, n, exponent, opts, cache=cache)
-
-
 def table_experiment(
     spec: DistributionSpec,
     r: float,
@@ -136,8 +124,8 @@ def table_experiment(
     rows: list[RegressionRow] = []
     for n in sorted(set(int(n) for n in ns)):
         try:
-            grid_r = _solve(spec, n, r, solver_opts, cache)
-            grid_s = _solve(spec, n, s, solver_opts, cache)
+            grid_r = solve(spec, n, r, solver_opts, cache=cache)
+            grid_s = solve(spec, n, s, solver_opts, cache=cache)
             fit = ols_fit(grid_r.points, grid_s.points)
             rows.append(RegressionRow(n, *fit))
         except SolverError as err:

@@ -18,7 +18,14 @@ from .distributions import (
     zador_q,
 )
 from .quantizer import DilationParams, Grid, dilate, distortion
-from .solver import GridCache, SolverError, SolverOpts, exp_optimal_grid, optimal_grid
+from .solver import (
+    GridCache,
+    SolverError,
+    SolverOpts,
+    exp_optimal_grid,
+    optimal_grid,
+    solve,
+)
 
 _NUMERIC_FAILURES = (
     SolverError,
@@ -275,11 +282,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
 
     if cmd == "empirical-check":
         spec = _spec_from_args(args, parser)
-        grid = (
-            exp_optimal_grid(args.n, args.r, spec.lam)
-            if args.dist == "exponential"
-            else optimal_grid(spec, args.n, args.r, cache=_cache_from_args(args))
-        )
+        grid = solve(spec, args.n, args.r, cache=_cache_from_args(args))
         theta = dilatation.theta_star(spec, args.r, args.s)
         mu = dilatation.default_mu(spec)
         dilated = dilate(grid, DilationParams(theta, mu))

@@ -91,9 +91,9 @@ class RateConstants:
 def theta_star(spec: DistributionSpec, r: float, s: float) -> float:
     """The scaling number minimising the upper-bound constant.
 
-    Gaussian: sqrt((s+d)/(r+d)); exponential: (s+1)/(r+1); Gamma:
-    (s+a)/(r+a).  For the Gamma family with s > r+1 the formula is only
-    valid for shapes below (s+r+1)/s.
+    Gaussian: sqrt((s+d)/(r+d)); Gamma: (s+a)/(r+a), which is
+    (s+1)/(r+1) for the exponential law.  For the Gamma family with
+    s > r+1 the formula is only valid for shapes below (s+r+1)/s.
     """
     if r <= 0.0 or s <= 0.0:
         raise ValueError("r and s must be positive")
@@ -105,8 +105,6 @@ def theta_star(spec: DistributionSpec, r: float, s: float) -> float:
                 stacklevel=2,
             )
         return math.sqrt((s + spec.d) / (r + spec.d))
-    if spec.family is Family.EXPONENTIAL:
-        return (s + 1.0) / (r + 1.0)
     a = spec.a
     if s > r + 1.0 and a >= (s + r + 1.0) / s:
         raise AdmissibilityError(
@@ -131,9 +129,7 @@ def _holder_threshold(spec: DistributionSpec, r: float, s: float) -> float:
 
 def _gamma_condition_shape_ok(spec: DistributionSpec, r: float, s: float) -> bool:
     # integrability at the origin: a (r+1-s) + s > 0
-    if spec.family is not Family.GAMMA:
-        return True
-    return spec.a * (r + 1.0 - s) + s > 0.0
+    return spec.family is Family.GAUSSIAN or spec.a * (r + 1.0 - s) + s > 0.0
 
 
 def admissible_theta_range(
@@ -152,29 +148,28 @@ def admissible_theta_range(
     return (_holder_threshold(spec, r, s), _INF)
 
 
+def _q_inf_from(query: RateQuery, cond: float) -> float:
+    """q_inf from the condition integral: theta**(s+d) * J_{s,d} *
+    c_fr(spec, r)**(s/d) * cond, or +inf when cond is."""
+    if math.isinf(cond):
+        return _INF
+    spec, s = query.spec, query.s
+    j = cube_coefficient(s, spec.d)
+    return query.theta ** (s + spec.d) * j * c_fr(spec, query.r) ** (s / spec.d) * cond
+
+
 def q_inf(
     query: RateQuery,
     opts: QuadratureOpts = DEFAULT_QUAD,
 ) -> float:
     """Asymptotic lower-bound constant for the dilated sequence.
 
-    theta**(s+d) * J_{s,d} * c_fr(spec, r)**(s/d) times the quadrature of
-    f_(theta,mu) f**(-s/(d+r)); +inf whenever that integral diverges
-    (decided analytically from the family threshold, never numerically).
+    theta**(s+d) * J_{s,d} * c_fr(spec, r)**(s/d) times the condition
+    integral of f_(theta,mu) f**(-s/(d+r)); +inf whenever that integral
+    diverges (decided analytically from the family threshold, never
+    numerically).
     """
-    spec, r, s = query.spec, query.r, query.s
-    if spec.d != 1:
-        raise ValueError("q_inf evaluation requires d=1")
-    theta, mu = query.theta, query.mu
-    if theta <= _condition_threshold(spec, r, s):
-        return _INF
-    if not _gamma_condition_shape_ok(spec, r, s):
-        return _INF
-    integral = scaled_density_power_integral(
-        spec, theta, mu, 1.0, -s / (spec.d + r), opts
-    )
-    j = cube_coefficient(s, spec.d)
-    return theta ** (s + spec.d) * j * c_fr(spec, r) ** (s / spec.d) * integral
+    return _q_inf_from(query, condition_integral(query, opts))
 
 
 def q_sup_sub(
@@ -235,15 +230,10 @@ def rate_constants(
     """Evaluate every constant for one query in a single bundle."""
     spec, r, s = query.spec, query.r, query.s
     cond = condition_integral(query, opts)
-    if math.isinf(cond):
-        qi = _INF
-    else:
-        j = cube_coefficient(s, spec.d)
-        qi = query.theta ** (s + spec.d) * j * c_fr(spec, r) ** (s / spec.d) * cond
     qs = q_sup_sub(query, opts) if s < r else None
     lo, _ = admissible_theta_range(spec, r, s)
     return RateConstants(
-        q_inf=qi,
+        q_inf=_q_inf_from(query, cond),
         q_sup_sub=qs,
         condition_integral=cond,
         theta_admissible=query.theta > lo,

@@ -1,4 +1,7 @@
-"""Analytic models of the Gaussian, exponential and Gamma families.
+"""Analytic models of the Gaussian and Gamma families.
+
+The exponential law is the Gamma law with shape 1:
+``DistributionSpec.exponential(lam)`` equals ``DistributionSpec.gamma(1.0, lam)``.
 
 Provides densities, distribution/quantile functions, cell-wise moment
 integrals by adaptive quadrature (one cell at a time, or all cells of a
@@ -49,7 +52,6 @@ class UnsupportedDimensionError(ValueError):
 
 class Family(str, Enum):
     GAUSSIAN = "gaussian"
-    EXPONENTIAL = "exponential"
     GAMMA = "gamma"
 
 
@@ -58,9 +60,9 @@ class DistributionSpec:
     """A named 1-D law with analytic pdf/cdf/quantile.
 
     ``m``/``sigma2`` are the Gaussian mean and variance, ``lam`` the
-    exponential/Gamma rate, ``a`` the Gamma shape.  ``d`` parameterises
-    the closed-form constants only; every grid or quadrature operation
-    requires ``d == 1``.
+    Gamma rate, ``a`` the Gamma shape (1 for the exponential law).
+    ``d`` parameterises the closed-form constants only; every grid or
+    quadrature operation requires ``d == 1``.
     """
 
     family: Family
@@ -86,7 +88,8 @@ class DistributionSpec:
 
     @classmethod
     def exponential(cls, lam: float = 1.0) -> "DistributionSpec":
-        return cls(Family.EXPONENTIAL, lam=float(lam))
+        """The exponential law: the Gamma law with shape 1."""
+        return cls.gamma(1.0, lam)
 
     @classmethod
     def gamma(cls, a: float, lam: float = 1.0) -> "DistributionSpec":
@@ -106,8 +109,6 @@ class DistributionSpec:
         """Deterministic parameter string used in cache file names."""
         if self.family is Family.GAUSSIAN:
             return f"gaussian_m{self.m!r}_v{self.sigma2!r}"
-        if self.family is Family.EXPONENTIAL:
-            return f"exponential_l{self.lam!r}"
         return f"gamma_a{self.a!r}_l{self.lam!r}"
 
 
@@ -168,7 +169,7 @@ def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
     lam = spec.lam
     flat = np.atleast_1d(xs)
     out = np.full(flat.shape, -_INF)
-    if spec.family is Family.EXPONENTIAL or spec.a == 1.0:
+    if spec.a == 1.0:
         mask = flat >= 0.0
         out[mask] = math.log(lam) - lam * flat[mask]
         return _ret(out.reshape(xs.shape), scalar)
@@ -200,8 +201,6 @@ def cdf(spec: DistributionSpec, x) -> np.ndarray | float:
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
         out = special.ndtr((xs - spec.m) / spec.sigma)
-    elif spec.family is Family.EXPONENTIAL:
-        out = np.where(xs > 0.0, -np.expm1(-spec.lam * np.maximum(xs, 0.0)), 0.0)
     else:
         out = special.gammainc(spec.a, spec.lam * np.maximum(xs, 0.0))
     return _ret(out, scalar)
@@ -213,8 +212,6 @@ def sf(spec: DistributionSpec, x) -> np.ndarray | float:
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
         out = special.ndtr(-(xs - spec.m) / spec.sigma)
-    elif spec.family is Family.EXPONENTIAL:
-        out = np.where(xs > 0.0, np.exp(-spec.lam * np.maximum(xs, 0.0)), 1.0)
     else:
         out = special.gammaincc(spec.a, spec.lam * np.maximum(xs, 0.0))
     return _ret(out, scalar)
@@ -228,8 +225,6 @@ def quantile(spec: DistributionSpec, p) -> np.ndarray | float:
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     if spec.family is Family.GAUSSIAN:
         out = spec.m + spec.sigma * special.ndtri(ps)
-    elif spec.family is Family.EXPONENTIAL:
-        out = -np.log1p(-ps) / spec.lam
     else:
         out = special.gammaincinv(spec.a, ps) / spec.lam
     return _ret(out, scalar)
@@ -243,8 +238,6 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
         raise ValueError("tail mass must lie strictly inside (0, 1)")
     if spec.family is Family.GAUSSIAN:
         out = spec.m - spec.sigma * special.ndtri(qs)
-    elif spec.family is Family.EXPONENTIAL:
-        out = -np.log(qs) / spec.lam
     else:
         out = special.gammainccinv(spec.a, qs) / spec.lam
     return _ret(out, scalar)
@@ -535,9 +528,7 @@ def c_fr(spec: DistributionSpec, r: float) -> float:
         return ((2.0 * math.pi) ** d * det) ** (r / (2.0 * (r + d))) * (
             (d + r) / d
         ) ** (d / 2.0)
-    _require_d1(spec, "c_fr for the exponential/Gamma families")
-    if spec.family is Family.EXPONENTIAL:
-        return spec.lam ** (-r / (1.0 + r)) * (1.0 + r)
+    _require_d1(spec, "c_fr for the Gamma family")
     a = spec.a
     return (
         math.gamma((r + a) / (r + 1.0))
@@ -578,16 +569,14 @@ def empirical_measure_law(spec: DistributionSpec, s: float) -> DistributionSpec:
     """The limiting codebook point distribution, itself in-family.
 
     Normalising f**(1/(1+s)) keeps the family: Gaussian variance grows by
-    (1+s), exponential/Gamma rates shrink by (1+s), the Gamma shape maps
-    to (a+s)/(1+s).
+    (1+s), the Gamma rate shrinks by (1+s) and the shape maps to
+    (a+s)/(1+s).
     """
     _require_d1(spec, "empirical_measure_law")
     if s <= 0.0:
         raise ValueError("s must be positive")
     if spec.family is Family.GAUSSIAN:
         return DistributionSpec.gaussian(spec.m, (1.0 + s) * spec.sigma2)
-    if spec.family is Family.EXPONENTIAL:
-        return DistributionSpec.exponential(spec.lam / (1.0 + s))
     return DistributionSpec.gamma((spec.a + s) / (1.0 + s), spec.lam / (1.0 + s))
 
 
@@ -662,12 +651,9 @@ def scaled_density_power_integral(
     rate = spec.lam * (p_scaled * theta + p_plain)
     if rate <= 0.0:
         raise ValueError("divergent: combined exponential rate <= 0")
-    if spec.family is Family.EXPONENTIAL:
-        power = 0.0
-    else:
-        power = (spec.a - 1.0) * (p_scaled + p_plain)
-        if power <= -1.0:
-            raise ValueError("divergent: non-integrable power at the origin")
+    power = (spec.a - 1.0) * (p_scaled + p_plain)
+    if power <= -1.0:
+        raise ValueError("divergent: non-integrable power at the origin")
     w_hi = (max(power, 0.0) + 60.0) / rate
     w_lo = 0.0
     if lo is not None:

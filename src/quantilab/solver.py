@@ -4,11 +4,14 @@ Two routes: a generalized Lloyd sweep warm-started at the limiting point
 density quantiles followed by a damped Newton polish of the stationarity
 system (any family; for r < 1 Anderson-accelerated Lloyd iteration
 instead of Newton), and the closed-form implicit recursion that yields
-the exact optimal grid of the exponential law.
+the exact optimal grid of the exponential law.  ``solve`` picks the
+recursion for the exponential law (Gamma shape 1) and the solver for
+every other law.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import tempfile
@@ -43,6 +46,7 @@ __all__ = [
     "SolveResult",
     "AkSequence",
     "cell_argmin",
+    "solve",
     "optimal_grid",
     "exp_ak_sequence",
     "exp_optimal_grid",
@@ -53,6 +57,8 @@ CACHE_ENV_VAR = "QUANTILAB_CACHE_DIR"
 
 _ANDERSON_DEPTH = 10  # past Lloyd iterates mixed into each r < 1 step
 _MAX_FIXED_POINT_SWEEPS = 400  # sweep budget of the r < 1 route
+_LLOYD_MOVE_TOL = 1e-6  # largest point move, relative to 1 + max|x|, of a verified grid
+_STEP_DAMPING = 0.5  # Newton line-search step shrink factor
 
 
 def _tight_quad() -> QuadratureOpts:
@@ -71,19 +77,12 @@ class SolverOpts:
     max_lloyd_iters: int = 2
     max_newton_iters: int = 60
     grad_tol: float = 1e-10
-    step_damping: float = 0.5
-    init: str = "empirical-quantiles"  # or "user-grid"
-    lloyd_move_tol: float = 1e-6
     position_tol: float = 1e-10
     quad: QuadratureOpts = field(default_factory=_tight_quad)
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0.0 or self.position_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.step_damping <= 1.0:
-            raise ValueError("step_damping must lie in (0, 1]")
-        if self.init not in ("empirical-quantiles", "user-grid"):
-            raise ValueError(f"unknown init mode {self.init!r}")
 
 
 class SolverError(RuntimeError):
@@ -119,9 +118,8 @@ def _conditional_mean(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) ->
     mass = _require_mass(spec, lo, hi)
     if spec.family is Family.GAUSSIAN:
         return spec.m - spec.sigma2 * (pdf(spec, hi) - pdf(spec, lo)) / mass
-    a = spec.a if spec.family is Family.GAMMA else 1.0
-    lifted = DistributionSpec.gamma(a + 1.0, spec.lam)
-    return (a / spec.lam) * interval_mass(lifted, lo, hi) / mass
+    lifted = DistributionSpec.gamma(spec.a + 1.0, spec.lam)
+    return (spec.a / spec.lam) * interval_mass(lifted, lo, hi) / mass
 
 
 def _conditional_median(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -337,7 +335,7 @@ def _newton(
                     last_step = lam * float(np.max(np.abs(step)))
                     moved = True
                     break
-            lam *= opts.step_damping
+            lam *= _STEP_DAMPING
         iters += 1
         if not moved:
             break
@@ -395,7 +393,7 @@ def _lloyd_newton(
 
     Returns the points, the residual, the sweeps and the Newton
     iterations.  A Newton result is accepted only if a Lloyd sweep moves
-    it by at most ``lloyd_move_tol`` (1 + max|x|): the residual is
+    it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|): the residual is
     weighted by cell mass, so it alone cannot tell a stationary grid from
     one with a point stranded in the far tail.  Otherwise 20 more sweeps
     run and Newton restarts, up to three times.
@@ -406,7 +404,7 @@ def _lloyd_newton(
         move = float(np.max(np.abs(new - pts)))
         pts = new
         sweeps += 1
-        if move < opts.lloyd_move_tol:
+        if move < _LLOYD_MOVE_TOL:
             break
     newton_iters = 0
     for _ in range(3):
@@ -415,7 +413,7 @@ def _lloyd_newton(
         if ok:
             sweeps += 1
             check = _lloyd_sweep(spec, pts, r, opts)
-            if np.max(np.abs(check - pts)) <= opts.lloyd_move_tol * _scale(pts):
+            if np.max(np.abs(check - pts)) <= _LLOYD_MOVE_TOL * _scale(pts):
                 return pts, res, sweeps, newton_iters
         for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
             pts = _lloyd_sweep(spec, pts, r, opts)
@@ -447,14 +445,16 @@ def optimal_grid(
     """Solve for the L^r-optimal n-point grid of ``spec`` (d = 1).
 
     r >= 1: up to ``max_lloyd_iters`` Lloyd sweeps (fewer once the max
-    point move drops below ``lloyd_move_tol``), then Newton with the
+    point move drops below ``_LLOYD_MOVE_TOL``), then Newton with the
     exact tridiagonal Jacobian drives the stationarity residual below
     ``grad_tol``; the result must also be a fixed point of the Lloyd
     sweep.  r < 1: Anderson-accelerated Lloyd iteration to
     ``position_tol``.  Raises ``SolverError`` rather than return an
-    unverified grid.  For log-concave densities (all three families with
-    shape >= 1) the stationary point is the global optimum; Gamma shapes
-    below 1 are flagged ``stationary_only`` in the full result.
+    unverified grid.  The solve starts from ``init_grid`` when given,
+    else from the quantiles of the limiting point law.  For log-concave
+    densities (Gaussian, Gamma shape >= 1) the stationary point is the
+    global optimum; Gamma shapes below 1 are flagged ``stationary_only``
+    in the full result.
     """
     opts = opts or SolverOpts()
     if spec.d != 1:
@@ -465,13 +465,11 @@ def optimal_grid(
         raise ValueError("r must be positive")
 
     if cache is not None and not full_result:
-        hit = cache.load(spec, n, r, opts.grad_tol)
+        hit = cache.load(spec, n, r, opts)
         if hit is not None:
             return hit
 
-    if opts.init == "user-grid" or init_grid is not None:
-        if init_grid is None:
-            raise ValueError("init mode 'user-grid' needs init_grid")
+    if init_grid is not None:
         if init_grid.n != n:
             raise ValueError("init_grid size mismatch")
         pts = init_grid.points.copy()
@@ -493,11 +491,30 @@ def optimal_grid(
             f"points collapsed during solve (kept {grid.n} of {n})", pts, res_sup
         )
     if cache is not None:
-        cache.store(spec, n, r, opts.grad_tol, grid)
+        cache.store(spec, n, r, opts, grid)
     if full_result:
         stationary_only = spec.family is Family.GAMMA and spec.a < 1.0
         return SolveResult(grid, res_sup, sweeps, newton_iters, stationary_only)
     return grid
+
+
+def solve(
+    spec: DistributionSpec,
+    n: int,
+    r: float,
+    opts: SolverOpts | None = None,
+    *,
+    cache: "GridCache | None" = None,
+) -> Grid:
+    """The L^r-optimal n-point grid of ``spec``.
+
+    The exponential law (Gamma shape 1) takes the exact recursion
+    ``exp_optimal_grid``; every other law goes to ``optimal_grid`` with
+    ``opts`` and ``cache``.
+    """
+    if spec.family is Family.GAMMA and spec.a == 1.0 and spec.d == 1:
+        return exp_optimal_grid(n, r, spec.lam)
+    return optimal_grid(spec, n, r, opts, cache=cache)
 
 
 # --------------------------------------------------------------------------
@@ -600,10 +617,12 @@ def exp_optimal_grid(
 # --------------------------------------------------------------------------
 
 class GridCache:
-    """Text-file store of solved grids keyed by (family, params, n, r, tol).
+    """Text-file store of solved grids keyed by (family, params, n, r, opts).
 
-    The file payload is the Grid text serialisation, so cached and fresh
-    results are bit-identical.
+    The file name carries a digest of the whole ``SolverOpts`` repr, so a
+    grid solved under one set of options is never served to a call with
+    another.  The file payload is the Grid text serialisation, so cached
+    and fresh results are bit-identical.
     """
 
     def __init__(self, root: str | Path):
@@ -615,19 +634,19 @@ class GridCache:
         root = os.environ.get(CACHE_ENV_VAR)
         return cls(root) if root else None
 
-    def _path(self, spec: DistributionSpec, n: int, r: float, grad_tol: float) -> Path:
-        name = f"{spec.cache_token()}__n{n}__r{float(r)!r}__g{float(grad_tol)!r}.txt"
-        return self.root / name
+    def _path(self, spec: DistributionSpec, n: int, r: float, opts: SolverOpts) -> Path:
+        digest = hashlib.sha256(repr(opts).encode()).hexdigest()[:16]
+        return self.root / f"{spec.cache_token()}__n{n}__r{float(r)!r}__o{digest}.txt"
 
     def load(
-        self, spec: DistributionSpec, n: int, r: float, grad_tol: float
+        self, spec: DistributionSpec, n: int, r: float, opts: SolverOpts
     ) -> Grid | None:
         """The stored grid, or None on a miss.
 
         A file that is missing or unreadable, does not parse, or does not
         hold n finite, strictly increasing points is a miss.
         """
-        path = self._path(spec, n, r, grad_tol)
+        path = self._path(spec, n, r, opts)
         try:
             pts = np.array([float(tok) for tok in path.read_text().split()])
         except (OSError, ValueError):
@@ -638,10 +657,10 @@ class GridCache:
         return grid if grid.n == n else None
 
     def store(
-        self, spec: DistributionSpec, n: int, r: float, grad_tol: float, grid: Grid
+        self, spec: DistributionSpec, n: int, r: float, opts: SolverOpts, grid: Grid
     ) -> None:
         """Write the grid atomically: readers see the old file or the new one."""
-        path = self._path(spec, n, r, grad_tol)
+        path = self._path(spec, n, r, opts)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -161,3 +161,28 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("quantilab: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--n", "20", "--r", "2"),
+        ("grid", "--n", "12", "--r", "4", "--format", "json"),
+        ("distortion", "--grid-file", "{grid}", "--r", "3"),
+        ("constants", "--r", "2", "--s", "1"),
+        ("constants", "--r", "4", "--s", "2", "--theta", "0.9", "--format", "json"),
+        ("theta-star", "--r", "2", "--s", "4"),
+        ("empirical-check", "--n", "100", "--r", "2", "--s", "1"),
+    ],
+    ids=["grid", "grid-json", "distortion", "constants", "constants-json",
+         "theta-star", "empirical-check"],
+)
+@pytest.mark.parametrize("lam", ["1", "2.5"])
+def test_gamma_shape_one_prints_what_exponential_prints(capsys, tmp_path, argv, lam):
+    grid_file = tmp_path / "grid.txt"
+    grid_file.write_text(Grid([0.2, 0.9, 1.7, 3.1]).to_text())
+    argv = [a.format(grid=grid_file) for a in argv]
+    expo = run_cli(capsys, *argv, "--dist", "exponential", "--lambda", lam)
+    gamma = run_cli(capsys, *argv, "--dist", "gamma", "--a", "1", "--lambda", lam)
+    assert expo[0] == 0 and expo[1]
+    assert gamma == expo

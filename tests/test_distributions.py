@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantilab.distributions import (
     DEFAULT_QUAD,
     DistributionSpec,
+    Family,
     QuadratureOpts,
     UnsupportedDimensionError,
     _abs_moment,
@@ -20,7 +23,9 @@ from quantilab.distributions import (
     empirical_measure_law,
     pdf,
     quantile,
+    quantile_sf,
     scaled_density_power_integral,
+    sf,
     zador_q,
 )
 from quantilab.quantizer import voronoi_bounds
@@ -55,6 +60,57 @@ def test_pdf_gamma7_at_one():
 def test_pdf_integrates_to_one(spec):
     mass = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0, TIGHT)
     assert mass == pytest.approx(1.0, abs=1e-10)
+
+
+def test_exponential_is_gamma_with_shape_one():
+    assert DistributionSpec.exponential(2.0) == DistributionSpec.gamma(1.0, 2.0)
+    assert EXPO.family is Family.GAMMA and EXPO.a == 1.0
+    assert [f.value for f in Family] == ["gaussian", "gamma"]
+
+
+# The exponential law runs through the Gamma code; its closed forms stay as
+# the oracle.  x, p and q are drawn log-uniformly so every decade is hit.
+TINY = np.finfo(float).tiny
+EXP_RATES = st.sampled_from([0.3, 1.0, 7.0])
+ORACLE = settings(max_examples=300, deadline=None, database=None)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(
+        lambda t: min(max(math.exp(t), lo), hi)
+    )
+
+
+def _assert_rel_close(got: float, want: float) -> None:
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+@ORACLE
+@given(
+    lam=EXP_RATES,
+    x=st.one_of(_log_uniform(1e-300, 700.0), st.floats(1e-300, 700.0)),
+)
+def test_exponential_cdf_and_sf_match_closed_forms(lam, x):
+    spec = DistributionSpec.exponential(lam)
+    _assert_rel_close(cdf(spec, x), -math.expm1(-lam * x))
+    tail = math.exp(-lam * x)
+    if tail >= TINY:
+        _assert_rel_close(sf(spec, x), tail)
+
+
+@ORACLE
+@given(
+    lam=EXP_RATES,
+    p=st.one_of(
+        _log_uniform(TINY, 0.5),
+        _log_uniform(1e-16, 0.5).map(lambda u: 1.0 - u),
+        st.floats(TINY, 1.0, exclude_max=True),
+    ),
+)
+def test_exponential_quantiles_match_closed_forms(lam, p):
+    spec = DistributionSpec.exponential(lam)
+    _assert_rel_close(quantile(spec, p), -math.log1p(-p) / lam)
+    _assert_rel_close(quantile_sf(spec, p), -math.log(p) / lam)
 
 
 def test_quantile_examples():

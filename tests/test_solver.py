@@ -23,6 +23,7 @@ from quantilab.solver import (
     exp_ak_sequence,
     exp_optimal_grid,
     optimal_grid,
+    solve,
 )
 
 GAUSS = DistributionSpec.gaussian()
@@ -217,11 +218,11 @@ def test_scaled_distortion_approaches_zador_constant(spec, r, grid_of):
 
 def test_user_grid_init_and_validation():
     init = Grid(np.array([-1.0, 1.0]))
-    g = optimal_grid(GAUSS, 2, 2.0, SolverOpts(init="user-grid"), init_grid=init)
+    g = optimal_grid(GAUSS, 2, 2.0, init_grid=init)
     c = math.sqrt(2.0 / math.pi)
     np.testing.assert_allclose(g.points, [-c, c], atol=1e-9)
     with pytest.raises(ValueError):
-        optimal_grid(GAUSS, 3, 2.0, SolverOpts(init="user-grid"), init_grid=init)
+        optimal_grid(GAUSS, 3, 2.0, init_grid=init)
     with pytest.raises(ValueError):
         optimal_grid(GAUSS, 0, 2.0)
     with pytest.raises(ValueError):
@@ -288,7 +289,7 @@ def test_newton_success_is_checked_by_a_lloyd_sweep(spec, r):
         return
     swept = solver._lloyd_sweep(spec, grid.points, r, opts)
     scale = 1.0 + np.max(np.abs(grid.points))
-    assert np.max(np.abs(swept - grid.points)) <= opts.lloyd_move_tol * scale
+    assert np.max(np.abs(swept - grid.points)) <= solver._LLOYD_MOVE_TOL * scale
 
 
 @pytest.mark.parametrize("sweeps", [0, 2])
@@ -423,11 +424,47 @@ def test_grid_cache_damaged_file_is_a_miss(tmp_path, damage):
     first = optimal_grid(EXPO, 10, 2.0, opts, cache=cache)
     (path,) = tmp_path.iterdir()
     path.write_text(damage(path.read_text()))
-    assert cache.load(EXPO, 10, 2.0, opts.grad_tol) is None
+    assert cache.load(EXPO, 10, 2.0, opts) is None
     again = optimal_grid(EXPO, 10, 2.0, opts, cache=cache)
     assert again == first
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert path.read_text() == first.to_text()
+
+
+def test_grid_cache_keys_on_every_solver_option(tmp_path):
+    # same grad_tol, looser quadrature: a grid 5e-6 off the default solve
+    cache = GridCache(tmp_path)
+    loose = SolverOpts(
+        quad=QuadratureOpts(abs_tol=1e-8, rel_tol=1e-6, tail_mass_cut=1e-8)
+    )
+    stale = optimal_grid(GAUSS, 30, 4.0, loose, cache=cache)
+    fresh = optimal_grid(GAUSS, 30, 4.0)
+    assert np.max(np.abs(stale.points - fresh.points)) > 1e-6
+    assert optimal_grid(GAUSS, 30, 4.0, cache=cache) == fresh
+    assert cache.load(GAUSS, 30, 4.0, loose) == stale
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+def test_solve_takes_the_exact_recursion_for_shape_one(lam, tmp_path):
+    exact = exp_optimal_grid(30, 3.0, lam)
+    cache = GridCache(tmp_path)
+    assert solve(DistributionSpec.exponential(lam), 30, 3.0, cache=cache) == exact
+    assert solve(DistributionSpec.gamma(1.0, lam), 30, 3.0) == exact
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GAUSS, DistributionSpec.gamma(2.0), DistributionSpec.gamma(0.5, 3.0)],
+    ids=["gauss", "gamma2", "gamma0.5"],
+)
+def test_solve_uses_the_solver_for_other_laws(spec, tmp_path):
+    opts = SolverOpts(grad_tol=1e-9)
+    cache = GridCache(tmp_path)
+    grid = solve(spec, 8, 3.0, opts, cache=cache)
+    assert grid == optimal_grid(spec, 8, 3.0, opts)
+    assert cache.load(spec, 8, 3.0, opts) == grid
 
 
 def test_grid_cache_from_env(tmp_path, monkeypatch):
