@@ -25,7 +25,7 @@ __all__ = [
     "count_in_interval",
 ]
 
-_DEDUP_TOL = 1e-12  # absolute merge tolerance applied at construction
+_DEDUP_TOL = 1e-12  # merge tolerance at construction, relative to max |point|
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +33,7 @@ class Grid:
     """An immutable codebook of strictly increasing points.
 
     Construction canonicalises the input: sorts it, merges points closer
-    than 1e-12 and freezes the backing array.
+    than 1e-12 max(|first|, |last|) and freezes the backing array.
     """
 
     points: np.ndarray
@@ -45,7 +45,8 @@ class Grid:
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
         if pts.size > 1:
-            keep = np.concatenate(([True], np.diff(pts) > _DEDUP_TOL))
+            tol = _DEDUP_TOL * max(abs(pts[0]), abs(pts[-1]))
+            keep = np.concatenate(([True], np.diff(pts) > tol))
             pts = pts[keep]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -15,6 +15,7 @@ import hashlib
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,11 +29,11 @@ from .distributions import (
     Family,
     QuadratureOpts,
     _abs_moments,
+    _edge_masses,
     _effective_bounds,
     cdf,
     cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
     empirical_measure_law,
-    interval_mass,
     pdf,
     quantile,
     quantile_sf,
@@ -107,23 +108,33 @@ class SolveResult:
 # cell optimisation, all cells at once
 # --------------------------------------------------------------------------
 
-def _require_mass(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    mass = interval_mass(spec, lo, hi)
+def _require_mass(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
+    mass = _edge_masses(spec, b)
     if np.any(mass <= 0.0):
         raise SolverError("empty-mass cell", np.array([]), math.nan)
     return mass
 
 
-def _conditional_mean(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    mass = _require_mass(spec, lo, hi)
+def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """integral of x f(x) over each cell [b[i], b[i+1]] of mass ``mass[i]``.
+
+    Gaussian: m P - sigma2 (f(hi) - f(lo)).  Gamma: x f(x) is a/lam times
+    the Gamma(a + 1, lam) density.
+    """
     if spec.family is Family.GAUSSIAN:
-        return spec.m - spec.sigma2 * (pdf(spec, hi) - pdf(spec, lo)) / mass
+        return spec.m * mass - spec.sigma2 * np.diff(pdf(spec, b))
     lifted = DistributionSpec.gamma(spec.a + 1.0, spec.lam)
-    return (spec.a / spec.lam) * interval_mass(lifted, lo, hi) / mass
+    return (spec.a / spec.lam) * _edge_masses(lifted, b)
 
 
-def _conditional_median(spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    mass = _require_mass(spec, lo, hi)
+def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
+    mass = _require_mass(spec, b)
+    return _partial_mean(spec, b, mass) / mass
+
+
+def _conditional_median(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
+    mass = _require_mass(spec, b)
+    lo = b[:-1]
     lo_cdf = cdf(spec, lo)
     lower = lo_cdf <= 0.5
     out = np.empty(mass.shape)
@@ -191,13 +202,12 @@ def _increasing_roots(
 
 def _cell_argmins(
     spec: DistributionSpec,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    b: np.ndarray,
     r: float,
     opts: SolverOpts,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The L^r-optimal point of every cell [lo[i], hi[i]].
+    """The L^r-optimal point of every cell [b[i], b[i+1]] (sorted edges).
 
     r = 1: the conditional median; r = 2: the conditional mean; otherwise
     the root of the moment derivative r * integral |x - a|**(r-1)
@@ -206,10 +216,11 @@ def _cell_argmins(
     tail cuts, searched first at ``start`` when given.
     """
     if r == 1.0:
-        return _conditional_median(spec, lo, hi)
+        return _conditional_median(spec, b)
     if r == 2.0:
-        return _conditional_mean(spec, lo, hi)
-    _require_mass(spec, lo, hi)
+        return _conditional_mean(spec, b)
+    _require_mass(spec, b)
+    lo, hi = b[:-1], b[1:]
     q = opts.quad
     lo_e, hi_e, _ = _effective_bounds(spec, lo, hi, q.tail_mass_cut)
     # a Gamma density ~ x**(a-1) with a + r <= 1 makes the derivative -inf
@@ -240,7 +251,7 @@ def cell_argmin(
     root of the moment derivative.
     """
     opts = opts or SolverOpts()
-    return float(_cell_argmins(spec, np.array([lo], float), np.array([hi], float), r, opts)[0])
+    return float(_cell_argmins(spec, np.array([lo, hi], float), r, opts)[0])
 
 
 # --------------------------------------------------------------------------
@@ -248,25 +259,53 @@ def cell_argmin(
 # --------------------------------------------------------------------------
 
 def _residual(
-    spec: DistributionSpec, pts: np.ndarray, r: float, q: QuadratureOpts
+    spec: DistributionSpec,
+    pts: np.ndarray,
+    r: float,
+    q: QuadratureOpts,
+    mass: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Per cell, r * integral |x - a|**(r-1) sign(a - x) f(x) over the cell.
+
+    Closed forms for r = 1 (the cell's mass below its point minus the
+    mass above) and r = 2 (2 (a P - M1), P the cell mass and M1 its
+    partial first moment); quadrature otherwise.  ``mass`` holds the
+    cell masses when the caller has them.
+    """
     b = voronoi_bounds(pts)
+    if r == 1.0:
+        edges = np.empty(2 * pts.size + 1)  # b0, a0, b1, a1, ..., bn
+        edges[0::2] = b
+        edges[1::2] = pts
+        halves = _edge_masses(spec, edges)
+        return halves[0::2] - halves[1::2]
+    if r == 2.0:
+        mass = _edge_masses(spec, b) if mass is None else mass
+        return 2.0 * (pts * mass - _partial_mean(spec, b, mass))
     grad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, q, signed=True)
     return r * grad
 
 
 def _jacobian_banded(
-    spec: DistributionSpec, pts: np.ndarray, r: float, q: QuadratureOpts
+    spec: DistributionSpec,
+    pts: np.ndarray,
+    r: float,
+    q: QuadratureOpts,
+    mass: np.ndarray | None = None,
 ) -> np.ndarray:
     """Banded (3, n) Jacobian of the residual; tridiagonal and symmetric.
 
     Each residual component touches its neighbours only through the
-    shared cell midpoints, each with derivative 1/2.
+    shared cell midpoints, each with derivative 1/2.  The diagonal is
+    2 f(a) for r = 1 and twice the cell mass for r = 2 (``mass`` when
+    given).
     """
     n = pts.size
     b = voronoi_bounds(pts)
     if r == 1.0:
         diag = 2.0 * pdf(spec, pts)
+    elif r == 2.0:
+        diag = 2.0 * (_edge_masses(spec, b) if mass is None else mass)
     else:
         diag = r * (r - 1.0) * _abs_moments(spec, pts, b[:-1], b[1:], r - 2.0, q)[0]
     if n > 1:
@@ -287,20 +326,22 @@ def _lloyd_sweep(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> np.ndarray:
     b = voronoi_bounds(pts)
-    return _cell_argmins(spec, b[:-1], b[1:], r, opts, start=pts)
+    return _cell_argmins(spec, b, r, opts, start=pts)
 
 
-def _admissible(spec: DistributionSpec, pts: np.ndarray, cut: float) -> bool:
-    """Strictly increasing inside the support, every cell with mass > cut.
+def _admissible(spec: DistributionSpec, pts: np.ndarray, cut: float) -> np.ndarray | None:
+    """The cell masses of ``pts`` if it is admissible, else None.
 
-    A point pushed into a cell of negligible mass has a vanishing
-    stationarity residual wherever it sits; such iterates are refused.
+    Admissible: strictly increasing inside the support, every cell with
+    mass > cut.  A point pushed into a cell of negligible mass has a
+    vanishing stationarity residual wherever it sits; such iterates are
+    refused.
     """
     s_lo, s_hi = spec.support
     if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
-        return False
-    b = voronoi_bounds(pts)
-    return bool(np.min(interval_mass(spec, b[:-1], b[1:])) > cut)
+        return None
+    mass = _edge_masses(spec, voronoi_bounds(pts))
+    return mass if np.min(mass) > cut else None
 
 
 def _scale(pts: np.ndarray) -> float:
@@ -311,14 +352,15 @@ def _newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     q = opts.quad
-    res = _residual(spec, pts, r, q)
+    mass = _edge_masses(spec, voronoi_bounds(pts))
+    res = _residual(spec, pts, r, q, mass)
     sup = float(np.max(np.abs(res)))
     last_step = math.inf
     iters = 0
     for _ in range(opts.max_newton_iters):
         if sup <= opts.grad_tol and last_step <= opts.position_tol * _scale(pts):
             return pts, res, iters, True
-        ab = _jacobian_banded(spec, pts, r, q)
+        ab = _jacobian_banded(spec, pts, r, q, mass)
         try:
             step = solve_banded((1, 1), ab, -res)
         except np.linalg.LinAlgError:
@@ -327,11 +369,12 @@ def _newton(
         moved = False
         while lam >= 1e-7:
             cand = pts + lam * step
-            if _admissible(spec, cand, q.tail_mass_cut):
-                c_res = _residual(spec, cand, r, q)
+            c_mass = _admissible(spec, cand, q.tail_mass_cut)
+            if c_mass is not None:
+                c_res = _residual(spec, cand, r, q, c_mass)
                 c_sup = float(np.max(np.abs(c_res)))
                 if c_sup <= sup or c_sup <= opts.grad_tol:
-                    pts, res, sup = cand, c_res, c_sup
+                    pts, res, sup, mass = cand, c_res, c_sup, c_mass
                     last_step = lam * float(np.max(np.abs(step)))
                     moved = True
                     break
@@ -374,7 +417,7 @@ def _anderson_lloyd(
         if d_res:
             gamma = np.linalg.lstsq(np.column_stack(d_res), res, rcond=None)[0]
             mixed = img - np.column_stack(d_img) @ gamma
-            if _admissible(spec, mixed, opts.quad.tail_mass_cut):
+            if _admissible(spec, mixed, opts.quad.tail_mass_cut) is not None:
                 x = mixed
             else:
                 d_res, d_img = [], []
@@ -432,6 +475,23 @@ def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:
     return np.asarray(quantile(law, levels), dtype=float)
 
 
+def _unit_law(spec: DistributionSpec) -> tuple[DistributionSpec, Callable, Callable]:
+    """The unit-scale law of spec's family, and maps of points to and from it.
+
+    Optimal grids are equivariant under x -> m + sigma x (Gaussian) and
+    x -> x / lam (Gamma), so a solve on the unit law, mapped back, does
+    not depend on the scale: the tolerances are met in the same units at
+    every scale.
+    """
+    if spec.family is Family.GAUSSIAN:
+        return (
+            DistributionSpec.gaussian(),
+            lambda x: (x - spec.m) / spec.sigma,
+            lambda u: spec.m + spec.sigma * u,
+        )
+    return DistributionSpec.gamma(spec.a), lambda x: x * spec.lam, lambda u: u / spec.lam
+
+
 def optimal_grid(
     spec: DistributionSpec,
     n: int,
@@ -454,7 +514,9 @@ def optimal_grid(
     else from the quantiles of the limiting point law.  For log-concave
     densities (Gaussian, Gamma shape >= 1) the stationary point is the
     global optimum; Gamma shapes below 1 are flagged ``stationary_only``
-    in the full result.
+    in the full result.  The solve runs on the unit-scale law (N(0, 1)
+    or Gamma(a, 1)); the tolerances and the reported residual are those
+    of that law.
     """
     opts = opts or SolverOpts()
     if spec.d != 1:
@@ -469,22 +531,28 @@ def optimal_grid(
         if hit is not None:
             return hit
 
+    unit, to_unit, from_unit = _unit_law(spec)
     if init_grid is not None:
         if init_grid.n != n:
             raise ValueError("init_grid size mismatch")
-        pts = init_grid.points.copy()
+        pts = to_unit(init_grid.points)
     else:
-        pts = _initial_points(spec, n, r)
+        pts = _initial_points(unit, n, r)
 
-    if r < 1.0:
-        # the Jacobian's weight |x - a|**(r-2) is not integrable: no Newton,
-        # Lloyd iteration runs to the position tolerance
-        pts, sweeps = _anderson_lloyd(spec, pts, r, opts)
-        res_sup, newton_iters = math.nan, 0
-    else:
-        pts, res, sweeps, newton_iters = _lloyd_newton(spec, pts, r, opts)
-        res_sup = float(np.max(np.abs(res)))
+    try:
+        if r < 1.0:
+            # the Jacobian's weight |x - a|**(r-2) is not integrable: no
+            # Newton, Lloyd iteration runs to the position tolerance
+            pts, sweeps = _anderson_lloyd(unit, pts, r, opts)
+            res_sup, newton_iters = math.nan, 0
+        else:
+            pts, res, sweeps, newton_iters = _lloyd_newton(unit, pts, r, opts)
+            res_sup = float(np.max(np.abs(res)))
+    except SolverError as err:
+        err.points = from_unit(err.points)
+        raise
 
+    pts = from_unit(pts)
     grid = Grid(pts)
     if grid.n != n:
         raise SolverError(

@@ -7,6 +7,7 @@ import pytest
 from quantilab.analysis import rows_from_csv
 from quantilab.cli import main
 from quantilab.quantizer import Grid
+from quantilab.solver import exp_optimal_grid
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,15 @@ def test_grid_command_one_point_exponential(capsys):
                            "--n", "1", "--r", "2")
     assert code == 0
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_grid_command_at_an_extreme_rate(capsys):
+    # points ~1e-13 apart, which an absolute merge tolerance would collapse
+    code, out, err = run_cli(capsys, "grid", "--dist", "exponential", "--lambda", "1e13",
+                             "--n", "2", "--r", "2")
+    assert code == 0 and err == ""
+    pts = np.array([float(tok) for tok in out.split()])
+    np.testing.assert_allclose(pts, exp_optimal_grid(2, 2.0, 1e13).points, rtol=1e-12)
 
 
 def test_exp_grid_json_and_text_agree(capsys):

@@ -13,6 +13,7 @@ from quantilab.distributions import (
     UnsupportedDimensionError,
     _abs_moment,
     _abs_moments,
+    _edge_masses,
     _effective_bounds,
     c_fr,
     cdf,
@@ -239,6 +240,28 @@ def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
             size, _ = _abs_moment(spec, float(pts[i]), b[i], b[i + 1], q, opts)
             tol = max(opts.abs_tol, opts.rel_tol * abs(size))
             assert abs(vals[i] - ref) <= tol, (q, signed, i, vals[i], ref)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GAUSS, EXPO, DistributionSpec.gamma(2.0, 1.5), DistributionSpec.gamma(0.5)],
+    ids=["gauss", "exp", "gamma2", "gamma0.5"],
+)
+def test_edge_masses_match_the_per_interval_choice(spec):
+    # reference: one interval at a time, cdf difference below the median,
+    # sf difference above it (no cancellation in either tail)
+    lo_s = spec.support[0]
+    inner = np.sort(quantile(spec, np.array([1e-12, 0.1, 0.4999, 0.5, 0.7, 0.99, 1 - 1e-12])))
+    edges = np.concatenate(([lo_s], inner, inner[-1:], [INF]))  # one empty interval
+    ref = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if cdf(spec, lo) <= 0.5:
+            mass = cdf(spec, hi) - cdf(spec, lo)
+        else:
+            mass = sf(spec, lo) - sf(spec, hi)
+        ref.append(max(mass, 0.0) if hi > lo else 0.0)
+    np.testing.assert_array_equal(_edge_masses(spec, edges), ref)
+    assert _edge_masses(spec, edges)[-1] == sf(spec, inner[-1])
 
 
 def test_tail_cut_is_relative_to_the_cell_mass():

@@ -28,6 +28,13 @@ def test_grid_canonicalises_input():
     assert g.n == 3
 
 
+def test_grid_merge_tolerance_is_relative_to_the_largest_point():
+    assert Grid(np.array([1e-13, 2e-13])).n == 2
+    assert Grid(np.array([0.0, 1e-300])).n == 2
+    assert Grid(np.array([0.0, 0.0])).n == 1
+    np.testing.assert_array_equal(Grid(np.array([1e6, 1e6 + 1e-7, 2e6])).points, [1e6, 2e6])
+
+
 def test_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         Grid(np.array([]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from quantilab import solver
@@ -9,9 +11,12 @@ from quantilab.distributions import (
     DistributionSpec,
     QuadratureOpts,
     _abs_moment,
+    _abs_moments,
+    _edge_masses,
     _effective_bounds,
     cell_moment,
-    interval_mass,
+    empirical_measure_law,
+    quantile,
 )
 from quantilab.quantizer import Grid, distortion, voronoi_bounds
 from quantilab.solver import (
@@ -131,6 +136,63 @@ def test_batched_sweep_empty_cell_raises(r):
         _lloyd_sweep(GAUSS, np.array([50.0, 60.0, 70.0]), r, SolverOpts())
 
 
+# -- closed-form stationarity system (r = 1, 2) ------------------------------------
+
+FAMILIES = [GAUSS, EXPO, DistributionSpec.gamma(2.0), DistributionSpec.gamma(0.5)]
+FAMILY_IDS = ["gauss", "exp", "gamma2", "gamma0.5"]
+
+
+def _off_stationary(spec, n, r, seed):
+    # quantiles of the limiting point law at levels jittered by up to a
+    # quarter cell: ordered, inside the support, and not stationary
+    rng = np.random.default_rng(seed)
+    levels = (2.0 * np.arange(1, n + 1) - 1.0 + rng.uniform(-0.5, 0.5, n)) / (2.0 * n)
+    return quantile(empirical_measure_law(spec, r), levels)
+
+
+@pytest.mark.parametrize("n", [1, 3, 40, 900])
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_closed_form_residual_matches_quadrature(spec, r, n):
+    q = SolverOpts().quad
+    pts = _off_stationary(spec, n, r, seed=n)
+    b = voronoi_bounds(pts)
+    quad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, q, signed=True)
+    np.testing.assert_allclose(solver._residual(spec, pts, r, q), r * quad, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_jacobian_matches_central_differences_of_the_residual(spec, r, n):
+    q = SolverOpts().quad
+    pts = _off_stationary(spec, n, r, seed=n)
+    h = 1e-4 * (np.min(np.diff(pts)) if n > 1 else 1.0)
+    ab = solver._jacobian_banded(spec, pts, r, q)
+    fd = np.zeros((3, n))
+    for k in range(3):  # residual i sees points i - 1, i, i + 1 only
+        moved = np.arange(n) % 3 == k
+        step = np.where(moved, h, 0.0)
+        up = solver._residual(spec, pts + step, r, q)
+        d = (up - solver._residual(spec, pts - step, r, q)) / (2.0 * h)
+        j = np.flatnonzero(moved)
+        fd[1, j] = d[j]
+        fd[0, j[j > 0]] = d[j[j > 0] - 1]
+        fd[2, j[j < n - 1]] = d[j[j < n - 1] + 1]
+    np.testing.assert_allclose(ab, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(ab)))
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_closed_form_solves_run_no_quadrature(spec, r, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(solver, "_abs_moments", refuse)
+    res = optimal_grid(spec, 60, r, full_result=True)
+    assert res.grid.n == 60 and res.newton_iters > 0
+
+
 # -- optimal_grid ----------------------------------------------------------------
 
 def test_one_point_grids_are_the_classic_centres(grid_of):
@@ -204,8 +266,8 @@ def test_distortion_decreases_with_grid_size(grid_of):
 
 @pytest.mark.parametrize(
     "spec",
-    [GAUSS, EXPO, DistributionSpec.gamma(1.0)],
-    ids=["gauss", "exp", "gamma-shape-1"],
+    [GAUSS, EXPO, DistributionSpec.exponential(2.5)],
+    ids=["gauss", "exp", "exp-rate-2.5"],
 )
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_scaled_distortion_approaches_zador_constant(spec, r, grid_of):
@@ -235,6 +297,61 @@ def test_nonconvergence_error_carries_best_iterate():
         optimal_grid(GAUSS, 6, 4.0, starved)
     assert exc.value.points.size == 6
     assert exc.value.residual_sup > 0.0
+    # the best iterate is reported on the scale of the law asked for
+    with pytest.raises(SolverError) as scaled:
+        optimal_grid(DistributionSpec.gaussian(5.0, 4.0), 6, 4.0, starved)
+    np.testing.assert_array_equal(scaled.value.points, 5.0 + 2.0 * exc.value.points)
+
+
+# -- scale equivariance ------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("lam", [1e-6, 1e6, 1e13])
+def test_extreme_rates_match_the_exact_grid(lam, r):
+    # an absolute merge tolerance would collapse the grid at 1e13, and
+    # tolerances in the law's own units fail to converge at 1e-6, r = 4
+    grid = optimal_grid(DistributionSpec.exponential(lam), 10, r)
+    exact = exp_optimal_grid(10, r, lam).points
+    assert grid.n == 10
+    assert np.max(np.abs(grid.points - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_init_grid_is_read_on_the_scale_of_the_law():
+    init = Grid(np.array([1.0, 5.0]))
+    g = optimal_grid(DistributionSpec.gaussian(3.0, 4.0), 2, 2.0, init_grid=init)
+    c = 2.0 * math.sqrt(2.0 / math.pi)
+    np.testing.assert_allclose(g.points, [3.0 - c, 3.0 + c], atol=1e-9)
+
+
+SCALE_EQUIVARIANT = settings(max_examples=15, deadline=None, database=None)
+
+
+@SCALE_EQUIVARIANT
+@given(
+    log_lam=st.floats(-12.0, 12.0),
+    a=st.sampled_from([0.5, 1.0, 2.0]),
+    r=st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_gamma_grids_are_scale_equivariant(log_lam, a, r):
+    lam = 10.0**log_lam
+    grid = optimal_grid(DistributionSpec.gamma(a, lam), 8, r)
+    unit = optimal_grid(DistributionSpec.gamma(a), 8, r)
+    np.testing.assert_array_equal(grid.points, unit.points / lam)
+
+
+@SCALE_EQUIVARIANT
+@given(
+    m=st.floats(-100.0, 100.0),
+    log_sigma=st.floats(-4.0, 6.0),
+    r=st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_gaussian_grids_are_location_scale_equivariant(m, log_sigma, r):
+    sigma = 10.0**log_sigma
+    grid = optimal_grid(DistributionSpec.gaussian(m, sigma * sigma), 8, r)
+    unit = optimal_grid(GAUSS, 8, r)
+    np.testing.assert_allclose(
+        grid.points, m + sigma * unit.points, rtol=0, atol=4e-16 * (abs(m) + 4.0 * sigma)
+    )
 
 
 def test_full_result_reports_and_gamma_flag():
@@ -273,7 +390,7 @@ def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
     opts = SolverOpts(max_lloyd_iters=0)
     pts, _, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, opts)
     b = voronoi_bounds(pts)
-    assert np.min(interval_mass(spec, b[:-1], b[1:])) > opts.quad.tail_mass_cut
+    assert np.min(_edge_masses(spec, b)) > opts.quad.tail_mass_cut
 
 
 @pytest.mark.parametrize(
