@@ -243,13 +243,14 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
     return _ret(out, scalar)
 
 
-def _edge_masses(spec: DistributionSpec, edges: np.ndarray) -> np.ndarray:
+def _edge_masses(spec: DistributionSpec, edges: np.ndarray, with_tails: bool = False):
     """P([edges[i], edges[i+1]]) for sorted edges (infinite ends allowed).
 
     Each interval takes whichever of cdf/sf avoids cancellation: the cdf
     difference when its lower edge has cdf <= 0.5, else the sf
     difference.  One ``cdf`` call on every edge, one ``sf`` call on the
-    edges of the upper intervals.
+    edges of the upper intervals.  ``with_tails`` also returns the cdf of
+    every edge and the sf of those edges (0 at the others).
     """
     c = cdf(spec, edges)
     upper = c[:-1] > 0.5
@@ -259,7 +260,8 @@ def _edge_masses(spec: DistributionSpec, edges: np.ndarray) -> np.ndarray:
     s = np.zeros(edges.shape)
     s[tail] = sf(spec, edges[tail])
     mass = np.where(upper, s[:-1] - s[1:], c[1:] - c[:-1])
-    return np.where(edges[1:] > edges[:-1], np.maximum(mass, 0.0), 0.0)
+    mass = np.where(edges[1:] > edges[:-1], np.maximum(mass, 0.0), 0.0)
+    return (mass, c, s) if with_tails else mass
 
 
 # --------------------------------------------------------------------------

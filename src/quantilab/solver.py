@@ -1,12 +1,11 @@
 """L^r-optimal grid computation.
 
-Two routes: a generalized Lloyd sweep warm-started at the limiting point
-density quantiles followed by a damped Newton polish of the stationarity
-system (any family; for r < 1 Anderson-accelerated Lloyd iteration
-instead of Newton), and the closed-form implicit recursion that yields
-the exact optimal grid of the exponential law.  ``solve`` picks the
-recursion for the exponential law (Gamma shape 1) and the solver for
-every other law.
+Two routes: for any family and every r > 0, generalized Lloyd sweeps
+warm-started at the limiting point density quantiles, a damped Newton
+polish of the stationarity system and one verifying Lloyd sweep; and the
+closed-form implicit recursion that yields the exact optimal grid of the
+exponential law.  ``solve`` picks the recursion for the exponential law
+(Gamma shape 1) and the solver for every other law.
 """
 
 from __future__ import annotations
@@ -31,13 +30,11 @@ from .distributions import (
     _abs_moments,
     _edge_masses,
     _effective_bounds,
-    cdf,
     cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
     empirical_measure_law,
     pdf,
     quantile,
     quantile_sf,
-    sf,
 )
 from .quantizer import Grid, voronoi_bounds
 
@@ -56,8 +53,6 @@ __all__ = [
 
 CACHE_ENV_VAR = "QUANTILAB_CACHE_DIR"
 
-_ANDERSON_DEPTH = 10  # past Lloyd iterates mixed into each r < 1 step
-_MAX_FIXED_POINT_SWEEPS = 400  # sweep budget of the r < 1 route
 _LLOYD_MOVE_TOL = 1e-6  # largest point move, relative to 1 + max|x|, of a verified grid
 _STEP_DAMPING = 0.5  # Newton line-search step shrink factor
 
@@ -108,11 +103,12 @@ class SolveResult:
 # cell optimisation, all cells at once
 # --------------------------------------------------------------------------
 
-def _require_mass(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
-    mass = _edge_masses(spec, b)
+def _require_mass(spec: DistributionSpec, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cell masses, edge cdf and edge sf of ``_edge_masses``; no empty cell."""
+    mass, c, s = _edge_masses(spec, b, with_tails=True)
     if np.any(mass <= 0.0):
         raise SolverError("empty-mass cell", np.array([]), math.nan)
-    return mass
+    return mass, c, s
 
 
 def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -128,19 +124,17 @@ def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np
 
 
 def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
-    mass = _require_mass(spec, b)
+    mass = _require_mass(spec, b)[0]
     return _partial_mean(spec, b, mass) / mass
 
 
 def _conditional_median(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
-    mass = _require_mass(spec, b)
-    lo = b[:-1]
-    lo_cdf = cdf(spec, lo)
-    lower = lo_cdf <= 0.5
+    mass, c, s = _require_mass(spec, b)
+    lower = c[:-1] <= 0.5  # the cells whose mass came from the cdf
     out = np.empty(mass.shape)
-    p = lo_cdf[lower] + 0.5 * mass[lower]
+    p = c[:-1][lower] + 0.5 * mass[lower]
     out[lower] = quantile(spec, np.clip(p, 1e-300, 1.0 - 1e-16))
-    q = sf(spec, lo[~lower]) - 0.5 * mass[~lower]
+    q = s[:-1][~lower] - 0.5 * mass[~lower]
     out[~lower] = quantile_sf(spec, np.clip(q, 1e-300, 1.0 - 1e-16))
     return out
 
@@ -298,9 +292,25 @@ def _jacobian_banded(
     Each residual component touches its neighbours only through the
     shared cell midpoints, each with derivative 1/2.  The diagonal is
     2 f(a) for r = 1 and twice the cell mass for r = 2 (``mass`` when
-    given).
+    given).  For r < 1 the diagonal's weight |x - a|**(r-2) is not
+    integrable, and the band comes from forward differences of the
+    residual instead: columns k mod 3 are stepped together, since no
+    residual component sees two of them (Curtis, Powell & Reid, J. Inst.
+    Math. Appl. 13, 1974).
     """
     n = pts.size
+    if r < 1.0:
+        base = _residual(spec, pts, r, q)
+        h = 1e-7 * (1.0 + np.abs(pts))
+        ab = np.zeros((3, n))
+        for k in range(min(n, 3)):
+            j = np.arange(k, n, 3)
+            moved = pts.copy()
+            moved[j] += h[j]
+            d = np.pad(_residual(spec, moved, r, q) - base, 1)
+            # column j of the band holds rows j - 1, j, j + 1 (d[j + 1] is row j)
+            ab[:, j] = d[j + np.arange(3)[:, None]] / (moved - pts)[j]
+        return ab
     b = voronoi_bounds(pts)
     if r == 1.0:
         diag = 2.0 * pdf(spec, pts)
@@ -386,49 +396,6 @@ def _newton(
     return pts, res, iters, ok
 
 
-def _anderson_lloyd(
-    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> tuple[np.ndarray, int]:
-    """The fixed point of the Lloyd sweep, and the sweeps it took.
-
-    Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) of the
-    map x -> sweep(x): each step mixes the last ``_ANDERSON_DEPTH`` sweep
-    images by least squares on their residuals sweep(x) - x.  A mixed
-    iterate that is not admissible is replaced by the plain sweep image
-    and the history restarts.  Stops once a sweep moves no point by
-    ``position_tol`` (1 + max|x|) or more; raises ``SolverError`` when
-    ``_MAX_FIXED_POINT_SWEEPS`` sweeps do not get there.
-    """
-    d_res: list[np.ndarray] = []  # differences of successive residuals
-    d_img: list[np.ndarray] = []  # ... and of successive sweep images
-    prev = None
-    x = pts
-    for sweeps in range(1, _MAX_FIXED_POINT_SWEEPS + 1):
-        img = _lloyd_sweep(spec, x, r, opts)
-        res = img - x
-        move = float(np.max(np.abs(res)))
-        if move < opts.position_tol * _scale(img):
-            return img, sweeps
-        if prev is not None:
-            d_res = (d_res + [res - prev[0]])[-_ANDERSON_DEPTH:]
-            d_img = (d_img + [img - prev[1]])[-_ANDERSON_DEPTH:]
-        prev = res, img
-        x = img
-        if d_res:
-            gamma = np.linalg.lstsq(np.column_stack(d_res), res, rcond=None)[0]
-            mixed = img - np.column_stack(d_img) @ gamma
-            if _admissible(spec, mixed, opts.quad.tail_mass_cut) is not None:
-                x = mixed
-            else:
-                d_res, d_img = [], []
-    raise SolverError(
-        f"Lloyd iteration not settled after {_MAX_FIXED_POINT_SWEEPS} sweeps"
-        f" (last move {move:.3g})",
-        img,
-        math.nan,
-    )
-
-
 def _lloyd_newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -504,13 +471,13 @@ def optimal_grid(
 ) -> Grid | SolveResult:
     """Solve for the L^r-optimal n-point grid of ``spec`` (d = 1).
 
-    r >= 1: up to ``max_lloyd_iters`` Lloyd sweeps (fewer once the max
-    point move drops below ``_LLOYD_MOVE_TOL``), then Newton with the
-    exact tridiagonal Jacobian drives the stationarity residual below
-    ``grad_tol``; the result must also be a fixed point of the Lloyd
-    sweep.  r < 1: Anderson-accelerated Lloyd iteration to
-    ``position_tol``.  Raises ``SolverError`` rather than return an
-    unverified grid.  The solve starts from ``init_grid`` when given,
+    Every r > 0: up to ``max_lloyd_iters`` Lloyd sweeps (fewer once the
+    max point move drops below ``_LLOYD_MOVE_TOL``), then Newton with the
+    tridiagonal Jacobian (exact for r >= 1, forward differences for
+    r < 1) drives the stationarity residual below ``grad_tol`` and its
+    last step below ``position_tol``; the result must also be a fixed
+    point of the Lloyd sweep.  Raises ``SolverError`` rather than return
+    an unverified grid.  The solve starts from ``init_grid`` when given,
     else from the quantiles of the limiting point law.  For log-concave
     densities (Gaussian, Gamma shape >= 1) the stationary point is the
     global optimum; Gamma shapes below 1 are flagged ``stationary_only``
@@ -540,19 +507,13 @@ def optimal_grid(
         pts = _initial_points(unit, n, r)
 
     try:
-        if r < 1.0:
-            # the Jacobian's weight |x - a|**(r-2) is not integrable: no
-            # Newton, Lloyd iteration runs to the position tolerance
-            pts, sweeps = _anderson_lloyd(unit, pts, r, opts)
-            res_sup, newton_iters = math.nan, 0
-        else:
-            pts, res, sweeps, newton_iters = _lloyd_newton(unit, pts, r, opts)
-            res_sup = float(np.max(np.abs(res)))
+        pts, res, sweeps, newton_iters = _lloyd_newton(unit, pts, r, opts)
     except SolverError as err:
         err.points = from_unit(err.points)
         raise
 
     pts = from_unit(pts)
+    res_sup = float(np.max(np.abs(res)))
     grid = Grid(pts)
     if grid.n != n:
         raise SolverError(

@@ -48,6 +48,14 @@ def test_grid_command_at_an_extreme_rate(capsys):
     np.testing.assert_allclose(pts, exp_optimal_grid(2, 2.0, 1e13).points, rtol=1e-12)
 
 
+def test_grid_command_with_a_subunit_exponent(capsys):
+    code, out, err = run_cli(capsys, "grid", "--dist", "exponential", "--n", "200",
+                             "--r", "0.5")
+    assert code == 0 and err == ""
+    pts = np.array([float(tok) for tok in out.split()])
+    np.testing.assert_allclose(pts, exp_optimal_grid(200, 0.5).points, rtol=0, atol=1e-8)
+
+
 def test_exp_grid_json_and_text_agree(capsys):
     code, out_json, _ = run_cli(capsys, "exp-grid", "--n", "3", "--r", "2",
                                 "--format", "json")
