@@ -11,10 +11,8 @@ import numpy as np
 
 from .dilatation import default_mu, theta_star
 from .distributions import (
-    DEFAULT_QUAD,
     DistributionSpec,
     Family,
-    QuadratureOpts,
     c_fr,
     empirical_measure_law,
     quantile,
@@ -100,7 +98,8 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> OlsFit:
     sxx = float(np.dot(xc, xc))
     if sxx == 0.0:
         raise ValueError("degenerate regressor: all xs identical")
-    a = float(np.dot(xc, y)) / sxx
+    # centring y too makes a sample regressed on itself give a = 1 exactly
+    a = float(np.dot(xc, y - y.mean())) / sxx
     b = float(y.mean() - a * x.mean())
     resid = y - (a * x + b)
     return OlsFit(a, b, float(np.sqrt(np.mean(resid**2))), float(np.max(np.abs(resid))))
@@ -210,9 +209,8 @@ def empirical_identity_check(
     r: float,
     s: float,
     interval: tuple[float, float],
-    opts: QuadratureOpts = DEFAULT_QUAD,
 ) -> IdentityCheckResult:
-    """Quadrature check of the limiting-measure change-of-variables identity.
+    """Check of the limiting-measure change-of-variables identity.
 
     For the Gaussian and exponential families both sides agree: the mass
     the r-limit law puts on the theta_star-contracted interval equals the
@@ -220,7 +218,8 @@ def empirical_identity_check(
     (lhs, rhs, |lhs - rhs|).
 
     For Gamma shapes != 1 the identity fails; the result then reports the
-    same quantity the counterexample computes, routed through quadrature:
+    same quantity the counterexample computes, routed through the
+    density-power integrals of both limit laws:
     lhs is the difference of the two tail terms, rhs the reference
     mismatch constant, abs_gap their distance.
     """
@@ -232,15 +231,11 @@ def empirical_identity_check(
     t_lo = (lo - mu) / th + mu
     t_hi = (hi - mu) / th + mu
     side_r = (
-        scaled_density_power_integral(
-            spec, 1.0, mu, 0.0, 1.0 / (1.0 + r), opts, lo=t_lo, hi=t_hi
-        )
+        scaled_density_power_integral(spec, 1.0, mu, 0.0, 1.0 / (1.0 + r), t_lo, t_hi)
         / c_fr(spec, r)
     )
     side_s = (
-        scaled_density_power_integral(
-            spec, 1.0, mu, 0.0, 1.0 / (1.0 + s), opts, lo=lo, hi=hi
-        )
+        scaled_density_power_integral(spec, 1.0, mu, 0.0, 1.0 / (1.0 + s), lo, hi)
         / c_fr(spec, s)
     )
     if spec.family is Family.GAMMA and spec.a != 1.0:

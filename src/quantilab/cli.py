@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--root-tol", type=float, default=1e-12)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("-o", "--output", default=None)
 
@@ -210,7 +209,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         return 0
 
     if cmd == "exp-grid":
-        grid = exp_optimal_grid(args.n, args.r, args.lam, args.root_tol)
+        grid = exp_optimal_grid(args.n, args.r, args.lam)
         _emit(_grid_text(grid, args.format), args.output)
         return 0
 

@@ -14,10 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 from .distributions import (
-    DEFAULT_QUAD,
     DistributionSpec,
     Family,
-    QuadratureOpts,
     c_fr,
     cube_coefficient,
     scaled_density_power_integral,
@@ -158,10 +156,7 @@ def _q_inf_from(query: RateQuery, cond: float) -> float:
     return query.theta ** (s + spec.d) * j * c_fr(spec, query.r) ** (s / spec.d) * cond
 
 
-def q_inf(
-    query: RateQuery,
-    opts: QuadratureOpts = DEFAULT_QUAD,
-) -> float:
+def q_inf(query: RateQuery) -> float:
     """Asymptotic lower-bound constant for the dilated sequence.
 
     theta**(s+d) * J_{s,d} * c_fr(spec, r)**(s/d) times the condition
@@ -169,13 +164,10 @@ def q_inf(
     diverges (decided analytically from the family threshold, never
     numerically).
     """
-    return _q_inf_from(query, condition_integral(query, opts))
+    return _q_inf_from(query, condition_integral(query))
 
 
-def q_sup_sub(
-    query: RateQuery,
-    opts: QuadratureOpts = DEFAULT_QUAD,
-) -> float:
+def q_sup_sub(query: RateQuery) -> float:
     """Asymptotic upper-bound constant, s < r branch.
 
     theta**(s+d) * Q_r**(s/r) * (Hoelder integral)**(1 - s/r); +inf below
@@ -190,9 +182,7 @@ def q_sup_sub(
     theta, mu = query.theta, query.mu
     if theta <= _holder_threshold(spec, r, s):
         return _INF
-    integral = scaled_density_power_integral(
-        spec, theta, mu, r / (r - s), -s / (r - s), opts
-    )
+    integral = scaled_density_power_integral(spec, theta, mu, r / (r - s), -s / (r - s))
     return (
         theta ** (s + spec.d)
         * zador_q(spec, r) ** (s / r)
@@ -200,16 +190,13 @@ def q_sup_sub(
     )
 
 
-def condition_integral(
-    query: RateQuery,
-    opts: QuadratureOpts = DEFAULT_QUAD,
-) -> float:
+def condition_integral(query: RateQuery) -> float:
     """The integral of f_(theta,mu) f**(-s/(d+r)) over the support.
 
     Finiteness of this quantity is equivalent to L^s-rate-optimality of
     the dilated sequence (for s > r; for s < r it is sufficient via the
-    lower bound).  Finiteness is decided from the family threshold;
-    quadrature only runs on convergent parameter combinations.
+    lower bound).  Finiteness is decided from the family threshold; the
+    closed form only runs on convergent parameter combinations.
     """
     spec, r, s = query.spec, query.r, query.s
     if spec.d != 1:
@@ -218,19 +205,14 @@ def condition_integral(
         return _INF
     if not _gamma_condition_shape_ok(spec, r, s):
         return _INF
-    return scaled_density_power_integral(
-        spec, query.theta, query.mu, 1.0, -s / (spec.d + r), opts
-    )
+    return scaled_density_power_integral(spec, query.theta, query.mu, 1.0, -s / (spec.d + r))
 
 
-def rate_constants(
-    query: RateQuery,
-    opts: QuadratureOpts = DEFAULT_QUAD,
-) -> RateConstants:
+def rate_constants(query: RateQuery) -> RateConstants:
     """Evaluate every constant for one query in a single bundle."""
     spec, r, s = query.spec, query.r, query.s
-    cond = condition_integral(query, opts)
-    qs = q_sup_sub(query, opts) if s < r else None
+    cond = condition_integral(query)
+    qs = q_sup_sub(query) if s < r else None
     lo, _ = admissible_theta_range(spec, r, s)
     return RateConstants(
         q_inf=_q_inf_from(query, cond),

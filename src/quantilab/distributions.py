@@ -5,10 +5,11 @@ The exponential law is the Gamma law with shape 1:
 
 Provides densities, distribution/quantile functions, cell-wise moment
 integrals by adaptive quadrature (one cell at a time, or all cells of a
-grid in one batch), and the closed-form constants tied to each family:
-the density-power normaliser ``c_fr``, the asymptotic distortion
-coefficient ``zador_q`` and the limiting codebook point density
-``empirical_density``.
+grid in one batch), and the closed forms tied to each family: the
+density-power normaliser ``c_fr``, the asymptotic distortion coefficient
+``zador_q``, the limiting codebook point density ``empirical_density``
+and the density-power product integral behind the rate constants,
+``scaled_density_power_integral``.
 """
 
 from __future__ import annotations
@@ -598,7 +599,7 @@ def empirical_density(spec: DistributionSpec, s: float, x) -> np.ndarray | float
 
 
 # --------------------------------------------------------------------------
-# density-power product integrals (quadrature)
+# density-power product integrals (closed form)
 # --------------------------------------------------------------------------
 
 def scaled_density_power_integral(
@@ -607,79 +608,69 @@ def scaled_density_power_integral(
     mu: float,
     p_scaled: float,
     p_plain: float,
-    opts: QuadratureOpts = DEFAULT_QUAD,
     lo: float | None = None,
     hi: float | None = None,
 ) -> float:
-    """Quadrature of f(mu + theta (x - mu))**p_scaled * f(x)**p_plain.
+    """Integral of f(mu + theta (x - mu))**p_scaled * f(x)**p_plain over
+    the support intersected with [lo, hi] (unbounded by default).
 
-    The integrand is evaluated in log space over the support intersected
-    with [lo, hi]; with the default unbounded window the truncation point
-    is chosen from the analytic decay of the combined exponent.  Raises
-    ValueError when the requested combination diverges (callers decide
-    finiteness analytically and report +inf themselves).
+    Closed form per family.  Gaussian: the integrand is a Gaussian kernel
+    of precision A = p_scaled theta**2 + p_plain, so the integral is a
+    prefactor times sigma sqrt(2 pi / A) times an ``ndtr`` difference.
+    Gamma (mu = 0 only): the integrand is C x**(k-1) e**(-rho x) with
+    k = (a-1)(p_scaled + p_plain) + 1 and rho = lam (theta p_scaled +
+    p_plain), so it is C Gamma(k) rho**(-k) times a regularised
+    incomplete-gamma difference.  Each difference is taken on the side
+    (lower or upper tail) that avoids cancellation, as in
+    ``_edge_masses``.  Raises ValueError when the combination diverges
+    (A <= 0, rho <= 0 or k <= 0); callers decide finiteness analytically
+    and report +inf themselves.
     """
     _require_d1(spec, "scaled_density_power_integral")
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-
-    def log_integrand(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x)
-        if p_scaled != 0.0:
-            acc = acc + p_scaled * log_pdf(spec, mu + theta * (x - mu))
-        if p_plain != 0.0:
-            acc = acc + p_plain * log_pdf(spec, x)
-        return acc
-
-    kw = dict(
-        abs_tol=opts.abs_tol,
-        rel_tol=opts.rel_tol,
-        max_subdivisions=opts.max_subdivisions,
-    )
-
+    lo = -_INF if lo is None else lo
+    hi = _INF if hi is None else hi
+    total = p_scaled + p_plain
     if spec.family is Family.GAUSSIAN:
-        quad_coef = p_scaled * theta**2 + p_plain
-        if quad_coef <= 0.0:
+        weight = p_scaled * theta**2
+        prec = weight + p_plain
+        if prec <= 0.0:
             raise ValueError("divergent: combined quadratic coefficient <= 0")
-        x0 = mu + (spec.m - mu) / theta  # centre of the scaled factor
-        centre = (p_scaled * theta**2 * x0 + p_plain * spec.m) / quad_coef
-        width = spec.sigma / math.sqrt(quad_coef)
-        w_lo, w_hi = centre - 12.0 * width, centre + 12.0 * width
-        if lo is not None:
-            w_lo = max(w_lo, lo)
-        if hi is not None:
-            w_hi = min(w_hi, hi)
-        bps = [centre + k * width for k in (-4.0, -1.0, 0.0, 1.0, 4.0)]
-        val, _ = integrate(
-            lambda x: np.exp(log_integrand(x)), w_lo, w_hi, breakpoints=bps, **kw
+        if not lo < hi:
+            return 0.0
+        # p_scaled theta**2 (x - x0)**2 + p_plain (x - m)**2
+        #   = prec (x - centre)**2 + weight p_plain (x0 - m)**2 / prec
+        gap = (spec.m - mu) * (1.0 / theta - 1.0)  # x0 - m
+        centre = spec.m + weight * gap / prec
+        log_c = -0.5 * total * math.log(2.0 * math.pi * spec.sigma2) - (
+            weight * p_plain * gap**2 / (2.0 * prec * spec.sigma2)
         )
-        return val
-
-    rate = spec.lam * (p_scaled * theta + p_plain)
-    if rate <= 0.0:
+        z_lo, z_hi = (math.sqrt(prec) * (v - centre) / spec.sigma for v in (lo, hi))
+        if z_lo > 0.0:
+            frac = special.ndtr(-z_lo) - special.ndtr(-z_hi)
+        else:
+            frac = special.ndtr(z_hi) - special.ndtr(z_lo)
+        return math.exp(log_c) * spec.sigma * math.sqrt(2.0 * math.pi / prec) * float(frac)
+    if mu != 0.0:
+        raise ValueError("the Gamma family needs mu = 0")
+    rho = spec.lam * (theta * p_scaled + p_plain)
+    if rho <= 0.0:
         raise ValueError("divergent: combined exponential rate <= 0")
-    power = (spec.a - 1.0) * (p_scaled + p_plain)
-    if power <= -1.0:
+    k = (spec.a - 1.0) * total + 1.0
+    if k <= 0.0:
         raise ValueError("divergent: non-integrable power at the origin")
-    w_hi = (max(power, 0.0) + 60.0) / rate
-    w_lo = 0.0
-    if lo is not None:
-        w_lo = max(w_lo, lo)
-    if hi is not None:
-        w_hi = min(w_hi, hi)
-    if not w_lo < w_hi:
+    lo = max(lo, 0.0)
+    if not lo < hi:
         return 0.0
-    mode = max(power, 0.0) / rate
-    bps = [mode + k / rate for k in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-    if power < 0.0 and w_lo == 0.0:
-        def fn_smooth(x: np.ndarray) -> np.ndarray:
-            return np.exp(log_integrand(x) - power * np.log(x))
-
-        val, _ = integrate_endpoint_power(
-            fn_smooth, power, w_lo, w_hi, singular_at="lo", breakpoints=bps, **kw
-        )
-        return val
-    val, _ = integrate(
-        lambda x: np.exp(log_integrand(x)), w_lo, w_hi, breakpoints=bps, **kw
+    log_c = (
+        total * (spec.a * math.log(spec.lam) - math.lgamma(spec.a))
+        + (spec.a - 1.0) * p_scaled * math.log(theta)
+        + math.lgamma(k)
+        - k * math.log(rho)
     )
-    return val
+    if special.gammainc(k, rho * lo) > 0.5:
+        frac = special.gammaincc(k, rho * lo) - special.gammaincc(k, rho * hi)
+    else:
+        frac = special.gammainc(k, rho * hi) - special.gammainc(k, rho * lo)
+    return math.exp(log_c) * float(frac)

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .distributions import (
     DistributionSpec,
@@ -286,6 +285,7 @@ def _jacobian_banded(
     r: float,
     q: QuadratureOpts,
     mass: np.ndarray | None = None,
+    res: np.ndarray | None = None,
 ) -> np.ndarray:
     """Banded (3, n) Jacobian of the residual; tridiagonal and symmetric.
 
@@ -294,13 +294,13 @@ def _jacobian_banded(
     2 f(a) for r = 1 and twice the cell mass for r = 2 (``mass`` when
     given).  For r < 1 the diagonal's weight |x - a|**(r-2) is not
     integrable, and the band comes from forward differences of the
-    residual instead: columns k mod 3 are stepped together, since no
-    residual component sees two of them (Curtis, Powell & Reid, J. Inst.
-    Math. Appl. 13, 1974).
+    residual at ``pts`` (``res`` when given) instead: columns k mod 3 are
+    stepped together, since no residual component sees two of them
+    (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).
     """
     n = pts.size
     if r < 1.0:
-        base = _residual(spec, pts, r, q)
+        base = _residual(spec, pts, r, q) if res is None else res
         h = 1e-7 * (1.0 + np.abs(pts))
         ab = np.zeros((3, n))
         for k in range(min(n, 3)):
@@ -370,7 +370,7 @@ def _newton(
     for _ in range(opts.max_newton_iters):
         if sup <= opts.grad_tol and last_step <= opts.position_tol * _scale(pts):
             return pts, res, iters, True
-        ab = _jacobian_banded(spec, pts, r, q, mass)
+        ab = _jacobian_banded(spec, pts, r, q, mass, res)
         try:
             step = solve_banded((1, 1), ab, -res)
         except np.linalg.LinAlgError:
@@ -574,20 +574,37 @@ def _phi_plus(r: float, y: float) -> float:
 
 
 def _phi_minus(r: float, y: float) -> float:
-    """integral of t**(r-1) e**t on (0, y), by series."""
-    if y <= 0.0:
-        return 0.0
-    term = y**r / r
-    total = term
-    for k in range(800):
-        term *= y * (r + k) / ((k + 1.0) * (r + k + 1.0))
-        total += term
-        if term < 1e-17 * total:
-            break
-    return total
+    """integral of t**(r-1) e**t on (0, y): (y**r / r) 1F1(r; r+1; y)."""
+    return y**r / r * float(special.hyp1f1(r, r + 1.0, y))
 
 
-def exp_ak_sequence(r: float, n: int, root_tol: float = 1e-12) -> AkSequence:
+def _phi_minus_root(r: float, target: float, hi: float) -> float:
+    """The y in (0, hi] with _phi_minus(r, y) = target, to full precision.
+
+    Newton on the exact derivative y**(r-1) e**y, started at ``hi`` and
+    kept inside a shrinking bisection bracket; it stops once the bracket
+    or the step is within 2 ulp.  The spacing recursion amplifies root
+    errors from one term to the next, so no coarser tolerance is offered.
+    """
+    lo, y = 0.0, hi
+    for _ in range(200):
+        g = _phi_minus(r, y) - target
+        if g == 0.0:
+            return y
+        if g > 0.0:
+            hi = y
+        else:
+            lo = y
+        new = y - g / (y ** (r - 1.0) * math.exp(y))
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - y) <= 2.0 * math.ulp(y) or hi - lo <= 2.0 * math.ulp(hi):
+            return new
+        y = new
+    raise SolverError(f"spacing root did not converge at r={r}", np.array([]), math.nan)
+
+
+def exp_ak_sequence(r: float, n: int) -> AkSequence:
     """First n terms of the implicit spacing recursion for the unit-rate
     exponential law: each a_{k+1} balances the forward integral of
     t**(r-1) e**t against the backward integral at a_k (a_0 = +inf).
@@ -596,8 +613,6 @@ def exp_ak_sequence(r: float, n: int, root_tol: float = 1e-12) -> AkSequence:
         raise ValueError("r must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if root_tol <= 0.0:
-        raise ValueError("root_tol must be positive")
     target = math.gamma(r)  # a_0 = +inf case
     hi = 1.0
     while _phi_minus(r, hi) < target:
@@ -605,24 +620,14 @@ def exp_ak_sequence(r: float, n: int, root_tol: float = 1e-12) -> AkSequence:
         if hi > 256.0:
             raise SolverError(f"bracket failure at r={r}", np.array([]), math.nan)
     vals = np.empty(n)
-    y = brentq(lambda t: _phi_minus(r, t) - target, 0.0, hi, xtol=root_tol, rtol=8.9e-16)
-    vals[0] = 2.0 * y
+    vals[0] = 2.0 * _phi_minus_root(r, target, hi)
     for k in range(1, n):
-        target = _phi_plus(r, vals[k - 1] / 2.0)
-        y = brentq(
-            lambda t: _phi_minus(r, t) - target,
-            0.0,
-            vals[k - 1] / 2.0,
-            xtol=root_tol,
-            rtol=8.9e-16,
-        )
-        vals[k] = 2.0 * y
+        half = vals[k - 1] / 2.0
+        vals[k] = 2.0 * _phi_minus_root(r, _phi_plus(r, half), half)
     return AkSequence(r, vals)
 
 
-def exp_optimal_grid(
-    n: int, r: float, lam: float = 1.0, root_tol: float = 1e-12
-) -> Grid:
+def exp_optimal_grid(n: int, r: float, lam: float = 1.0) -> Grid:
     """Exact L^r-optimal n-point grid of the exponential law.
 
     Built for unit rate from the spacing recursion -- point k sits at
@@ -631,7 +636,7 @@ def exp_optimal_grid(
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    seq = exp_ak_sequence(r, n, root_tol)
+    seq = exp_ak_sequence(r, n)
     v = seq.values
     if n == 1:
         pts = np.array([v[0] / 2.0])

@@ -24,11 +24,12 @@ from quantilab.distributions import (
     c_fr,
     cell_gradient,
     cell_moment,
-    scaled_density_power_integral,
     zador_q,
 )
 from quantilab.quantizer import Grid, distortion
 from quantilab.solver import exp_ak_sequence, exp_optimal_grid
+
+from oracles import quadrature_sdpi
 
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
@@ -170,7 +171,7 @@ def test_criterion_6_lower_bound_reaches_zador():
     for spec in (GAUSS, EXPO):
         for s in (1.0, 4.0):
             th = theta_star(spec, 2.0, s)
-            val = q_inf(RateQuery(spec, 2.0, s, th), TIGHT)
+            val = q_inf(RateQuery(spec, 2.0, s, th))
             worst = max(worst, abs(val - zador_q(spec, s)) / zador_q(spec, s))
     _report("6 q-inf-equals-zador-at-theta-star", worst <= 1e-6, f"max rel gap {worst:.2e}")
 
@@ -178,8 +179,8 @@ def test_criterion_6_lower_bound_reaches_zador():
 def test_criterion_7_holder_identity():
     r, s = 2.0, 1.0
     th = theta_star(GAUSS, r, s)
-    lhs = scaled_density_power_integral(GAUSS, th, 0.0, 1.0, -s / (1.0 + r), TIGHT)
-    holder = scaled_density_power_integral(GAUSS, th, 0.0, r / (r - s), -s / (r - s), TIGHT)
+    lhs = quadrature_sdpi(GAUSS, th, 0.0, 1.0, -s / (1.0 + r), TIGHT)
+    holder = quadrature_sdpi(GAUSS, th, 0.0, r / (r - s), -s / (r - s), TIGHT)
     rhs = holder ** ((r - s) / r) * c_fr(GAUSS, r) ** (s / r)
     gap = abs(lhs - rhs) / abs(rhs)
     _report("7 holder-identity-theta-star", gap <= 1e-8, f"rel gap {gap:.2e}")
@@ -202,7 +203,7 @@ def test_criterion_9_property_suites():
     # closed-form constants vs quadrature (1e-8 relative)
     for spec in (GAUSS, EXPO, DistributionSpec.gamma(7.0)):
         for r in (1.0, 2.0, 4.0):
-            quad = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + r), TIGHT)
+            quad = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + r), TIGHT)
             if abs(quad - c_fr(spec, r)) / c_fr(spec, r) > 1e-8:
                 failures.append(f"c_fr {spec.family.value} r={r}")
 
@@ -237,7 +238,7 @@ def test_criterion_9_property_suites():
                     failures.append(f"admissibility {spec.family.value} r={r} s={s}")
     for spec in (GAUSS, EXPO):
         th = theta_star(spec, 2.0, 1.0)
-        h = lambda t: q_sup_sub(RateQuery(spec, 2.0, 1.0, t), TIGHT)
+        h = lambda t: q_sup_sub(RateQuery(spec, 2.0, 1.0, t))
         if not (h(th) < h(1.05 * th) and h(th) < h(0.95 * th)):
             failures.append(f"minimiser {spec.family.value}")
 

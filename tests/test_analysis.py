@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quantilab.analysis import (
     CI_TABLE_SIZES,
@@ -84,6 +86,13 @@ def test_table_slopes_converge_to_theta_star():
 def test_regressing_a_grid_on_itself_is_trivial():
     pts = exp_optimal_grid(15, 2.0).points
     assert ols_fit(pts, pts) == (1.0, 0.0, 0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60, unique=True))
+def test_regressing_any_sample_on_itself_is_exact(xs):
+    assume(max(xs) - min(xs) > 1e-3)  # sxx must not underflow
+    assert ols_fit(xs, xs) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_csv_format_and_round_trip():

@@ -145,6 +145,22 @@ def test_constants_json_divergent_query_is_strict_json(capsys):
     assert payload["theta_admissible"] is False
 
 
+def test_constants_just_above_the_condition_threshold(capsys):
+    # theta = 4/3 + 1 ulp: finite but huge; the closed form needs no panels
+    code, out, err = run_cli(capsys, "constants", "--dist", "exponential",
+                             "--r", "2", "--s", "4", "--theta", "1.3333333333333335")
+    assert code == 0 and err == ""
+    values = dict(line.split(" = ") for line in out.strip().split("\n"))
+    cond = float(values["condition_integral"])
+    assert math.isfinite(cond) and cond > 1e15
+
+
+def test_exp_grid_has_no_root_tolerance_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exp-grid", "--n", "3", "--root-tol", "1e-12"])
+    assert exc.value.code == 2
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quantilab.dilatation import (
     AdmissibilityError,
@@ -19,6 +21,8 @@ from quantilab.distributions import (
     c_fr,
     zador_q,
 )
+
+from oracles import quadrature_sdpi
 
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
@@ -117,7 +121,7 @@ def _gamma_condition_closed_form(a, lam, r, s, theta):
 @pytest.mark.parametrize("theta", [0.85, 1.0, 1.6])
 def test_condition_integral_gaussian_matches_closed_form(theta):
     q = RateQuery(DistributionSpec.gaussian(0.5, 2.0), 2.0, 1.5, theta)
-    assert condition_integral(q, TIGHT) == pytest.approx(
+    assert condition_integral(q) == pytest.approx(
         _gauss_condition_closed_form(2.0, 2.0, 1.5, theta), rel=1e-10
     )
 
@@ -125,7 +129,7 @@ def test_condition_integral_gaussian_matches_closed_form(theta):
 @pytest.mark.parametrize("theta", [0.7, 1.3])
 def test_condition_integral_exponential_matches_closed_form(theta):
     q = RateQuery(DistributionSpec.exponential(2.0), 2.0, 1.0, theta)
-    assert condition_integral(q, TIGHT) == pytest.approx(
+    assert condition_integral(q) == pytest.approx(
         _exp_condition_closed_form(2.0, 2.0, 1.0, theta), rel=1e-10
     )
 
@@ -133,7 +137,7 @@ def test_condition_integral_exponential_matches_closed_form(theta):
 @pytest.mark.parametrize("a", [0.6, 2.0, 7.0])
 def test_condition_integral_gamma_matches_closed_form(a):
     q = RateQuery(DistributionSpec.gamma(a, 1.5), 2.0, 1.0, 0.9)
-    assert condition_integral(q, TIGHT) == pytest.approx(
+    assert condition_integral(q) == pytest.approx(
         _gamma_condition_closed_form(a, 1.5, 2.0, 1.0, 0.9), rel=1e-9
     )
 
@@ -142,11 +146,11 @@ def test_condition_integral_reference_value():
     # corrected closed form: ((2 pi)^d det)**(s/(2(d+r))) ((d+r)/d)**(d/2)
     q = RateQuery(GAUSS, 2.0, 4.0, math.sqrt(5.0 / 3.0))
     ref = (2.0 * math.pi) ** (2.0 / 3.0) * math.sqrt(3.0)
-    assert condition_integral(q, TIGHT) == pytest.approx(ref, rel=1e-10)
+    assert condition_integral(q) == pytest.approx(ref, rel=1e-10)
 
 
 def test_condition_integral_near_zero_exponent_is_unit_mass():
-    val = condition_integral(RateQuery(GAUSS, 2.0, 1e-9, 1.0), TIGHT)
+    val = condition_integral(RateQuery(GAUSS, 2.0, 1e-9, 1.0))
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -164,14 +168,14 @@ def test_condition_integral_divergence_is_analytic():
 @pytest.mark.parametrize("s", [1.0, 4.0])
 def test_q_inf_at_theta_star_recovers_zador_constant(spec, s):
     th = theta_star(spec, 2.0, s)
-    val = q_inf(RateQuery(spec, 2.0, s, th), TIGHT)
+    val = q_inf(RateQuery(spec, 2.0, s, th))
     assert val == pytest.approx(zador_q(spec, s), rel=1e-6)
 
 
 def test_q_inf_reference_values():
-    val = q_inf(RateQuery(GAUSS, 2.0, 1.0, math.sqrt(2.0 / 3.0)), TIGHT)
+    val = q_inf(RateQuery(GAUSS, 2.0, 1.0, math.sqrt(2.0 / 3.0)))
     assert val == pytest.approx(math.sqrt(2.0 * math.pi) / 2.0, rel=1e-9)
-    val = q_inf(RateQuery(EXPO, 2.0, 1.0, 2.0 / 3.0), TIGHT)
+    val = q_inf(RateQuery(EXPO, 2.0, 1.0, 2.0 / 3.0))
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
@@ -184,10 +188,10 @@ def test_q_inf_divergence_matches_condition_integral():
 # -- q_sup_sub --------------------------------------------------------------------
 
 def test_q_sup_sub_reference_values():
-    val = q_sup_sub(RateQuery(GAUSS, 2.0, 1.0, math.sqrt(2.0 / 3.0)), TIGHT)
+    val = q_sup_sub(RateQuery(GAUSS, 2.0, 1.0, math.sqrt(2.0 / 3.0)))
     ref = 2.0 * math.sqrt(1.0 / 12.0) * math.sqrt(2.0 * math.pi)
     assert val == pytest.approx(ref, rel=1e-9)
-    val = q_sup_sub(RateQuery(EXPO, 2.0, 1.0, 2.0 / 3.0), TIGHT)
+    val = q_sup_sub(RateQuery(EXPO, 2.0, 1.0, 2.0 / 3.0))
     assert val == pytest.approx(0.5 * 4.0 / math.sqrt(3.0), rel=1e-10)
 
 
@@ -209,8 +213,8 @@ def test_lower_bound_sandwiched_by_upper_bound(spec, theta_scale):
     r, s = 2.0, 1.0
     theta = theta_star(spec, r, s) * theta_scale
     query = RateQuery(spec, r, s, theta)
-    lo = q_inf(query, TIGHT)
-    hi = q_sup_sub(query, TIGHT)
+    lo = q_inf(query)
+    hi = q_sup_sub(query)
     assert lo <= hi + 1e-12
 
 
@@ -219,10 +223,10 @@ def test_theta_star_minimises_upper_bound_objective():
         for r, s in ((2.0, 1.0), (2.0, 4.0), (4.0, 1.0)):
             th = theta_star(spec, r, s)
             if s < r:
-                h = lambda t: q_sup_sub(RateQuery(spec, r, s, t), TIGHT)
+                h = lambda t: q_sup_sub(RateQuery(spec, r, s, t))
             else:
                 h = lambda t: t ** (s + 1) * condition_integral(
-                    RateQuery(spec, r, s, t), TIGHT
+                    RateQuery(spec, r, s, t)
                 )
             centre = h(th)
             assert centre < h(th * 1.05)
@@ -230,14 +234,10 @@ def test_theta_star_minimises_upper_bound_objective():
 
 
 def test_holder_identity_at_theta_star():
-    from quantilab.distributions import scaled_density_power_integral
-
     r, s = 2.0, 1.0
     th = theta_star(GAUSS, r, s)
-    lhs = scaled_density_power_integral(GAUSS, th, 0.0, 1.0, -s / (1.0 + r), TIGHT)
-    holder = scaled_density_power_integral(
-        GAUSS, th, 0.0, r / (r - s), -s / (r - s), TIGHT
-    )
+    lhs = quadrature_sdpi(GAUSS, th, 0.0, 1.0, -s / (1.0 + r), TIGHT)
+    holder = quadrature_sdpi(GAUSS, th, 0.0, r / (r - s), -s / (r - s), TIGHT)
     rhs = holder ** ((r - s) / r) * c_fr(GAUSS, r) ** (s / r)
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -255,19 +255,54 @@ def test_rate_query_defaults_and_mu_rules():
 
 
 def test_q_inf_accepts_offcentre_gaussian_mu():
-    val = q_inf(RateQuery(GAUSS, 2.0, 1.0, 1.0, mu=0.7), TIGHT)
+    val = q_inf(RateQuery(GAUSS, 2.0, 1.0, 1.0, mu=0.7))
     assert math.isfinite(val) and val > 0.0
 
 
 def test_rate_constants_bundle():
     query = RateQuery(EXPO, 2.0, 1.0, 2.0 / 3.0)
-    consts = rate_constants(query, TIGHT)
+    consts = rate_constants(query)
     assert consts.theta_star == pytest.approx(2.0 / 3.0)
     assert consts.theta_admissible
     assert consts.q_inf == pytest.approx(1.0, rel=1e-10)
     assert consts.q_sup_sub == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-10)
     assert consts.condition_integral == pytest.approx(3.0, rel=1e-10)
-    s_large = rate_constants(RateQuery(EXPO, 2.0, 4.0, 0.5), TIGHT)
+    s_large = rate_constants(RateQuery(EXPO, 2.0, 4.0, 0.5))
     assert s_large.q_sup_sub is None
     assert math.isinf(s_large.q_inf) and math.isinf(s_large.condition_integral)
     assert not s_large.theta_admissible
+
+
+# -- scale equivariance -------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    gaussian=st.booleans(),
+    a=st.floats(0.5, 8.0),
+    scale=st.floats(1e-6, 1e6),
+    m=st.floats(-100.0, 100.0),
+    r=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    s=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    stretch=st.floats(1.05, 3.0),
+)
+def test_rate_constants_scale_exactly_with_the_law(gaussian, a, scale, m, r, s, stretch):
+    # q_inf and q_sup_sub scale as sigma**s (Gaussian, mu = m) or lam**(-s)
+    # (Gamma(a, lam)); the condition integral as the same factor**(s/(1+r))
+    if gaussian:
+        unit, law = GAUSS, DistributionSpec.gaussian(m, scale**2)
+        factor = law.sigma
+    else:
+        unit, law = DistributionSpec.gamma(a), DistributionSpec.gamma(a, scale)
+        factor = 1.0 / law.lam
+    theta = admissible_theta_range(unit, r, s)[0] * stretch
+    base, scaled = RateQuery(unit, r, s, theta), RateQuery(law, r, s, theta)
+    cond = condition_integral(base)
+    assume(math.isfinite(cond))
+    pairs = [
+        (condition_integral(scaled), cond * factor ** (s / (1.0 + r))),
+        (q_inf(scaled), q_inf(base) * factor**s),
+    ]
+    if s < r:
+        pairs.append((q_sup_sub(scaled), q_sup_sub(base) * factor**s))
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-11 * abs(want)

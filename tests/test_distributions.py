@@ -32,6 +32,8 @@ from quantilab.distributions import (
 from quantilab.quantizer import voronoi_bounds
 from quantilab.solver import SolverOpts
 
+from oracles import quadrature_sdpi
+
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
 GAMMA7 = DistributionSpec.gamma(7.0)
@@ -59,7 +61,7 @@ def test_pdf_gamma7_at_one():
 
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_pdf_integrates_to_one(spec):
-    mass = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0, TIGHT)
+    mass = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0, TIGHT)
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -305,7 +307,7 @@ def test_c_fr_closed_forms():
 @pytest.mark.parametrize("spec", FAMILIES)
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
 def test_c_fr_agrees_with_quadrature(spec, r):
-    quad = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + r), TIGHT)
+    quad = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + r), TIGHT)
     assert abs(quad - c_fr(spec, r)) / c_fr(spec, r) <= 1e-8
 
 
@@ -326,6 +328,70 @@ def test_cube_coefficient_values():
     assert cube_coefficient(2.0) == pytest.approx(1.0 / 12.0)
     assert cube_coefficient(1.0) == pytest.approx(0.25)
     assert cube_coefficient(4.0) == pytest.approx(1.0 / 80.0)
+
+
+# -- density-power product integrals ----------------------------------------
+
+SDPI_LAWS = [
+    GAUSS,
+    DistributionSpec.gaussian(0.5, 2.0),
+    EXPO,
+    DistributionSpec.exponential(2.0),
+    GAMMA7,
+    DistributionSpec.gamma(0.5),
+    DistributionSpec.gamma(2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("spec", SDPI_LAWS, ids=lambda s: s.cache_token())
+def test_density_power_integral_matches_quadrature(spec):
+    # the (p_scaled, p_plain) of the condition integral, c_fr and the s < r
+    # upper bound, over whole, central, lower-tail and upper-tail windows
+    q10, q90 = (float(v) for v in quantile(spec, np.array([0.1, 0.9])))
+    windows = [(None, None), (q10, q90), (None, q10), (q90, None)]
+    mus = [spec.m, spec.m + 0.7] if spec.family is Family.GAUSSIAN else [0.0]
+    checked = 0
+    for r, s in ((2.0, 1.0), (2.0, 4.0), (4.0, 1.0), (1.0, 2.0), (0.5, 0.25)):
+        powers = [(1.0, -s / (1.0 + r)), (0.0, 1.0 / (1.0 + r))]
+        if s < r:
+            powers.append((r / (r - s), -s / (r - s)))
+        for theta in (0.5, 0.8, 1.0, 1.3, 2.2):
+            for p1, p2 in powers:
+                for lo, hi in windows:
+                    for mu in mus:
+                        args = (spec, theta, mu, p1, p2)
+                        try:
+                            ref = quadrature_sdpi(*args, TIGHT, lo=lo, hi=hi)
+                        except ValueError:  # divergent: both sides must say so
+                            with pytest.raises(ValueError):
+                                scaled_density_power_integral(*args, lo, hi)
+                            continue
+                        got = scaled_density_power_integral(*args, lo, hi)
+                        assert abs(got - ref) <= 1e-9 * abs(ref), (args, lo, hi)
+                        checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_density_power_integral_far_tail_windows_keep_relative_accuracy(spec):
+    # p = (0, 1) integrates the density itself: windows deep in either tail
+    # must come out as sf/cdf differences without cancellation
+    for lo, hi in ((quantile_sf(spec, 1e-30), None), (None, quantile(spec, 1e-30))):
+        want = sf(spec, lo) if hi is None else cdf(spec, hi)
+        got = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0, lo, hi)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_density_power_integral_divergence_guards():
+    with pytest.raises(ValueError):  # A = p_scaled theta**2 + p_plain <= 0
+        scaled_density_power_integral(GAUSS, 0.5, 0.0, 1.0, -0.25)
+    with pytest.raises(ValueError):  # rho = lam (theta p_scaled + p_plain) <= 0
+        scaled_density_power_integral(EXPO, 0.5, 0.0, 1.0, -0.5)
+    with pytest.raises(ValueError):  # k = (a - 1)(p_scaled + p_plain) + 1 <= 0
+        scaled_density_power_integral(DistributionSpec.gamma(0.5), 1.0, 0.0, 0.0, 2.0)
+    with pytest.raises(ValueError):
+        scaled_density_power_integral(EXPO, 1.0, 0.3, 1.0, 0.0)  # half-line needs mu = 0
+    assert scaled_density_power_integral(GAUSS, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0) == 0.0
 
 
 # -- limiting point density --------------------------------------------------
@@ -356,7 +422,7 @@ def test_empirical_density_normalised_and_in_family(spec, s):
     np.testing.assert_allclose(
         empirical_density(spec, s, xs), pdf(law, xs), rtol=1e-12, atol=1e-300
     )
-    mass = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + s), TIGHT)
+    mass = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + s), TIGHT)
     assert mass / c_fr(spec, s) == pytest.approx(1.0, abs=1e-8)
 
 

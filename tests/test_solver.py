@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
+import quantilab
 from quantilab import solver
 from quantilab.distributions import (
     DistributionSpec,
@@ -517,6 +523,37 @@ def test_subunit_exponent_points_minimise_their_cell_moments():
             assert base <= cell_moment(EXPO, float(p) + delta, b[i], b[i + 1], 0.5) + 1e-10
 
 
+@pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
+def test_subunit_newton_hands_its_residual_to_the_jacobian(spec, monkeypatch):
+    real_residual, real_jacobian = solver._residual, solver._jacobian_banded
+    calls = [0]
+    passes = []  # residual passes inside each Newton iteration's Jacobian
+
+    def counting_residual(*args, **kwargs):
+        calls[0] += 1
+        return real_residual(*args, **kwargs)
+
+    def counting_jacobian(*args, **kwargs):
+        before = calls[0]
+        ab = real_jacobian(*args, **kwargs)
+        passes.append(calls[0] - before)
+        return ab
+
+    monkeypatch.setattr(solver, "_residual", counting_residual)
+    monkeypatch.setattr(solver, "_jacobian_banded", counting_jacobian)
+    reused = optimal_grid(spec, 20, 0.5, full_result=True)
+    assert len(passes) == reused.newton_iters > 0
+    assert passes == [3] * len(passes)  # the 3 colour steps; the base is reused
+
+    def recomputing_jacobian(spec, pts, r, q, mass=None, res=None):
+        return real_jacobian(spec, pts, r, q, mass)  # base residual evaluated anew
+
+    monkeypatch.setattr(solver, "_jacobian_banded", recomputing_jacobian)
+    recomputed = optimal_grid(spec, 20, 0.5, full_result=True)
+    assert np.array_equal(reused.grid.points, recomputed.grid.points)
+    assert reused.newton_iters == recomputed.newton_iters
+
+
 # -- exponential closed form -----------------------------------------------------
 
 def test_ak_first_terms():
@@ -561,6 +598,56 @@ def test_recursion_agrees_with_newton(r, n, grid_of):
     closed = exp_optimal_grid(n, r)
     solved = grid_of(EXPO, n, r)
     np.testing.assert_allclose(solved.points, closed.points, atol=1e-8)
+
+
+def _mp_spacings(r: float, n: int) -> list:
+    """The spacing recursion at 40 digits: each root of
+    (y**r / r) 1F1(r; r+1; y) = target by Newton from the previous root."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        target, y, out = mpmath.gamma(r), mpmath.mpf(1), []
+        for _ in range(n):
+            for _ in range(200):
+                step = (y**r / r * mpmath.hyp1f1(r, r + 1, y) - target) / (
+                    y ** (r - 1) * mpmath.exp(y)
+                )
+                y -= step
+                if abs(step) < mpmath.mpf(10) ** -36 * y:
+                    break
+            out.append(2 * y)
+            target = mpmath.gammainc(r, 0, y)
+        return [float(v) for v in out]
+
+
+@pytest.mark.parametrize("r, n", [(4.0, 100), (2.0, 200), (0.5, 100)])
+def test_spacings_match_a_40_digit_recursion(r, n):
+    ref = np.array(_mp_spacings(r, n))
+    got = exp_ak_sequence(r, n).values
+    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_solver_matches_the_recursion_at_n_900(r, grid_of):
+    gap = np.max(np.abs(grid_of(EXPO, 900, r).points - exp_optimal_grid(900, r).points))
+    assert gap <= 1e-10
+
+
+def test_library_calls_do_not_import_scipy_optimize():
+    script = (
+        "import sys\n"
+        "import quantilab as ql\n"
+        "ql.exp_optimal_grid(50, 2.0)\n"
+        "for r in (0.5, 1.0, 3.0):\n"
+        "    ql.optimal_grid(ql.DistributionSpec.gamma(2.0), 8, r)\n"
+        "ql.rate_constants(ql.RateQuery(ql.DistributionSpec.gaussian(), 2.0, 1.0, 0.9))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(quantilab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # -- cache -----------------------------------------------------------------------
