@@ -1,21 +1,26 @@
 """Adaptive Gauss-Legendre quadrature over finite intervals.
 
 Panels are bisected worst-estimated-error first until the summed panel
-error bound meets the requested tolerance.  Endpoint power singularities
-``|x - end|**p`` with ``p`` in (-1, 0) are removed by a monomial change
-of variable rather than by brute-force subdivision.
+error bound meets the requested tolerance.  ``integrate_endpoint_power``
+removes an endpoint power ``|x - end|**p``, ``p`` in (-1, 0), by a
+monomial change of variable rather than by brute-force subdivision.
 
 ``integrate_batch`` runs many integrals at once as ``(panels, 16)`` node
 arrays, with the same per-integral stopping test and subdivision budget.
+An integral that behaves like ``(x - lo)**p`` at its lower end gets a
+16-point Gauss-Jacobi panel there (a product rule for the algebraic end
+weight, as in QUADPACK's QAWS), so that end needs no bisection.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -126,13 +131,49 @@ BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 _CHUNK = 1024  # panels per integrand call: bounds the node arrays' memory
 
 
-def _panels(fn: BatchIntegrand, a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Jacobi rule for the weight (x - lo)**p on [lo, hi].
+
+    Returns ``(s, w)`` as fractions of the width: the nodes are
+    ``lo + (hi - lo) * s`` and the panel is ``(hi - lo) * (vals @ w)``.
+    The weights are divided by the weight function at the nodes, so
+    ``vals`` is the full integrand, weight included.  Nodes and weights
+    come from Golub-Welsch (``roots_jacobi``) and are cached per ``p``.
+    """
+    y, w = special.roots_jacobi(16, 0.0, p)
+    rule = (0.5 * (1.0 + y), 0.5 * w / (1.0 + y) ** p)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return rule
+
+
+def _panels(
+    fn: BatchIntegrand,
+    a: np.ndarray,
+    b: np.ndarray,
+    owner: np.ndarray,
+    rule: np.ndarray | None = None,
+    nodes: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """16-point panel sums over [a[j], b[j]]: Gauss-Legendre, except where
+    ``rule[j] > 0``: there the Jacobi rule ``nodes[rule[j]], weights[rule[j]]``
+    (in ``_jacobi_rule`` form)."""
     out = np.empty(a.size)
     for s in range(0, a.size, _CHUNK):
         part = slice(s, s + _CHUNK)
-        half = 0.5 * (b[part] - a[part])
+        width = b[part] - a[part]
+        half = 0.5 * width
         x = (0.5 * (a[part] + b[part]))[:, None] + half[:, None] * _NODES
-        out[part] = half * (fn(x, owner[part]) @ _WEIGHTS)
+        jac = () if rule is None else np.flatnonzero(rule[part])
+        if len(jac):
+            k = rule[part][jac]
+            x[jac] = a[part][jac, None] + width[jac, None] * nodes[k]
+        vals = fn(x, owner[part])
+        out[part] = half * (vals @ _WEIGHTS)
+        if len(jac):
+            out[s + jac] = width[jac] * np.einsum("ij,ij->i", vals[jac], weights[k])
     return out
 
 
@@ -141,6 +182,7 @@ def integrate_batch(
     lo: np.ndarray,
     hi: np.ndarray,
     *,
+    power: np.ndarray | None = None,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
     max_subdivisions: int = 4000,
@@ -153,17 +195,43 @@ def integrate_batch(
     (summed panel error <= max(abs_tol, rel_tol * |total|)), the panels
     whose error exceeds an even share of half that tolerance.  Returns
     ``(values, error_bounds)``; empty or reversed intervals give zero.
+
+    ``power[k] > -1`` says that integrand k behaves like
+    ``(x - lo[k])**power[k]`` times a smooth function near ``lo[k]``.  The
+    panel of integral k that starts at ``lo[k]`` then uses the 16-point
+    Gauss-Jacobi rule for that power (QUADPACK's QAWS does the same for
+    algebraic end weights), so the end needs no bisection towards it;
+    ``fn`` still returns the full integrand.  Non-negative integer powers,
+    and all panels away from ``lo[k]``, use Gauss-Legendre.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     m = lo.size
+    rule_of = nodes = weights = None
+    if power is not None:
+        power = np.broadcast_to(np.asarray(power, dtype=float), lo.shape)
+        if not np.all(power > -1.0):
+            raise ValueError(f"end powers must exceed -1, got {power.min()}")
+        jacobi = power % 1.0 != 0.0
+        if jacobi.any():
+            ps, idx = np.unique(power[jacobi], return_inverse=True)
+            rule_of = np.zeros(m, dtype=np.intp)  # 0: Legendre, i: Jacobi for ps[i - 1]
+            rule_of[jacobi] = idx + 1
+            rules = [(_NODES, _WEIGHTS)] + [_jacobi_rule(float(p)) for p in ps]  # row 0 unused
+            nodes = np.array([r[0] for r in rules])
+            weights = np.array([r[1] for r in rules])
+
+    def panels(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        rule = None if rule_of is None else np.where(a == lo[owner], rule_of[owner], 0)
+        return _panels(fn, a, b, owner, rule, nodes, weights)
+
     total = np.zeros(m)
     err_total = np.zeros(m)
     owner = np.flatnonzero(lo < hi)
     a, b = lo[owner], hi[owner]
     mid = 0.5 * (a + b)
-    whole, left, right = _panels(
-        fn, np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), np.concatenate((owner,) * 3)
+    whole, left, right = panels(
+        np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), np.concatenate((owner,) * 3)
     ).reshape(3, -1)
     err = np.abs(left + right - whole)
     count = np.bincount(owner, minlength=m)
@@ -204,8 +272,7 @@ def integrate_batch(
             )
         sa, sm, sb, sk = a[split], mid[split], b[split], owner[split]
         q1, q3 = 0.5 * (sa + sm), 0.5 * (sm + sb)
-        l1, r1, l2, r2 = _panels(
-            fn,
+        l1, r1, l2, r2 = panels(
             np.concatenate((sa, q1, sm, q3)),
             np.concatenate((q1, sm, q3, sb)),
             np.concatenate((sk,) * 4),

@@ -405,11 +405,13 @@ def _abs_moments(
     """Array form of ``_abs_moment``: all cells in one batched integration.
 
     Each cell is split at its point, which then sits at or beyond one end
-    of each piece.  A piece is integrated in u = t**c, where t is the
-    distance from its singular end: the point, or the origin for a Gamma
-    shape below 1.  The exponent c cancels a negative power of t (the
-    weight for q < 0, the Gamma density) against the Jacobian of the map;
-    c = 1 elsewhere.
+    of each piece.  A piece is integrated in t, the distance from its
+    singular end (the point, or the origin for a Gamma shape below 1),
+    over [0, b - a].  It passes ``integrate_batch`` its power at t = 0:
+    q at the point, a - 1 at the origin, their sum where the two meet.
+    A power that is not a non-negative integer gets a Gauss-Jacobi end
+    panel there.  For non-integer q, the Gamma piece [0, pt] is cut in
+    half so that each singular end has its own piece.
     """
     pt = np.asarray(pt, dtype=float)
     m = pt.size
@@ -422,8 +424,8 @@ def _abs_moments(
     sign = np.concatenate((np.ones(m), np.full(m, -1.0 if signed else 1.0)))
     pt_above = np.arange(2 * m) < m  # the point is at or above b, else at or below a
     gamma_sing = spec.family is Family.GAMMA and spec.a < 1.0
-    if gamma_sing and q < 0.0:
-        # singular at both ends of [0, pt]: give each end its own piece
+    if gamma_sing and q % 1.0 != 0.0:
+        # non-smooth at both ends of [0, pt]: give each end its own piece
         both = np.flatnonzero((a == 0.0) & pt_above & (b == pt[cell]) & (b > 0.0))
         half = 0.5 * b[both]
         a = np.concatenate((a, half))
@@ -438,36 +440,26 @@ def _abs_moments(
     step = np.where(from_b, -1.0, 1.0)
     shift = step * (end - pt[cell])  # |x - pt| = |t + shift| at x = end + step * t
     at_pt = shift == 0.0
-    t_pow = np.where(at_pt, q, 0.0) + np.where(origin, spec.a - 1.0, 0.0)
-    c = 1.0 + np.minimum(t_pow, 0.0)
-    if np.any(c <= 0.0):
-        raise ValueError("non-integrable singularity at the support edge")
-    inv_c = 1.0 / c
-    t_pow = np.maximum(t_pow, 0.0)
+    t_pow = np.where(at_pt, q, 0.0)
     shift_pow = np.where(at_pt, 0.0, q)
-    scale = math.exp(spec.a * math.log(spec.lam) - math.lgamma(spec.a))
-    # powers that are 1 everywhere are skipped: the product is bit-identical
-    unit_c = bool(np.all(c == 1.0))
+    end_pow = t_pow + np.where(origin, spec.a - 1.0, 0.0)  # integrate_batch rejects <= -1
+    # factors whose power is 0 everywhere are skipped: the product is bit-identical
     has_t_pow = bool(np.any(t_pow != 0.0))
     has_shift_pow = bool(np.any(shift_pow != 0.0))
 
-    def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-        t = u if unit_c else u ** inv_c[k, None]
-        x = end[k, None] + step[k, None] * t
-        f = pdf(spec, x)
-        rows = origin[k]
-        if rows.any():
-            f[rows] = scale * np.exp(-spec.lam * x[rows])  # density without x**(a-1)
+    def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        f = pdf(spec, end[k, None] + step[k, None] * t)
         if has_t_pow:
             f = f * t ** t_pow[k, None]
         if has_shift_pow:
             f = f * np.abs(t + shift[k, None]) ** shift_pow[k, None]
-        return f if unit_c else f * inv_c[k, None]
+        return f
 
     val, val_err = integrate_batch(
         integrand,
         np.zeros(a.size),
-        (b - a) ** c,
+        b - a,
+        power=end_pow,
         abs_tol=opts.abs_tol,
         rel_tol=opts.rel_tol,
         max_subdivisions=opts.max_subdivisions,

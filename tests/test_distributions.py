@@ -32,7 +32,7 @@ from quantilab.distributions import (
 from quantilab.quantizer import voronoi_bounds
 from quantilab.solver import SolverOpts
 
-from oracles import quadrature_sdpi
+from oracles import mp_cell_moment, quadrature_sdpi
 
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
@@ -244,6 +244,25 @@ def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
             assert abs(vals[i] - ref) <= tol, (q, signed, i, vals[i], ref)
 
 
+@pytest.mark.parametrize("q", [-0.7, -0.5, 0.5, 1.5, 2.5])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
+def test_fractional_cell_integrals_match_mpmath(spec, q):
+    # the weight |x - pt|**q is not smooth at the point (and the Gamma(0.5)
+    # density not at the origin).  At the solver's options every cell must
+    # come out within 1e-12 relative, the far-tail cells too: their values
+    # (~1e-6) sit so low that the absolute floor abs_tol = 1e-16 alone would
+    # let them off at 1e-11.
+    opts = SolverOpts().quad
+    n = 40
+    law = empirical_measure_law(spec, 2.0)
+    pts = np.asarray(quantile(law, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
+    b = voronoi_bounds(pts)
+    vals, _ = _abs_moments(spec, pts, b[:-1], b[1:], q, opts)
+    for i in (0, 1, 20, 37, 38, 39):  # the origin cell of a Gamma law, the tail cells
+        ref = mp_cell_moment(spec, float(pts[i]), b[i], b[i + 1], q)
+        assert abs(vals[i] - ref) <= 1e-12 * abs(ref), (i, vals[i], ref)
+
+
 @pytest.mark.parametrize(
     "spec",
     [GAUSS, EXPO, DistributionSpec.gamma(2.0, 1.5), DistributionSpec.gamma(0.5)],
@@ -283,11 +302,13 @@ def test_tail_cut_is_relative_to_the_cell_mass():
 def test_batched_cell_integrals_budget_exhaustion():
     from quantilab.distributions import QuadratureError
 
+    # q = -0.5 (the r = 1.5 Jacobian weight) still needs more than 4 panels
+    # at this tolerance; with Jacobi end panels, q = 1.5 no longer does
     starved = QuadratureOpts(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
     pts = np.array([-1.0, 0.0, 1.0])
     b = voronoi_bounds(pts)
     with pytest.raises(QuadratureError) as exc:
-        _abs_moments(GAUSS, pts, b[:-1], b[1:], 1.5, starved)
+        _abs_moments(GAUSS, pts, b[:-1], b[1:], -0.5, starved)
     assert math.isfinite(exc.value.estimate)
     assert exc.value.error_bound > 0.0
 

@@ -101,3 +101,55 @@ def test_batch_budget_exhaustion_carries_diagnostics():
         )
     assert math.isfinite(exc.value.estimate)
     assert exc.value.error_bound > 0.0
+
+
+# -- Gauss-Jacobi end panels -------------------------------------------------
+
+@pytest.mark.parametrize("p", [-0.7, -0.5, 0.3, 0.5, 1.5, 2.5])
+def test_batch_end_power_matches_lower_incomplete_gamma(p):
+    # integral of x**p e**(-x) over (0, L) = gamma(p + 1) P(p + 1, L)
+    length = np.array([0.1, 1.0, 3.0, 10.0, 40.0])
+    vals, _ = integrate_batch(
+        lambda x, k: x**p * np.exp(-x),
+        np.zeros(length.size),
+        length,
+        power=np.full(length.size, p),
+        abs_tol=0.0,
+        rel_tol=1e-15,
+    )
+    ref = special.gamma(p + 1.0) * special.gammainc(p + 1.0, length)
+    np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+
+
+def test_batch_end_power_is_at_each_integrals_own_lower_end():
+    # integral of (x - lo)**-0.5 over (lo, lo + 1) = 2, for a mix of powers
+    lo = np.array([-3.0, 0.5, 7.0, 2.0])
+    power = np.array([-0.5, -0.5, 0.0, 1.5])
+    vals, _ = integrate_batch(
+        lambda x, k: (x - lo[k, None]) ** power[k, None],
+        lo,
+        lo + 1.0,
+        power=power,
+        abs_tol=0.0,
+        rel_tol=1e-15,
+    )
+    np.testing.assert_allclose(vals, [2.0, 2.0, 1.0, 0.4], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1.5, math.nan])
+def test_batch_end_power_rejects_nonintegrable(bad):
+    with pytest.raises(ValueError):
+        integrate_batch(
+            lambda x, k: np.ones_like(x), np.zeros(2), np.ones(2), power=np.array([0.5, bad])
+        )
+
+
+def test_batch_zero_end_powers_are_bit_identical_to_none():
+    lo = np.array([0.0, 2.0, 0.0, 1.0])
+    hi = np.array([2.0, 4.0, 1.0, 1.0])
+    owner = np.array([0, 1, 2, 0])
+    fn = lambda x, k: _stacked(x, owner[k])
+    plain = integrate_batch(fn, lo, hi)
+    zero = integrate_batch(fn, lo, hi, power=np.zeros(4))
+    np.testing.assert_array_equal(zero[0], plain[0])
+    np.testing.assert_array_equal(zero[1], plain[1])

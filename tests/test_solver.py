@@ -392,6 +392,22 @@ def test_gaussian_grids_are_antisymmetric(n, r):
     np.testing.assert_allclose(pts, -pts[::-1], rtol=0, atol=1e-12)
 
 
+@SOLVER_PROPERTY
+@given(
+    spec=st.sampled_from(
+        [GAUSS, EXPO, DistributionSpec.gamma(2.0), DistributionSpec.gamma(0.5, 3.0)]
+    ),
+    r=st.floats(0.3, 4.0),
+    n=st.integers(1, 29),
+)
+def test_optimal_distortion_decreases_with_n(spec, r, n):
+    # one more point can always do at least as well: keep the old grid and
+    # split its worst cell
+    coarse = distortion(solve(spec, n, r), spec, r)
+    fine = distortion(solve(spec, n + 1, r), spec, r)
+    assert fine < coarse
+
+
 def test_full_result_reports_and_gamma_flag():
     res = optimal_grid(DistributionSpec.gamma(0.5), 3, 2.0, full_result=True)
     assert res.stationary_only
