@@ -153,27 +153,38 @@ def _panels(
     a: np.ndarray,
     b: np.ndarray,
     owner: np.ndarray,
-    rule: np.ndarray | None = None,
-    nodes: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
+    ends: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """16-point panel sums over [a[j], b[j]]: Gauss-Legendre, except where
-    ``rule[j] > 0``: there the Jacobi rule ``nodes[rule[j]], weights[rule[j]]``
-    (in ``_jacobi_rule`` form)."""
+    """16-point panel sums over [a[j], b[j]], Gauss-Legendre without ``ends``.
+
+    ``ends = (lo, rule_of, nodes, weights)``: a panel of integral k that
+    starts at ``lo[k]`` uses row ``rule_of[k]`` of ``nodes`` and ``weights``,
+    a Jacobi rule in ``_jacobi_rule`` form; every other panel uses row 0,
+    Gauss-Legendre about the panel's midpoint.  Rows are gathered per chunk
+    and the nodes built in place: extra panel-sized temporaries made the
+    allocator hand heap pages back and fault them in again on every call,
+    which cost a Gamma(7) s = 2.5 distortion about 30%.
+    """
     out = np.empty(a.size)
     for s in range(0, a.size, _CHUNK):
         part = slice(s, s + _CHUNK)
+        k = owner[part]
         width = b[part] - a[part]
         half = 0.5 * width
-        x = (0.5 * (a[part] + b[part]))[:, None] + half[:, None] * _NODES
-        jac = () if rule is None else np.flatnonzero(rule[part])
-        if len(jac):
-            k = rule[part][jac]
-            x[jac] = a[part][jac, None] + width[jac, None] * nodes[k]
-        vals = fn(x, owner[part])
-        out[part] = half * (vals @ _WEIGHTS)
-        if len(jac):
-            out[s + jac] = width[jac] * np.einsum("ij,ij->i", vals[jac], weights[k])
+        mid = 0.5 * (a[part] + b[part])
+        if ends is None:
+            x = mid[:, None] + half[:, None] * _NODES
+            out[part] = half * (fn(x, k) @ _WEIGHTS)
+            continue
+        lo, rule_of, nodes, weights = ends
+        rule = np.where(a[part] == lo[k], rule_of[k], 0)
+        at_lo = rule > 0
+        centre = np.where(at_lo, a[part], mid)
+        scale = np.where(at_lo, width, half)
+        x = np.take(nodes, rule, axis=0)
+        x *= scale[:, None]
+        x += centre[:, None]
+        out[part] = scale * np.einsum("ij,ij->i", fn(x, k), np.take(weights, rule, axis=0))
     return out
 
 
@@ -207,7 +218,7 @@ def integrate_batch(
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     m = lo.size
-    rule_of = nodes = weights = None
+    ends = None
     if power is not None:
         power = np.broadcast_to(np.asarray(power, dtype=float), lo.shape)
         if not np.all(power > -1.0):
@@ -217,21 +228,20 @@ def integrate_batch(
             ps, idx = np.unique(power[jacobi], return_inverse=True)
             rule_of = np.zeros(m, dtype=np.intp)  # 0: Legendre, i: Jacobi for ps[i - 1]
             rule_of[jacobi] = idx + 1
-            rules = [(_NODES, _WEIGHTS)] + [_jacobi_rule(float(p)) for p in ps]  # row 0 unused
-            nodes = np.array([r[0] for r in rules])
-            weights = np.array([r[1] for r in rules])
-
-    def panels(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        rule = None if rule_of is None else np.where(a == lo[owner], rule_of[owner], 0)
-        return _panels(fn, a, b, owner, rule, nodes, weights)
+            rules = [(_NODES, _WEIGHTS)] + [_jacobi_rule(float(p)) for p in ps]
+            ends = (lo, rule_of, np.array([r[0] for r in rules]), np.array([r[1] for r in rules]))
 
     total = np.zeros(m)
     err_total = np.zeros(m)
     owner = np.flatnonzero(lo < hi)
     a, b = lo[owner], hi[owner]
     mid = 0.5 * (a + b)
-    whole, left, right = panels(
-        np.concatenate((a, a, mid)), np.concatenate((b, mid, b)), np.concatenate((owner,) * 3)
+    whole, left, right = _panels(
+        fn,
+        np.concatenate((a, a, mid)),
+        np.concatenate((b, mid, b)),
+        np.concatenate((owner,) * 3),
+        ends,
     ).reshape(3, -1)
     err = np.abs(left + right - whole)
     count = np.bincount(owner, minlength=m)
@@ -272,10 +282,12 @@ def integrate_batch(
             )
         sa, sm, sb, sk = a[split], mid[split], b[split], owner[split]
         q1, q3 = 0.5 * (sa + sm), 0.5 * (sm + sb)
-        l1, r1, l2, r2 = panels(
+        l1, r1, l2, r2 = _panels(
+            fn,
             np.concatenate((sa, q1, sm, q3)),
             np.concatenate((q1, sm, q3, sb)),
             np.concatenate((sk,) * 4),
+            ends,
         ).reshape(4, -1)
         keep = ~split
         err = np.concatenate(
