@@ -250,7 +250,7 @@ def test_fractional_cell_integrals_match_mpmath(spec, q):
     # the weight |x - pt|**q is not smooth at the point (and the Gamma(0.5)
     # density not at the origin).  At the solver's options every cell must
     # come out within 1e-12 relative, the far-tail cells too: their values
-    # (~1e-6) sit so low that the absolute floor abs_tol = 1e-16 alone would
+    # (~5e-6) sit so low that the absolute floor abs_tol = 1e-16 alone would
     # let them off at 1e-11.
     opts = SolverOpts().quad
     n = 40
