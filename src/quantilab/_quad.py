@@ -161,9 +161,9 @@ def _panels(
     starts at ``lo[k]`` uses row ``rule_of[k]`` of ``nodes`` and ``weights``,
     a Jacobi rule in ``_jacobi_rule`` form; every other panel uses row 0,
     Gauss-Legendre about the panel's midpoint.  Rows are gathered per chunk
-    and the nodes built in place: extra panel-sized temporaries made the
-    allocator hand heap pages back and fault them in again on every call,
-    which cost a Gamma(7) s = 2.5 distortion about 30%.
+    and the nodes built in place, because extra panel-sized temporaries
+    make the allocator hand heap pages back and fault them in again on
+    every call (about 30% of a Gamma(7) s = 2.5 distortion).
     """
     out = np.empty(a.size)
     for s in range(0, a.size, _CHUNK):
