@@ -1,11 +1,11 @@
 """L^r-optimal grid computation.
 
-Two routes: for any family and every r > 0, generalized Lloyd sweeps
-warm-started at the limiting point density quantiles, a damped Newton
-polish of the stationarity system and one verifying Lloyd sweep; and the
-closed-form implicit recursion that yields the exact optimal grid of the
-exponential law.  ``solve`` picks the recursion for the exponential law
-(Gamma shape 1) and the solver for every other law.
+Two routes: for any family and every r > 0, damped Newton on the
+stationarity system started at the limiting point density quantiles and
+one verifying generalized Lloyd sweep; and the closed-form implicit
+recursion that yields the exact optimal grid of the exponential law.
+``solve`` picks the recursion for the exponential law (Gamma shape 1)
+and the solver for every other law.
 """
 
 from __future__ import annotations
@@ -67,9 +67,16 @@ def _tight_quad() -> QuadratureOpts:
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Iteration controls for ``optimal_grid``."""
+    """Iteration controls for ``optimal_grid``.
 
-    max_lloyd_iters: int = 2
+    ``max_lloyd_iters`` Lloyd sweeps run before Newton (none by default:
+    Newton starts at the seed); ``max_newton_iters`` bounds each Newton
+    run; ``grad_tol`` and ``position_tol`` are its stopping tolerances on
+    the stationarity residual and the last step; ``quad`` controls the
+    cell integrals.
+    """
+
+    max_lloyd_iters: int = 0
     max_newton_iters: int = 60
     grad_tol: float = 1e-10
     position_tol: float = 1e-10
@@ -279,6 +286,27 @@ def _residual(
     return r * grad
 
 
+def _curvature(
+    spec: DistributionSpec,
+    pts: np.ndarray,
+    r: float,
+    q: QuadratureOpts,
+    mass: np.ndarray | None = None,
+) -> np.ndarray:
+    """Each cell's own curvature (r >= 1): the derivative of its residual
+    in its point with the cell's edges held fixed.
+
+    2 f(a) for r = 1, twice the cell mass for r = 2 (``mass`` when
+    given), r (r - 1) integral |x - a|**(r-2) f(x) over the cell otherwise.
+    """
+    if r == 1.0:
+        return 2.0 * pdf(spec, pts)
+    if r == 2.0:
+        return 2.0 * (_edge_masses(spec, voronoi_bounds(pts)) if mass is None else mass)
+    b = voronoi_bounds(pts)
+    return r * (r - 1.0) * _abs_moments(spec, pts, b[:-1], b[1:], r - 2.0, q)[0]
+
+
 def _jacobian_banded(
     spec: DistributionSpec,
     pts: np.ndarray,
@@ -286,13 +314,15 @@ def _jacobian_banded(
     q: QuadratureOpts,
     mass: np.ndarray | None = None,
     res: np.ndarray | None = None,
+    *,
+    curv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Banded (3, n) Jacobian of the residual; tridiagonal and symmetric.
 
     Each residual component touches its neighbours only through the
-    shared cell midpoints, each with derivative 1/2.  The diagonal is
-    2 f(a) for r = 1 and twice the cell mass for r = 2 (``mass`` when
-    given).  For r < 1 the diagonal's weight |x - a|**(r-2) is not
+    shared cell midpoints, each with derivative 1/2.  The diagonal is the
+    cell's ``_curvature`` (``curv`` when given) less those two couplings.
+    For r < 1 the curvature's weight |x - a|**(r-2) is not
     integrable, and the band comes from forward differences of the
     residual at ``pts`` (``res`` when given) instead: columns k mod 3 are
     stepped together, since no residual component sees two of them
@@ -311,22 +341,13 @@ def _jacobian_banded(
             # column j of the band holds rows j - 1, j, j + 1 (d[j + 1] is row j)
             ab[:, j] = d[j + np.arange(3)[:, None]] / (moved - pts)[j]
         return ab
-    b = voronoi_bounds(pts)
-    if r == 1.0:
-        diag = 2.0 * pdf(spec, pts)
-    elif r == 2.0:
-        diag = 2.0 * (_edge_masses(spec, b) if mass is None else mass)
-    else:
-        diag = r * (r - 1.0) * _abs_moments(spec, pts, b[:-1], b[1:], r - 2.0, q)[0]
+    ab = np.zeros((3, n))
+    ab[1, :] = _curvature(spec, pts, r, q, mass) if curv is None else curv
     if n > 1:
         w = 0.5 * np.diff(pts)
-        f_mid = pdf(spec, b[1:-1])
-        coupling = 0.5 * r * w ** (r - 1.0) * f_mid
-        diag[:-1] -= coupling
-        diag[1:] -= coupling
-    ab = np.zeros((3, n))
-    ab[1, :] = diag
-    if n > 1:
+        coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, voronoi_bounds(pts)[1:-1])
+        ab[1, :-1] -= coupling
+        ab[1, 1:] -= coupling
         ab[0, 1:] = -coupling
         ab[2, :-1] = -coupling
     return ab
@@ -335,8 +356,16 @@ def _jacobian_banded(
 def _lloyd_sweep(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> np.ndarray:
-    b = voronoi_bounds(pts)
-    return _cell_argmins(spec, b, r, opts, start=pts)
+    new = _cell_argmins(spec, voronoi_bounds(pts), r, opts, start=pts)
+    if new[0] <= spec.support[0]:
+        # only a Gamma density ~ x**(a-1) with a + r < 1 pulls a point there
+        raise SolverError(
+            f"the first cell's optimal point is the origin, where the Gamma shape "
+            f"a={spec.a:g} and r={r:g} (a + r < 1) make the stationarity integral diverge",
+            new,
+            math.nan,
+        )
+    return new
 
 
 def _admissible(spec: DistributionSpec, pts: np.ndarray, cut: float) -> np.ndarray | None:
@@ -358,21 +387,80 @@ def _scale(pts: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(pts)))
 
 
+def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """(log f)'(x) inside the support."""
+    if spec.family is Family.GAUSSIAN:
+        return (spec.m - x) / spec.sigma2
+    return (spec.a - 1.0) / x - spec.lam
+
+
+def _newton_matrix(
+    spec: DistributionSpec,
+    pts: np.ndarray,
+    r: float,
+    q: QuadratureOpts,
+    mass: np.ndarray,
+    res: np.ndarray,
+    curv: np.ndarray,
+) -> np.ndarray:
+    """Banded (3, n) Jacobian of F = R / D (r >= 1), D the ``_curvature``.
+
+    Row i of the residual's Jacobian divided by D_i, less F_i D_i'/D_i on
+    the diagonal, with D_i' modelled as D_i (log f)'(a_i): exact for
+    r = 1, where D = 2 f(a).
+    """
+    ab = _jacobian_banded(spec, pts, r, q, mass, res, curv=curv)
+    # line k of the band holds row j + k - 1 at column j (padded index j + k)
+    rows = np.arange(pts.size) + np.arange(3)[:, None]
+    ab /= np.pad(curv, 1, constant_values=1.0)[rows]
+    ab[1] -= res / curv * _dlog_pdf(spec, pts)
+    return ab
+
+
 def _newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Damped Newton on the stationarity system.
+
+    For r >= 1 each equation R_i = 0 is divided by its cell's curvature
+    D_i, so that F_i = R_i / D_i is the distance point i still has to move
+    in its cell, mass or not (``_newton_matrix``).  From the limiting-law
+    seed the plain system under-steps in the tail cells, where R is that
+    distance times a minute mass.  A step is taken once sup|F| does not
+    grow; r < 1 solves R = 0 itself.  Converged: sup|R| <= grad_tol and
+    the last step <= position_tol (1 + max|x|).
+    """
     q = opts.quad
+    scaled = r >= 1.0
+
+    def state(pts: np.ndarray, mass: np.ndarray):
+        """The residual, the curvatures (r >= 1) and the system Newton solves."""
+        res = _residual(spec, pts, r, q, mass)
+        if not scaled:
+            return res, None, res
+        curv = _curvature(spec, pts, r, q, mass)
+        return res, curv, res / curv
+
+    def converged() -> bool:
+        return bool(
+            np.max(np.abs(res)) <= opts.grad_tol
+            and last_step <= opts.position_tol * _scale(pts)
+        )
+
     mass = _edge_masses(spec, voronoi_bounds(pts))
-    res = _residual(spec, pts, r, q, mass)
-    sup = float(np.max(np.abs(res)))
+    res, curv, f = state(pts, mass)
+    merit = float(np.max(np.abs(f)))
     last_step = math.inf
     iters = 0
     for _ in range(opts.max_newton_iters):
-        if sup <= opts.grad_tol and last_step <= opts.position_tol * _scale(pts):
+        if converged():
             return pts, res, iters, True
-        ab = _jacobian_banded(spec, pts, r, q, mass, res)
+        if scaled:
+            ab = _newton_matrix(spec, pts, r, q, mass, res, curv)
+        else:
+            ab = _jacobian_banded(spec, pts, r, q, mass, res)
         try:
-            step = solve_banded((1, 1), ab, -res)
+            step = solve_banded((1, 1), ab, -f)
         except np.linalg.LinAlgError:
             break
         lam = 1.0
@@ -381,10 +469,10 @@ def _newton(
             cand = pts + lam * step
             c_mass = _admissible(spec, cand, q.tail_mass_cut)
             if c_mass is not None:
-                c_res = _residual(spec, cand, r, q, c_mass)
-                c_sup = float(np.max(np.abs(c_res)))
-                if c_sup <= sup or c_sup <= opts.grad_tol:
-                    pts, res, sup, mass = cand, c_res, c_sup, c_mass
+                c_res, c_curv, c_f = state(cand, c_mass)
+                c_merit = float(np.max(np.abs(c_f)))
+                if c_merit <= merit or np.max(np.abs(c_res)) <= opts.grad_tol:
+                    pts, mass, res, curv, f, merit = cand, c_mass, c_res, c_curv, c_f, c_merit
                     last_step = lam * float(np.max(np.abs(step)))
                     moved = True
                     break
@@ -392,14 +480,13 @@ def _newton(
         iters += 1
         if not moved:
             break
-    ok = sup <= opts.grad_tol and last_step <= opts.position_tol * _scale(pts)
-    return pts, res, iters, ok
+    return pts, res, iters, converged()
 
 
 def _lloyd_newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Lloyd sweeps, then Newton, verified by one more sweep.
+    """``max_lloyd_iters`` Lloyd sweeps, then Newton, verified by one more sweep.
 
     Returns the points, the residual, the sweeps and the Newton
     iterations.  A Newton result is accepted only if a Lloyd sweep moves
@@ -471,19 +558,21 @@ def optimal_grid(
 ) -> Grid | SolveResult:
     """Solve for the L^r-optimal n-point grid of ``spec`` (d = 1).
 
-    Every r > 0: up to ``max_lloyd_iters`` Lloyd sweeps (fewer once the
-    max point move drops below ``_LLOYD_MOVE_TOL``), then Newton with the
-    tridiagonal Jacobian (exact for r >= 1, forward differences for
-    r < 1) drives the stationarity residual below ``grad_tol`` and its
-    last step below ``position_tol``; the result must also be a fixed
-    point of the Lloyd sweep.  Raises ``SolverError`` rather than return
-    an unverified grid.  The solve starts from ``init_grid`` when given,
-    else from the quantiles of the limiting point law.  For log-concave
-    densities (Gaussian, Gamma shape >= 1) the stationary point is the
-    global optimum; Gamma shapes below 1 are flagged ``stationary_only``
-    in the full result.  The solve runs on the unit-scale law (N(0, 1)
-    or Gamma(a, 1)); the tolerances and the reported residual are those
-    of that law.
+    Every r > 0: up to ``max_lloyd_iters`` Lloyd sweeps (none by default;
+    fewer once the max point move drops below ``_LLOYD_MOVE_TOL``), then
+    damped Newton with a tridiagonal matrix drives the stationarity
+    residual below ``grad_tol`` and its last step below ``position_tol``.
+    For r >= 1 each equation is divided by its cell's curvature, which
+    lets Newton start at the seed; for r < 1 the Jacobian comes from
+    forward differences.  The result must also be a fixed point of the
+    Lloyd sweep, else up to three rescues of 20 sweeps run.  Raises
+    ``SolverError`` rather than return an unverified grid.  The solve
+    starts from ``init_grid`` when given, else from the quantiles of the
+    limiting point law.  For log-concave densities (Gaussian, Gamma shape
+    >= 1) the stationary point is the global optimum; Gamma shapes below 1
+    are flagged ``stationary_only`` in the full result.  The solve runs on
+    the unit-scale law (N(0, 1) or Gamma(a, 1)); the tolerances and the
+    reported residual are those of that law.
     """
     opts = opts or SolverOpts()
     if spec.d != 1:
@@ -596,9 +685,13 @@ def _phi_minus_root(r: float, target: float, hi: float) -> float:
         else:
             lo = y
         new = y - g / (y ** (r - 1.0) * math.exp(y))
+        # test the step before any bisection: a converged step from above
+        # lands on hi, which is no reason to bisect
+        if abs(new - y) <= 2.0 * math.ulp(y):
+            return new
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
-        if abs(new - y) <= 2.0 * math.ulp(y) or hi - lo <= 2.0 * math.ulp(hi):
+        if hi - lo <= 2.0 * math.ulp(hi):
             return new
         y = new
     raise SolverError(f"spacing root did not converge at r={r}", np.array([]), math.nan)

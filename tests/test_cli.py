@@ -176,6 +176,16 @@ def test_numeric_failures_exit_1(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_gamma_optimum_at_the_origin_exits_1_with_one_line(capsys):
+    code, out, err = run_cli(
+        capsys, "grid", "--dist", "gamma", "--a", "0.3", "--r", "0.3", "--n", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("quantilab: numeric failure: ") and "origin" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

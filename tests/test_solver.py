@@ -22,6 +22,7 @@ from quantilab.distributions import (
     _effective_bounds,
     cell_moment,
     empirical_measure_law,
+    pdf,
     quantile,
 )
 from quantilab.quantizer import Grid, distortion, voronoi_bounds
@@ -206,6 +207,54 @@ def test_closed_form_solves_run_no_quadrature(spec, r, monkeypatch):
     monkeypatch.setattr(solver, "_abs_moments", refuse)
     res = optimal_grid(spec, 60, r, full_result=True)
     assert res.grid.n == 60 and res.newton_iters > 0
+
+
+@pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
+def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
+    # r = 1: F = R / (2 f(a)), and dD/da = D (log f)' holds exactly
+    q, n = SolverOpts().quad, 20
+    pts = _off_stationary(spec, n, 1.0, seed=n)
+    curv = solver._curvature(spec, pts, 1.0, q)
+    np.testing.assert_array_equal(curv, 2.0 * pdf(spec, pts))
+    mass = _edge_masses(spec, voronoi_bounds(pts))
+    res = solver._residual(spec, pts, 1.0, q, mass)
+    ab = solver._newton_matrix(spec, pts, 1.0, q, mass, res, curv)
+
+    def scaled(x):
+        return solver._residual(spec, x, 1.0, q) / (2.0 * pdf(spec, x))
+
+    h = 1e-4 * np.min(np.diff(pts))
+    fd = np.zeros((3, n))
+    for k in range(3):  # F_i sees points i - 1, i, i + 1 only
+        moved = np.arange(n) % 3 == k
+        step = np.where(moved, h, 0.0)
+        d = (scaled(pts + step) - scaled(pts - step)) / (2.0 * h)
+        j = np.flatnonzero(moved)
+        fd[1, j] = d[j]
+        fd[0, j[j > 0]] = d[j[j > 0] - 1]
+        fd[2, j[j < n - 1]] = d[j[j < n - 1] + 1]
+    np.testing.assert_allclose(ab, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(ab)))
+
+
+@pytest.mark.parametrize("r", [1.5, 3.0])
+def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
+    real_curvature, real_jacobian = solver._curvature, solver._jacobian_banded
+    computed, handed = [], []
+
+    def recording_curvature(*args, **kwargs):
+        computed.append(real_curvature(*args, **kwargs))
+        return computed[-1]
+
+    def recording_jacobian(*args, curv=None, **kwargs):
+        handed.append(curv)
+        return real_jacobian(*args, curv=curv, **kwargs)
+
+    monkeypatch.setattr(solver, "_curvature", recording_curvature)
+    monkeypatch.setattr(solver, "_jacobian_banded", recording_jacobian)
+    res = optimal_grid(GAUSS, 20, r, full_result=True)
+    assert len(handed) == res.newton_iters > 0
+    # no curvature pass of its own: each Jacobian reuses one already computed
+    assert all(any(c is d for d in computed) for c in handed)
 
 
 # -- optimal_grid ----------------------------------------------------------------
@@ -437,6 +486,52 @@ def test_poor_seed_never_converges_to_a_wrong_grid(spec, r, grid_of):
     np.testing.assert_allclose(poor.points, grid_of(spec, 200, r).points, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_newton_converges_from_the_seed(spec, r):
+    # by default no Lloyd sweep runs before Newton: the only sweep is the
+    # verifying one, and the grid is the one two sweeps first would give
+    for n in (10, 50, 200, 900):
+        seeded = optimal_grid(spec, n, r, full_result=True)
+        assert seeded.lloyd_sweeps == 1
+        swept = optimal_grid(spec, n, r, SolverOpts(max_lloyd_iters=2))
+        np.testing.assert_allclose(seeded.grid.points, swept.points, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (GAUSS, 400),
+        (EXPO, 100),
+        (DistributionSpec.gamma(2.0), 100),
+        (DistributionSpec.gamma(0.5), 100),
+        (DistributionSpec.gamma(7.0), 100),
+    ],
+    ids=["gauss", "exp", "gamma2", "gamma0.5", "gamma7"],
+)
+def test_r6_solves_converge(spec, n):
+    res = optimal_grid(spec, n, 6.0, full_result=True)
+    assert res.grid.n == n and res.residual_sup <= SolverOpts().grad_tol
+    if spec == EXPO:
+        np.testing.assert_allclose(
+            res.grid.points, exp_optimal_grid(n, 6.0).points, rtol=0, atol=1e-9
+        )
+
+
+@pytest.mark.parametrize("a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5)])
+def test_gamma_optimum_at_the_origin_raises_solver_error(a, r, n):
+    # a + r < 1 and the first cell's optimal point is the origin itself,
+    # where its stationarity integral diverges
+    with pytest.raises(SolverError, match="origin"):
+        optimal_grid(DistributionSpec.gamma(a), n, r)
+
+
+def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
+    res = optimal_grid(DistributionSpec.gamma(0.3), 5, 0.5, full_result=True)
+    assert res.grid.n == 5 and res.grid.points[0] > 0.0
+    assert res.residual_sup <= SolverOpts().grad_tol
+
+
 @pytest.mark.parametrize(
     "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
 )
@@ -640,6 +735,21 @@ def test_spacings_match_a_40_digit_recursion(r, n):
     ref = np.array(_mp_spacings(r, n))
     got = exp_ak_sequence(r, n).values
     assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0])
+def test_spacing_roots_take_few_evaluations(r, monkeypatch):
+    # a converged Newton step from above lands on the bracket end; it must
+    # end the search there, not restart it by bisection from the midpoint
+    real, calls = solver._phi_minus, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_phi_minus", counting)
+    exp_ak_sequence(r, 300)
+    assert calls[0] / 300 <= 6.0
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
