@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from quantilab.analysis import rows_from_csv
 from quantilab.cli import main
 from quantilab.quantizer import Grid
 from quantilab.solver import exp_optimal_grid
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,25 @@ def test_table1_csv_parses_losslessly(capsys, shared_cache, monkeypatch):
     assert [row.n for row in rows] == [20, 50, 100, 300]
     assert rows[0].a_hat == pytest.approx(0.8250096, abs=1e-6)
     assert abs(rows[0].b_hat) < 1e-9
+
+
+@pytest.mark.parametrize("s", ["1", "4"])
+@pytest.mark.parametrize("table", ["table1", "table2"])
+def test_table_csv_matches_the_pinned_output(capsys, shared_cache, table, s):
+    # every column byte for byte, except table1's b_hat: the Gaussian grids
+    # are symmetric, so the true intercept is 0 and its value is round-off
+    code, out, _ = run_cli(capsys, table, "--s", s, "--cache-dir", str(shared_cache.root))
+    assert code == 0
+    got = [line.split(",") for line in out.splitlines()]
+    pinned = [line.split(",") for line in (DATA / f"{table}_s{s}.csv").read_text().splitlines()]
+    assert len(got) == len(pinned) and got[0] == pinned[0]
+    noise = got[0].index("b_hat") if table == "table1" else None
+    for row, ref in zip(got[1:], pinned[1:]):
+        for col, (val, expected) in enumerate(zip(row, ref, strict=True)):
+            if col == noise:
+                assert abs(float(val)) < 5e-12, row
+            else:
+                assert val == expected, (row, ref)
 
 
 def test_repeat_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
