@@ -52,16 +52,13 @@ def _add_dist_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args, parser: argparse.ArgumentParser) -> DistributionSpec:
-    try:
-        if args.dist == "gaussian":
-            return DistributionSpec.gaussian(args.m, args.sigma2, args.d)
-        if args.dist == "exponential":
-            return DistributionSpec.exponential(args.lam)
-        if args.a is None:
-            parser.error("the gamma family needs --a")
-        return DistributionSpec.gamma(args.a, args.lam)
-    except ValueError as err:
-        parser.error(str(err))
+    if args.dist == "gaussian":
+        return DistributionSpec.gaussian(args.m, args.sigma2, args.d)
+    if args.dist == "exponential":
+        return DistributionSpec.exponential(args.lam)
+    if args.a is None:
+        parser.error("the gamma family needs --a")
+    return DistributionSpec.gamma(args.a, args.lam)
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .distributions import (
     DistributionSpec,
     Family,
+    _require_positive,
     c_fr,
     cube_coefficient,
     scaled_density_power_integral,
@@ -63,12 +64,11 @@ class RateQuery:
     mu: float | None = None
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0 or self.s <= 0.0:
-            raise ValueError("r and s must be positive")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        _require_positive(r=self.r, s=self.s, theta=self.theta)
         if self.mu is None:
             object.__setattr__(self, "mu", default_mu(self.spec))
+        elif not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
         elif self.spec.family is not Family.GAUSSIAN and self.mu != 0.0:
             raise AdmissibilityError(
                 "nonzero mu breaks the support condition for half-line families"
@@ -93,8 +93,7 @@ def theta_star(spec: DistributionSpec, r: float, s: float) -> float:
     (s+1)/(r+1) for the exponential law.  For the Gamma family with
     s > r+1 the formula is only valid for shapes below (s+r+1)/s.
     """
-    if r <= 0.0 or s <= 0.0:
-        raise ValueError("r and s must be positive")
+    _require_positive(r=r, s=s)
     if spec.family is Family.GAUSSIAN:
         if s == r + spec.d:
             warnings.warn(
@@ -139,8 +138,7 @@ def admissible_theta_range(
     For s >= r the necessary-and-sufficient threshold applies; for s < r
     the (sufficient) upper-bound threshold is returned.
     """
-    if r <= 0.0 or s <= 0.0:
-        raise ValueError("r and s must be positive")
+    _require_positive(r=r, s=s)
     if s >= r:
         return (_condition_threshold(spec, r, s), _INF)
     return (_holder_threshold(spec, r, s), _INF)

@@ -47,6 +47,16 @@ __all__ = [
 _INF = math.inf
 
 
+def _require_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and > 0.
+
+    NaN fails every ``x <= 0`` test, so a bare sign check lets it through.
+    """
+    for name, v in values.items():
+        if not 0.0 < v < _INF:
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 class UnsupportedDimensionError(ValueError):
     """An operation that needs d=1 (or an explicit cube coefficient) got d>=2."""
 
@@ -74,12 +84,9 @@ class DistributionSpec:
     d: int = 1
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if self.a <= 0.0:
-            raise ValueError("a must be positive")
+        if not math.isfinite(self.m):
+            raise ValueError(f"m must be finite, got {self.m!r}")
+        _require_positive(sigma2=self.sigma2, lam=self.lam, a=self.a)
         if int(self.d) != self.d or self.d < 1:
             raise ValueError("d must be a positive integer")
 
@@ -129,8 +136,7 @@ class QuadratureOpts:
     tail_mass_cut: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        _require_positive(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
         if not 0.0 < self.tail_mass_cut < 1e-6:
             raise ValueError("tail_mass_cut must lie in (0, 1e-6)")
         if self.max_subdivisions < 4:
@@ -269,23 +275,23 @@ def _edge_masses(spec: DistributionSpec, edges: np.ndarray, with_tails: bool = F
 # cell-wise moment integrals
 # --------------------------------------------------------------------------
 
-def _effective_bounds(
-    spec: DistributionSpec, lo, hi, cut: float, pt=0.0, q: float = 0.0
-):
+def _effective_bounds(spec: DistributionSpec, lo, hi, cut: float, pt=0.0, q=0.0):
     """Clip [lo, hi] to the support and truncate infinite ends at tail quantiles.
 
     Elementwise over 1-D arrays of cells.  The cut is relative to the cell's
     own mass: an infinite upper end drops the fraction ``cut`` of the mass
     beyond the finite lower end, and vice versa, so far-tail cells keep
     the same relative accuracy as central ones.  Also returns the
-    truncation's error bound for the weight |x - pt|**q: the dropped mass
-    times |t - pt|**max(q, 0) at each truncation point t.
+    truncation's error bound for the weight |x - pt|**q (``pt`` and ``q``
+    scalars or per cell): the dropped mass times |t - pt|**max(q, 0) at
+    each truncation point t.
     """
     s_lo, s_hi = spec.support
     lo_e = np.maximum(lo, s_lo)
     hi_e = np.minimum(hi, s_hi)
     err = np.zeros(lo_e.shape)
     pt = np.broadcast_to(pt, lo_e.shape)
+    q_pos = np.broadcast_to(np.maximum(q, 0.0), lo_e.shape)
     tiny = np.finfo(float).tiny  # the dropped mass when the cell's own mass underflows
     lo_cut = np.flatnonzero(np.isneginf(lo_e))
     hi_cut = np.flatnonzero(np.isposinf(hi_e))
@@ -294,10 +300,10 @@ def _effective_bounds(
     if lo_cut.size:
         lo_drop = np.maximum(cut * cdf(spec, hi_e[lo_cut]), tiny)
         lo_e[lo_cut] = quantile(spec, lo_drop)
-        err[lo_cut] += lo_drop * np.abs(lo_e[lo_cut] - pt[lo_cut]) ** max(q, 0.0)
+        err[lo_cut] += lo_drop * np.abs(lo_e[lo_cut] - pt[lo_cut]) ** q_pos[lo_cut]
     if hi_cut.size:
         hi_e[hi_cut] = quantile_sf(spec, hi_drop)
-        err[hi_cut] += hi_drop * np.abs(hi_e[hi_cut] - pt[hi_cut]) ** max(q, 0.0)
+        err[hi_cut] += hi_drop * np.abs(hi_e[hi_cut] - pt[hi_cut]) ** q_pos[hi_cut]
     return lo_e, hi_e, err
 
 
@@ -398,11 +404,18 @@ def _abs_moments(
     pt: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    q: float,
+    q,
     opts: QuadratureOpts,
-    signed: bool = False,
+    signed=False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array form of ``_abs_moment``: all cells in one batched integration.
+
+    ``q`` and ``signed`` are scalars or per-cell arrays, so cells with
+    different weights (a residual's and a curvature's, or the cells of
+    several grids) share one call.  ``integrate_batch`` refines each
+    integral on its own test, so a cell comes out bit for bit as in a
+    call of its own, provided both calls take Gauss-Jacobi end panels or
+    neither does (else its Gauss-Legendre panels differ in round-off).
 
     Each cell is split at its point, which then sits at or beyond one end
     of each piece.  A piece is integrated in t, the distance from its
@@ -415,18 +428,22 @@ def _abs_moments(
     """
     pt = np.asarray(pt, dtype=float)
     m = pt.size
+    q = np.broadcast_to(np.asarray(q, dtype=float), pt.shape)
+    signed = np.broadcast_to(signed, pt.shape)
     lo_e, hi_e, err = _effective_bounds(spec, lo, hi, opts.tail_mass_cut, pt, q)
     hi_e = np.maximum(hi_e, lo_e)
     cut = np.clip(pt, lo_e, hi_e)
     a = np.concatenate((lo_e, cut))
     b = np.concatenate((cut, hi_e))
     cell = np.concatenate((np.arange(m),) * 2)
-    sign = np.concatenate((np.ones(m), np.full(m, -1.0 if signed else 1.0)))
+    sign = np.concatenate((np.ones(m), np.where(signed, -1.0, 1.0)))
     pt_above = np.arange(2 * m) < m  # the point is at or above b, else at or below a
     gamma_sing = spec.family is Family.GAMMA and spec.a < 1.0
-    if gamma_sing and q % 1.0 != 0.0:
-        # non-smooth at both ends of [0, pt]: give each end its own piece
-        both = np.flatnonzero((a == 0.0) & pt_above & (b == pt[cell]) & (b > 0.0))
+    if gamma_sing:
+        # non-smooth at both ends of [0, pt] (non-integer q): give each end its own piece
+        both = np.flatnonzero(
+            (a == 0.0) & pt_above & (b == pt[cell]) & (b > 0.0) & (q[cell] % 1.0 != 0.0)
+        )
         half = 0.5 * b[both]
         a = np.concatenate((a, half))
         b = np.concatenate((b, b[both]))
@@ -440,8 +457,8 @@ def _abs_moments(
     step = np.where(from_b, -1.0, 1.0)
     shift = step * (end - pt[cell])  # |x - pt| = |t + shift| at x = end + step * t
     at_pt = shift == 0.0
-    t_pow = np.where(at_pt, q, 0.0)
-    shift_pow = np.where(at_pt, 0.0, q)
+    t_pow = np.where(at_pt, q[cell], 0.0)
+    shift_pow = np.where(at_pt, 0.0, q[cell])
     end_pow = t_pow + np.where(origin, spec.a - 1.0, 0.0)  # integrate_batch rejects <= -1
     # factors whose power is 0 everywhere are skipped: the product is bit-identical
     has_t_pow = bool(np.any(t_pow != 0.0))
@@ -481,8 +498,7 @@ def cell_moment(
     integrator only ever sees smooth panels.
     """
     _require_d1(spec, "cell_moment")
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _require_positive(r=r)
     if hi < lo:
         raise ValueError("need lo <= hi")
     val, _ = _abs_moment(spec, float(a), lo, hi, r, opts, signed=False)
@@ -520,8 +536,7 @@ def c_fr(spec: DistributionSpec, r: float) -> float:
     Closed form per family; agrees with direct quadrature of the
     defining integral to 1e-8 relative (d=1), which the test-suite pins.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _require_positive(r=r)
     d = spec.d
     if spec.family is Family.GAUSSIAN:
         det = spec.sigma2**d
@@ -573,8 +588,7 @@ def empirical_measure_law(spec: DistributionSpec, s: float) -> DistributionSpec:
     (a+s)/(1+s).
     """
     _require_d1(spec, "empirical_measure_law")
-    if s <= 0.0:
-        raise ValueError("s must be positive")
+    _require_positive(s=s)
     if spec.family is Family.GAUSSIAN:
         return DistributionSpec.gaussian(spec.m, (1.0 + s) * spec.sigma2)
     return DistributionSpec.gamma((spec.a + s) / (1.0 + s), spec.lam / (1.0 + s))
@@ -583,8 +597,7 @@ def empirical_measure_law(spec: DistributionSpec, s: float) -> DistributionSpec:
 def empirical_density(spec: DistributionSpec, s: float, x) -> np.ndarray | float:
     """Limiting point density f(x)**(d/(d+s)) / c_fr(spec, s)."""
     _require_d1(spec, "empirical_density")
-    if s <= 0.0:
-        raise ValueError("s must be positive")
+    _require_positive(s=s)
     xs, scalar = _as_array(x)
     out = pdf(spec, xs) ** (1.0 / (1.0 + s)) / c_fr(spec, s)
     return _ret(np.asarray(out, dtype=float), scalar)
@@ -619,8 +632,7 @@ def scaled_density_power_integral(
     and report +inf themselves.
     """
     _require_d1(spec, "scaled_density_power_integral")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    _require_positive(theta=theta)
     lo = -_INF if lo is None else lo
     hi = _INF if hi is None else hi
     total = p_scaled + p_plain

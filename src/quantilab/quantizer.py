@@ -13,6 +13,7 @@ from .distributions import (
     DistributionSpec,
     QuadratureOpts,
     _abs_moments,
+    _require_positive,
 )
 
 __all__ = [
@@ -95,8 +96,9 @@ class DilationParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        _require_positive(theta=self.theta)
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
 
 
 def voronoi_bounds(grid: Grid | np.ndarray) -> np.ndarray:
@@ -143,8 +145,7 @@ def distortion(
     Integrates |x - a_i|**r f(x) over all Voronoi cells in one batch;
     callers wanting the error in norm units take the 1/r root themselves.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _require_positive(r=r)
     bounds = voronoi_bounds(grid)
     moments, _ = _abs_moments(spec, grid.points, bounds[:-1], bounds[1:], r, opts)
     return float(np.sum(moments))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import special
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .distributions import (
     DistributionSpec,
@@ -29,6 +29,7 @@ from .distributions import (
     _abs_moments,
     _edge_masses,
     _effective_bounds,
+    _require_positive,
     cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
     empirical_measure_law,
     pdf,
@@ -83,8 +84,7 @@ class SolverOpts:
     quad: QuadratureOpts = field(default_factory=_tight_quad)
 
     def __post_init__(self) -> None:
-        if self.grad_tol <= 0.0 or self.position_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        _require_positive(grad_tol=self.grad_tol, position_tol=self.position_tol)
 
 
 class SolverError(RuntimeError):
@@ -219,6 +219,19 @@ def _cell_argmins(
         return _conditional_median(spec, b)
     if r == 2.0:
         return _conditional_mean(spec, b)
+    grad, lo_e, hi_e = _moment_derivative(spec, b, r, opts)
+    return _increasing_roots(grad, lo_e, hi_e, start)
+
+
+def _moment_derivative(
+    spec: DistributionSpec, b: np.ndarray, r: float, opts: SolverOpts
+) -> tuple[Callable, np.ndarray, np.ndarray]:
+    """The cells' moment derivatives (up to the factor r) and their brackets.
+
+    Returns ``grad(x, idx)``, integral |x - a|**(r-1) sign(a - x) f(x) over
+    cells ``idx`` of [b[i], b[i+1]] at points ``x`` (increasing in x), and
+    each cell's ends clipped to the support and tail cuts.
+    """
     _require_mass(spec, b)
     lo, hi = b[:-1], b[1:]
     q = opts.quad
@@ -235,7 +248,7 @@ def _cell_argmins(
         )[0]
         return out
 
-    return _increasing_roots(grad, lo_e, hi_e, start)
+    return grad, lo_e, hi_e
 
 
 def cell_argmin(
@@ -307,6 +320,44 @@ def _curvature(
     return r * (r - 1.0) * _abs_moments(spec, pts, b[:-1], b[1:], r - 2.0, q)[0]
 
 
+def _grid_moments(
+    spec: DistributionSpec, grids: np.ndarray, q_pow, signed, q: QuadratureOpts
+) -> np.ndarray:
+    """integral |x - a|**p [sign(a - x)] f(x) over every cell of every grid.
+
+    Row k of ``grids`` is a grid whose cells take the power ``q_pow[k]``,
+    signed where ``signed[k]`` (scalars apply to every row).  All cells
+    go to ``_abs_moments`` in one call; returns one row per grid.
+    """
+    rows, n = grids.shape
+    b = np.stack([voronoi_bounds(g) for g in grids])
+
+    def per_cell(v):
+        return np.repeat(np.broadcast_to(v, (rows,)), n)
+
+    val, _ = _abs_moments(
+        spec, grids.ravel(), b[:, :-1].ravel(), b[:, 1:].ravel(), per_cell(q_pow), q,
+        signed=per_cell(signed),
+    )
+    return val.reshape(rows, n)
+
+
+def _residual_and_curvature(
+    spec: DistributionSpec,
+    pts: np.ndarray,
+    r: float,
+    q: QuadratureOpts,
+    mass: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_residual`` and ``_curvature`` (r >= 1); by quadrature, both in one batch."""
+    if r in (1.0, 2.0):
+        return _residual(spec, pts, r, q, mass), _curvature(spec, pts, r, q, mass)
+    grad, second = _grid_moments(
+        spec, np.stack((pts, pts)), (r - 1.0, r - 2.0), (True, False), q
+    )
+    return r * grad, r * (r - 1.0) * second
+
+
 def _jacobian_banded(
     spec: DistributionSpec,
     pts: np.ndarray,
@@ -326,21 +377,21 @@ def _jacobian_banded(
     integrable, and the band comes from forward differences of the
     residual at ``pts`` (``res`` when given) instead: columns k mod 3 are
     stepped together, since no residual component sees two of them
-    (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).
+    (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).  The up to
+    three stepped grids are integrated in one batch.
     """
     n = pts.size
     if r < 1.0:
         base = _residual(spec, pts, r, q) if res is None else res
-        h = 1e-7 * (1.0 + np.abs(pts))
-        ab = np.zeros((3, n))
-        for k in range(min(n, 3)):
-            j = np.arange(k, n, 3)
-            moved = pts.copy()
-            moved[j] += h[j]
-            d = np.pad(_residual(spec, moved, r, q) - base, 1)
-            # column j of the band holds rows j - 1, j, j + 1 (d[j + 1] is row j)
-            ab[:, j] = d[j + np.arange(3)[:, None]] / (moved - pts)[j]
-        return ab
+        cols = np.arange(n)
+        colour = cols % 3
+        moved = np.tile(pts, (min(n, 3), 1))
+        moved[colour, cols] += 1e-7 * (1.0 + np.abs(pts))
+        d = r * _grid_moments(spec, moved, r - 1.0, True, q) - base
+        d = np.pad(d, ((0, 0), (1, 1)))
+        # column j of the band holds rows j - 1, j, j + 1 of its colour's
+        # differences (padded index j + 1 is row j)
+        return d[colour, cols + np.arange(3)[:, None]] / (moved[colour, cols] - pts)
     ab = np.zeros((3, n))
     ab[1, :] = _curvature(spec, pts, r, q, mass) if curv is None else curv
     if n > 1:
@@ -366,6 +417,37 @@ def _lloyd_sweep(
             math.nan,
         )
     return new
+
+
+def _sweep_keeps(
+    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
+) -> bool:
+    """Whether a Lloyd sweep would move no point by more than
+    d = ``_LLOYD_MOVE_TOL`` (1 + max|x|).
+
+    r = 1, 2 run the closed-form sweep.  Otherwise each cell's moment
+    derivative, increasing in its point a, is evaluated at a - d and
+    a + d, clipped to the cell's bracket, in one batch: the sweep's root
+    lies within d of a exactly when the derivative is <= 0 at the left
+    point and >= 0 at the right one, or that point is the bracket end.  A
+    first cell whose root is the origin fails, as the sweep would send
+    the point there, so that the rescue sweep raises ``_lloyd_sweep``'s
+    error.
+    """
+    d = _LLOYD_MOVE_TOL * _scale(pts)
+    if r in (1.0, 2.0):
+        return bool(np.max(np.abs(_lloyd_sweep(spec, pts, r, opts) - pts)) <= d)
+    grad, lo_e, hi_e = _moment_derivative(spec, voronoi_bounds(pts), r, opts)
+    left, right = np.maximum(pts - d, lo_e), np.minimum(pts + d, hi_e)
+    cells = np.arange(pts.size)
+    g_left, g_right = np.split(
+        grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
+    )
+    if left[0] <= spec.support[0] and g_left[0] >= 0.0:
+        return False
+    return bool(
+        np.all((g_left <= 0.0) | (left == lo_e)) and np.all((g_right >= 0.0) | (right == hi_e))
+    )
 
 
 def _admissible(spec: DistributionSpec, pts: np.ndarray, cut: float) -> np.ndarray | None:
@@ -417,6 +499,19 @@ def _newton_matrix(
     return ab
 
 
+def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """``solve_banded((1, 1), ab, rhs)`` without its input checks; None if singular.
+
+    For n >= 2 that is LAPACK's ``gtsv``, called here directly: the
+    wrapper's validation costs more than the solve.  Overwrites ``ab``
+    and ``rhs``.
+    """
+    if ab.shape[1] == 1:
+        return rhs / ab[1]
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    return None if info else x
+
+
 def _newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -435,10 +530,10 @@ def _newton(
 
     def state(pts: np.ndarray, mass: np.ndarray):
         """The residual, the curvatures (r >= 1) and the system Newton solves."""
-        res = _residual(spec, pts, r, q, mass)
         if not scaled:
+            res = _residual(spec, pts, r, q, mass)
             return res, None, res
-        curv = _curvature(spec, pts, r, q, mass)
+        res, curv = _residual_and_curvature(spec, pts, r, q, mass)
         return res, curv, res / curv
 
     def converged() -> bool:
@@ -459,9 +554,8 @@ def _newton(
             ab = _newton_matrix(spec, pts, r, q, mass, res, curv)
         else:
             ab = _jacobian_banded(spec, pts, r, q, mass, res)
-        try:
-            step = solve_banded((1, 1), ab, -f)
-        except np.linalg.LinAlgError:
+        step = _tridiagonal_solve(ab, -f)
+        if step is None:
             break
         lam = 1.0
         moved = False
@@ -489,11 +583,12 @@ def _lloyd_newton(
     """``max_lloyd_iters`` Lloyd sweeps, then Newton, verified by one more sweep.
 
     Returns the points, the residual, the sweeps and the Newton
-    iterations.  A Newton result is accepted only if a Lloyd sweep moves
-    it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|): the residual is
-    weighted by cell mass, so it alone cannot tell a stationary grid from
-    one with a point stranded in the far tail.  Otherwise 20 more sweeps
-    run and Newton restarts, up to three times.
+    iterations.  A Newton result is accepted only if a Lloyd sweep would
+    move it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which
+    ``_sweep_keeps`` decides in one batched pass (counted as one sweep):
+    the residual is weighted by cell mass, so it alone cannot tell a
+    stationary grid from one with a point stranded in the far tail.
+    Otherwise 20 more sweeps run and Newton restarts, up to three times.
     """
     sweeps = 0
     for _ in range(opts.max_lloyd_iters):
@@ -509,8 +604,7 @@ def _lloyd_newton(
         newton_iters += iters
         if ok:
             sweeps += 1
-            check = _lloyd_sweep(spec, pts, r, opts)
-            if np.max(np.abs(check - pts)) <= _LLOYD_MOVE_TOL * _scale(pts):
+            if _sweep_keeps(spec, pts, r, opts):
                 return pts, res, sweeps, newton_iters
         for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
             pts = _lloyd_sweep(spec, pts, r, opts)
@@ -565,7 +659,10 @@ def optimal_grid(
     For r >= 1 each equation is divided by its cell's curvature, which
     lets Newton start at the seed; for r < 1 the Jacobian comes from
     forward differences.  The result must also be a fixed point of the
-    Lloyd sweep, else up to three rescues of 20 sweeps run.  Raises
+    Lloyd sweep, else up to three rescues of 20 sweeps run.  Off the
+    closed forms (r not 1 or 2) each Newton state, each r < 1 Jacobian and
+    the fixed-point check is one batched quadrature pass over all the
+    cells it needs.  Raises
     ``SolverError`` rather than return an unverified grid.  The solve
     starts from ``init_grid`` when given, else from the quantiles of the
     limiting point law.  For log-concave densities (Gaussian, Gamma shape
@@ -579,8 +676,7 @@ def optimal_grid(
         raise ValueError("grid solving requires d=1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _require_positive(r=r)
 
     if cache is not None and not full_result:
         hit = cache.load(spec, n, r, opts)
@@ -702,8 +798,7 @@ def exp_ak_sequence(r: float, n: int) -> AkSequence:
     exponential law: each a_{k+1} balances the forward integral of
     t**(r-1) e**t against the backward integral at a_k (a_0 = +inf).
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _require_positive(r=r)
     if n < 1:
         raise ValueError("n must be >= 1")
     target = math.gamma(r)  # a_0 = +inf case
@@ -727,8 +822,7 @@ def exp_optimal_grid(n: int, r: float, lam: float = 1.0) -> Grid:
     a_n/2 plus the sum of the spacings a_{n+1-k} .. a_{n-1} -- then
     scaled by 1/lam (optimal grids are equivariant under scaling).
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    _require_positive(lam=lam)
     seq = exp_ak_sequence(r, n)
     v = seq.values
     if n == 1:

@@ -230,6 +230,35 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("constants", "--r", "nan", "--s", "1"), "r"),
+        (("theta-star", "--r", "2", "--s", "nan"), "s"),
+        (("grid", "--n", "5", "--r", "nan"), "r"),
+        (("grid", "--n", "5", "--r", "inf"), "r"),
+        (("grid", "--n", "5", "--grad-tol", "nan"), "grad_tol"),
+        (("grid", "--n", "5", "--m", "nan"), "m"),
+        (("grid", "--n", "5", "--sigma2", "inf"), "sigma2"),
+        (("grid", "--dist", "gamma", "--a", "nan", "--n", "5"), "a"),
+        (("exp-grid", "--n", "5", "--lambda", "inf"), "lam"),
+        (("dilate", "--grid-file", "{grid}", "--theta", "nan"), "theta"),
+        (("distortion", "--grid-file", "{grid}", "--r", "nan"), "r"),
+    ],
+    ids=["constants-r", "theta-star-s", "grid-r-nan", "grid-r-inf", "grid-grad-tol",
+         "grid-m", "grid-sigma2", "grid-a", "exp-grid-lambda", "dilate-theta",
+         "distortion-r"],
+)
+def test_non_finite_inputs_exit_2_naming_the_parameter(capsys, tmp_path, argv, name):
+    grid_file = tmp_path / "grid.txt"
+    grid_file.write_text(Grid([0.2, 0.9, 1.7]).to_text())
+    code, out, err = run_cli(capsys, *(a.format(grid=grid_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"quantilab: error: {name} must be finite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("grid", "--n", "20", "--r", "2"),

@@ -254,6 +254,21 @@ def test_rate_query_defaults_and_mu_rules():
         RateQuery(GAUSS, 2.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rate_inputs_are_rejected_by_name(bad):
+    for call, name in (
+        (lambda: RateQuery(GAUSS, bad, 1.0, 1.0), "r"),
+        (lambda: RateQuery(GAUSS, 2.0, bad, 1.0), "s"),
+        (lambda: RateQuery(GAUSS, 2.0, 1.0, bad), "theta"),
+        (lambda: RateQuery(GAUSS, 2.0, 1.0, 1.0, mu=bad), "mu"),
+        (lambda: theta_star(EXPO, bad, 1.0), "r"),
+        (lambda: theta_star(EXPO, 2.0, bad), "s"),
+        (lambda: admissible_theta_range(GAUSS, 2.0, bad), "s"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+
 def test_q_inf_accepts_offcentre_gaussian_mu():
     val = q_inf(RateQuery(GAUSS, 2.0, 1.0, 1.0, mu=0.7))
     assert math.isfinite(val) and val > 0.0

@@ -244,6 +244,41 @@ def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
             assert abs(vals[i] - ref) <= tol, (q, signed, i, vals[i], ref)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ((0.5, True), (-0.5, False)),  # r = 1.5: residual and curvature
+        ((2.0, True), (1.0, False)),  # r = 3
+        ((-0.5, True),) * 3,  # r = 0.5: three colour-stepped grids
+    ],
+    ids=["r1.5", "r3", "r0.5"],
+)
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
+def test_per_cell_powers_in_one_batch_equal_the_separate_calls(spec, weights):
+    # the solver stacks a residual's and a curvature's cells, or the cells
+    # of several grids, into one call; each cell must come out bit for bit
+    # as its own call gives it
+    opts = SolverOpts().quad
+    n = 20
+    law = empirical_measure_law(spec, 2.0)
+    base = np.asarray(quantile(law, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
+    grids = [base + 1e-7 * (1.0 + base) * (np.arange(n) % 3 == k) for k in range(len(weights))]
+    bounds = [voronoi_bounds(g) for g in grids]
+    stacked, stacked_err = _abs_moments(
+        spec,
+        np.concatenate(grids),
+        np.concatenate([b[:-1] for b in bounds]),
+        np.concatenate([b[1:] for b in bounds]),
+        np.repeat([q for q, _ in weights], n),
+        opts,
+        signed=np.repeat([s for _, s in weights], n),
+    )
+    for j, (pts, b, (q, signed)) in enumerate(zip(grids, bounds, weights)):
+        vals, errs = _abs_moments(spec, pts, b[:-1], b[1:], q, opts, signed)
+        assert np.array_equal(stacked[j * n : (j + 1) * n], vals), (q, signed)
+        assert np.array_equal(stacked_err[j * n : (j + 1) * n], errs), (q, signed)
+
+
 @pytest.mark.parametrize("q", [-0.7, -0.5, 0.5, 1.5, 2.5])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
 def test_fractional_cell_integrals_match_mpmath(spec, q):
@@ -456,6 +491,27 @@ def test_spec_validation():
         DistributionSpec.exponential(-1.0)
     with pytest.raises(ValueError):
         DistributionSpec.gamma(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: DistributionSpec.gaussian(m=v), "m"),
+        (lambda v: DistributionSpec.gaussian(sigma2=v), "sigma2"),
+        (lambda v: DistributionSpec.gamma(2.0, v), "lam"),
+        (lambda v: DistributionSpec.gamma(v), "a"),
+        (lambda v: QuadratureOpts(abs_tol=v), "abs_tol"),
+        (lambda v: QuadratureOpts(rel_tol=v), "rel_tol"),
+        (lambda v: c_fr(GAUSS, v), "r"),
+        (lambda v: empirical_measure_law(GAUSS, v), "s"),
+    ],
+    ids=["m", "sigma2", "lam", "a", "abs_tol", "rel_tol", "c_fr-r", "law-s"],
+)
+def test_non_finite_parameters_are_rejected_by_name(make, name, bad):
+    # NaN passes every "x <= 0" test; each parameter must be checked as finite
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(bad)
 
 
 def test_quadrature_opts_validation():

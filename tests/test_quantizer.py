@@ -93,6 +93,13 @@ def test_dilate_examples():
 def test_dilation_params_validation():
     with pytest.raises(ValueError):
         DilationParams(0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^theta must be finite"):
+            DilationParams(bad)
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            DilationParams(1.5, bad)
+        with pytest.raises(ValueError, match="^r must be finite"):
+            distortion(Grid([0.0, 1.0]), GAUSS, bad)
 
 
 # -- distortion --------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize, minimize_scalar
 
 import quantilab
@@ -236,25 +237,46 @@ def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
     np.testing.assert_allclose(ab, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(ab)))
 
 
+def _record_batches(monkeypatch, *names):
+    """Wrap each solver.<name> to record, per call, the number of
+    ``_abs_moments`` batches it ran, its arguments and its result."""
+    real_moments = solver._abs_moments
+    calls = [0]
+    records = {name: [] for name in names}
+
+    def counting_moments(*args, **kwargs):
+        calls[0] += 1
+        return real_moments(*args, **kwargs)
+
+    def recorder(name, real):
+        def recording(*args, **kwargs):
+            before = calls[0]
+            out = real(*args, **kwargs)
+            records[name].append((calls[0] - before, args, kwargs, out))
+            return out
+
+        return recording
+
+    monkeypatch.setattr(solver, "_abs_moments", counting_moments)
+    for name in names:
+        monkeypatch.setattr(solver, name, recorder(name, getattr(solver, name)))
+    return [records[name] for name in names]
+
+
 @pytest.mark.parametrize("r", [1.5, 3.0])
 def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
-    real_curvature, real_jacobian = solver._curvature, solver._jacobian_banded
-    computed, handed = [], []
-
-    def recording_curvature(*args, **kwargs):
-        computed.append(real_curvature(*args, **kwargs))
-        return computed[-1]
-
-    def recording_jacobian(*args, curv=None, **kwargs):
-        handed.append(curv)
-        return real_jacobian(*args, curv=curv, **kwargs)
-
-    monkeypatch.setattr(solver, "_curvature", recording_curvature)
-    monkeypatch.setattr(solver, "_jacobian_banded", recording_jacobian)
+    states, jacobians = _record_batches(
+        monkeypatch, "_residual_and_curvature", "_jacobian_banded"
+    )
     res = optimal_grid(GAUSS, 20, r, full_result=True)
-    assert len(handed) == res.newton_iters > 0
-    # no curvature pass of its own: each Jacobian reuses one already computed
-    assert all(any(c is d for d in computed) for c in handed)
+    assert len(jacobians) == res.newton_iters > 0
+    # residual and curvature of a Newton state: one batch between them
+    assert [batches for batches, *_ in states] == [1] * len(states)
+    curvatures = [out[1] for *_, out in states]
+    for batches, _, kwargs, _ in jacobians:
+        # no integral of its own: each Jacobian reuses a state's curvature
+        assert batches == 0
+        assert any(kwargs["curv"] is c for c in curvatures)
 
 
 # -- optimal_grid ----------------------------------------------------------------
@@ -353,6 +375,19 @@ def test_user_grid_init_and_validation():
         optimal_grid(GAUSS, 0, 2.0)
     with pytest.raises(ValueError):
         optimal_grid(DistributionSpec.gaussian(d=2), 2, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_solver_inputs_are_rejected_by_name(bad):
+    for call, name in (
+        (lambda: optimal_grid(GAUSS, 3, bad), "r"),
+        (lambda: exp_ak_sequence(bad, 3), "r"),
+        (lambda: exp_optimal_grid(3, 2.0, bad), "lam"),
+        (lambda: SolverOpts(grad_tol=bad), "grad_tol"),
+        (lambda: SolverOpts(position_tol=bad), "position_tol"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
 
 
 def test_nonconvergence_error_carries_best_iterate():
@@ -636,25 +671,14 @@ def test_subunit_exponent_points_minimise_their_cell_moments():
 
 @pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
 def test_subunit_newton_hands_its_residual_to_the_jacobian(spec, monkeypatch):
-    real_residual, real_jacobian = solver._residual, solver._jacobian_banded
-    calls = [0]
-    passes = []  # residual passes inside each Newton iteration's Jacobian
-
-    def counting_residual(*args, **kwargs):
-        calls[0] += 1
-        return real_residual(*args, **kwargs)
-
-    def counting_jacobian(*args, **kwargs):
-        before = calls[0]
-        ab = real_jacobian(*args, **kwargs)
-        passes.append(calls[0] - before)
-        return ab
-
-    monkeypatch.setattr(solver, "_residual", counting_residual)
-    monkeypatch.setattr(solver, "_jacobian_banded", counting_jacobian)
+    real_jacobian = solver._jacobian_banded
+    residuals, jacobians = _record_batches(monkeypatch, "_residual", "_jacobian_banded")
     reused = optimal_grid(spec, 20, 0.5, full_result=True)
-    assert len(passes) == reused.newton_iters > 0
-    assert passes == [3] * len(passes)  # the 3 colour steps; the base is reused
+    assert len(jacobians) == reused.newton_iters > 0
+    for batches, args, _, _ in jacobians:
+        # the 3 colour-stepped grids in one batch; the base residual is reused
+        assert batches == 1
+        assert any(args[5] is out for *_, out in residuals)
 
     def recomputing_jacobian(spec, pts, r, q, mass=None, res=None):
         return real_jacobian(spec, pts, r, q, mass)  # base residual evaluated anew
@@ -853,3 +877,64 @@ def test_grid_cache_from_env(tmp_path, monkeypatch):
     assert cache is not None and cache.root.is_dir()
     monkeypatch.delenv("QUANTILAB_CACHE_DIR")
     assert GridCache.from_env() is None
+
+
+# -- batched verification and tridiagonal solve ---------------------------------
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize(
+    "spec", [GAUSS, EXPO, DistributionSpec.gamma(0.5), DistributionSpec.gamma(3.0)],
+    ids=["gauss", "exp", "gamma0.5", "gamma3"],
+)
+def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
+    opts = SolverOpts()
+    rng = np.random.default_rng(7)
+    decisions = set()
+    for n in (5, 20):
+        base = grid_of(spec, n, r).points
+        for eps in (1e-8, 1e-7, 1e-6, 3e-6, 1e-5, 1e-3):
+            pts = base + eps * (1.0 + np.max(np.abs(base))) * rng.uniform(-1.0, 1.0, n)
+            if np.any(np.diff(pts) <= 0.0) or pts[0] <= spec.support[0]:
+                continue
+            swept = solver._lloyd_sweep(spec, pts, r, opts)
+            move = np.max(np.abs(swept - pts))
+            fixed = move <= solver._LLOYD_MOVE_TOL * (1.0 + np.max(np.abs(pts)))
+            assert solver._sweep_keeps(spec, pts, r, opts) == fixed, (n, eps, move)
+            decisions.add(bool(fixed))
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5)])
+def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
+    spec = DistributionSpec.gamma(a)
+    pts = solver._initial_points(spec, n, r)
+    with pytest.raises(SolverError, match="origin"):
+        solver._lloyd_sweep(spec, pts, r, SolverOpts())
+    assert not solver._sweep_keeps(spec, pts, r, SolverOpts())
+
+
+def test_gamma_half_with_a_first_point_near_the_pole_solves():
+    # the first point (~6.4e-6) lies closer to the origin than the sweep
+    # tolerance, so the sign test evaluates the pole rule there
+    res = optimal_grid(DistributionSpec.gamma(0.5), 900, 0.5, full_result=True)
+    assert res.grid.n == 900 and 0.0 < res.grid.points[0] < 1e-5
+    assert res.residual_sup <= SolverOpts().grad_tol and res.lloyd_sweeps == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 900])
+def test_tridiagonal_solve_matches_solve_banded(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        ab = rng.normal(size=(3, n))
+        ab[1] += 3.0 * np.sign(ab[1])
+        rhs = rng.normal(size=n)
+        expected = solve_banded((1, 1), ab, rhs)
+        assert np.array_equal(solver._tridiagonal_solve(ab.copy(), rhs.copy()), expected)
+
+
+def test_tridiagonal_solve_reports_a_singular_band():
+    # [[1, 1, 0], [1, 1, 0], [0, 1, 1]] in banded form: rows 0 and 1 are equal
+    ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), ab, np.ones(3))
+    assert solver._tridiagonal_solve(ab.copy(), np.ones(3)) is None
