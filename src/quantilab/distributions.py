@@ -139,8 +139,10 @@ class QuadratureOpts:
         _require_positive(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
         if not 0.0 < self.tail_mass_cut < 1e-6:
             raise ValueError("tail_mass_cut must lie in (0, 1e-6)")
-        if self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions too small")
+        if not 4 <= self.max_subdivisions < _INF:
+            raise ValueError(
+                f"max_subdivisions must be finite and >= 4, got {self.max_subdivisions!r}"
+            )
 
 
 DEFAULT_QUAD = QuadratureOpts()

@@ -503,10 +503,11 @@ def test_spec_validation():
         (lambda v: DistributionSpec.gamma(v), "a"),
         (lambda v: QuadratureOpts(abs_tol=v), "abs_tol"),
         (lambda v: QuadratureOpts(rel_tol=v), "rel_tol"),
+        (lambda v: QuadratureOpts(max_subdivisions=v), "max_subdivisions"),
         (lambda v: c_fr(GAUSS, v), "r"),
         (lambda v: empirical_measure_law(GAUSS, v), "s"),
     ],
-    ids=["m", "sigma2", "lam", "a", "abs_tol", "rel_tol", "c_fr-r", "law-s"],
+    ids=["m", "sigma2", "lam", "a", "abs_tol", "rel_tol", "max_subdivisions", "c_fr-r", "law-s"],
 )
 def test_non_finite_parameters_are_rejected_by_name(make, name, bad):
     # NaN passes every "x <= 0" test; each parameter must be checked as finite
