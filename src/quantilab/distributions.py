@@ -562,8 +562,7 @@ def cube_coefficient(r: float, d: int = 1, override: float | None = None) -> flo
     must be supplied by the caller via ``override``.
     """
     if override is not None:
-        if override <= 0.0:
-            raise ValueError("cube coefficient must be positive")
+        _require_positive(j_const=override)
         return float(override)
     if d != 1:
         raise UnsupportedDimensionError(

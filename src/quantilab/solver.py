@@ -310,14 +310,14 @@ def _curvature(
     in its point with the cell's edges held fixed.
 
     2 f(a) for r = 1, twice the cell mass for r = 2 (``mass`` when
-    given), r (r - 1) integral |x - a|**(r-2) f(x) over the cell otherwise.
+    given), r (r - 1) integral |x - a|**(r-2) f(x) over the cell otherwise,
+    computed by ``_residual_and_curvature``.
     """
     if r == 1.0:
         return 2.0 * pdf(spec, pts)
     if r == 2.0:
         return 2.0 * (_edge_masses(spec, voronoi_bounds(pts)) if mass is None else mass)
-    b = voronoi_bounds(pts)
-    return r * (r - 1.0) * _abs_moments(spec, pts, b[:-1], b[1:], r - 2.0, q)[0]
+    return _residual_and_curvature(spec, pts, r, q, mass)[1]
 
 
 def _grid_moments(
@@ -429,22 +429,27 @@ def _sweep_keeps(
     derivative, increasing in its point a, is evaluated at a - d and
     a + d, clipped to the cell's bracket, in one batch: the sweep's root
     lies within d of a exactly when the derivative is <= 0 at the left
-    point and >= 0 at the right one, or that point is the bracket end.  A
-    first cell whose root is the origin fails, as the sweep would send
-    the point there, so that the rescue sweep raises ``_lloyd_sweep``'s
-    error.
+    point and >= 0 at the right one, or that point is the bracket end.
+    When the first left point is clipped to the origin, every root in
+    (0, a + d] lies within d of a, but the sweep may send the point to
+    the origin itself; that cell's root is then searched as the sweep
+    does, and the origin fails, so that the rescue sweep raises
+    ``_lloyd_sweep``'s error.
     """
     d = _LLOYD_MOVE_TOL * _scale(pts)
     if r in (1.0, 2.0):
         return bool(np.max(np.abs(_lloyd_sweep(spec, pts, r, opts) - pts)) <= d)
-    grad, lo_e, hi_e = _moment_derivative(spec, voronoi_bounds(pts), r, opts)
+    b = voronoi_bounds(pts)
+    grad, lo_e, hi_e = _moment_derivative(spec, b, r, opts)
     left, right = np.maximum(pts - d, lo_e), np.minimum(pts + d, hi_e)
     cells = np.arange(pts.size)
     g_left, g_right = np.split(
         grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
     )
-    if left[0] <= spec.support[0] and g_left[0] >= 0.0:
-        return False
+    if left[0] <= spec.support[0]:
+        first = _cell_argmins(spec, b[:2], r, opts, start=pts[:1])
+        if first[0] <= spec.support[0]:
+            return False
     return bool(
         np.all((g_left <= 0.0) | (left == lo_e)) and np.all((g_right >= 0.0) | (right == hi_e))
     )

@@ -233,6 +233,7 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     "argv, name",
     [
         (("constants", "--r", "nan", "--s", "1"), "r"),
+        (("constants", "--r", "2", "--s", "1", "--j-const", "nan"), "j_const"),
         (("theta-star", "--r", "2", "--s", "nan"), "s"),
         (("grid", "--n", "5", "--r", "nan"), "r"),
         (("grid", "--n", "5", "--r", "inf"), "r"),
@@ -244,7 +245,7 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
         (("dilate", "--grid-file", "{grid}", "--theta", "nan"), "theta"),
         (("distortion", "--grid-file", "{grid}", "--r", "nan"), "r"),
     ],
-    ids=["constants-r", "theta-star-s", "grid-r-nan", "grid-r-inf", "grid-grad-tol",
+    ids=["constants-r", "constants-j-const", "theta-star-s", "grid-r-nan", "grid-r-inf", "grid-grad-tol",
          "grid-m", "grid-sigma2", "grid-a", "exp-grid-lambda", "dilate-theta",
          "distortion-r"],
 )

@@ -506,8 +506,10 @@ def test_spec_validation():
         (lambda v: QuadratureOpts(max_subdivisions=v), "max_subdivisions"),
         (lambda v: c_fr(GAUSS, v), "r"),
         (lambda v: empirical_measure_law(GAUSS, v), "s"),
+        (lambda v: cube_coefficient(2.0, override=v), "j_const"),
     ],
-    ids=["m", "sigma2", "lam", "a", "abs_tol", "rel_tol", "max_subdivisions", "c_fr-r", "law-s"],
+    ids=["m", "sigma2", "lam", "a", "abs_tol", "rel_tol", "max_subdivisions", "c_fr-r", "law-s",
+         "cube-j_const"],
 )
 def test_non_finite_parameters_are_rejected_by_name(make, name, bad):
     # NaN passes every "x <= 0" test; each parameter must be checked as finite

@@ -169,13 +169,14 @@ def test_closed_form_residual_matches_quadrature(spec, r, n):
     np.testing.assert_allclose(solver._residual(spec, pts, r, q), r * quad, rtol=0, atol=1e-13)
 
 
-# closed-form Jacobians (r = 1, 2) and difference Jacobians (r < 1); at
-# the x**(-1/2) origin pole of Gamma(0.5), r < 1 difference quotients
-# disagree by up to 4e-5, and the r < 1 solve tests cover that law instead
+# closed-form Jacobians (r = 1, 2), quadrature curvatures (r = 1.5) and
+# difference Jacobians (r < 1); at the x**(-1/2) origin pole of
+# Gamma(0.5), r < 1 difference quotients disagree by up to 4e-5, and the
+# r < 1 solve tests cover that law instead
 JACOBIAN_CASES = [
     pytest.param(spec, r, id=f"{name}-{r}")
     for spec, name in zip(FAMILIES, FAMILY_IDS)
-    for r in (1.0, 2.0) + (() if name == "gamma0.5" else (0.3, 0.5, 0.8))
+    for r in (1.0, 1.5, 2.0) + (() if name == "gamma0.5" else (0.3, 0.5, 0.8))
 ]
 
 
@@ -911,6 +912,27 @@ def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
     with pytest.raises(SolverError, match="origin"):
         solver._lloyd_sweep(spec, pts, r, SolverOpts())
     assert not solver._sweep_keeps(spec, pts, r, SolverOpts())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sign_test_rejects_a_first_point_near_the_origin_that_the_sweep_sends_there(n):
+    # the first point lies within the sweep tolerance of the origin, so the
+    # sign test's left point is the clipped end; every later cell is
+    # stationary, and only cell 0's own root, the origin, can fail the grid
+    spec, r, opts = DistributionSpec.gamma(0.3), 0.3, SolverOpts()
+    first = 0.5 * solver._LLOYD_MOVE_TOL
+    pts = np.array([first])
+    if n == 2:
+        x = 1.0
+        for _ in range(80):
+            x = cell_argmin(spec, 0.5 * (first + x), math.inf, r, opts)
+        pts = np.array([first, x])
+    roots = solver._cell_argmins(spec, voronoi_bounds(pts), r, opts, start=pts)
+    assert roots[0] == spec.support[0]
+    assert np.all(np.abs(roots[1:] - pts[1:]) <= solver._LLOYD_MOVE_TOL * (1.0 + pts[-1]))
+    with pytest.raises(SolverError, match="origin"):
+        solver._lloyd_sweep(spec, pts, r, opts)
+    assert not solver._sweep_keeps(spec, pts, r, opts)
 
 
 def test_gamma_half_with_a_first_point_near_the_pole_solves():
