@@ -70,14 +70,11 @@ def _tight_quad() -> QuadratureOpts:
 class SolverOpts:
     """Iteration controls for ``optimal_grid``.
 
-    ``max_lloyd_iters`` Lloyd sweeps run before Newton (none by default:
-    Newton starts at the seed); ``max_newton_iters`` bounds each Newton
-    run; ``grad_tol`` and ``position_tol`` are its stopping tolerances on
-    the stationarity residual and the last step; ``quad`` controls the
-    cell integrals.
+    ``max_newton_iters`` bounds each Newton run; ``grad_tol`` and
+    ``position_tol`` are its stopping tolerances on the stationarity
+    residual and the last step; ``quad`` controls the cell integrals.
     """
 
-    max_lloyd_iters: int = 0
     max_newton_iters: int = 60
     grad_tol: float = 1e-10
     position_tol: float = 1e-10
@@ -299,49 +296,6 @@ def _residual(
     return r * grad
 
 
-def _curvature(
-    spec: DistributionSpec,
-    pts: np.ndarray,
-    r: float,
-    q: QuadratureOpts,
-    mass: np.ndarray | None = None,
-) -> np.ndarray:
-    """Each cell's own curvature (r >= 1): the derivative of its residual
-    in its point with the cell's edges held fixed.
-
-    2 f(a) for r = 1, twice the cell mass for r = 2 (``mass`` when
-    given), r (r - 1) integral |x - a|**(r-2) f(x) over the cell otherwise,
-    computed by ``_residual_and_curvature``.
-    """
-    if r == 1.0:
-        return 2.0 * pdf(spec, pts)
-    if r == 2.0:
-        return 2.0 * (_edge_masses(spec, voronoi_bounds(pts)) if mass is None else mass)
-    return _residual_and_curvature(spec, pts, r, q, mass)[1]
-
-
-def _grid_moments(
-    spec: DistributionSpec, grids: np.ndarray, q_pow, signed, q: QuadratureOpts
-) -> np.ndarray:
-    """integral |x - a|**p [sign(a - x)] f(x) over every cell of every grid.
-
-    Row k of ``grids`` is a grid whose cells take the power ``q_pow[k]``,
-    signed where ``signed[k]`` (scalars apply to every row).  All cells
-    go to ``_abs_moments`` in one call; returns one row per grid.
-    """
-    rows, n = grids.shape
-    b = np.stack([voronoi_bounds(g) for g in grids])
-
-    def per_cell(v):
-        return np.repeat(np.broadcast_to(v, (rows,)), n)
-
-    val, _ = _abs_moments(
-        spec, grids.ravel(), b[:, :-1].ravel(), b[:, 1:].ravel(), per_cell(q_pow), q,
-        signed=per_cell(signed),
-    )
-    return val.reshape(rows, n)
-
-
 def _residual_and_curvature(
     spec: DistributionSpec,
     pts: np.ndarray,
@@ -349,51 +303,66 @@ def _residual_and_curvature(
     q: QuadratureOpts,
     mass: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_residual`` and ``_curvature`` (r >= 1); by quadrature, both in one batch."""
-    if r in (1.0, 2.0):
-        return _residual(spec, pts, r, q, mass), _curvature(spec, pts, r, q, mass)
-    grad, second = _grid_moments(
-        spec, np.stack((pts, pts)), (r - 1.0, r - 2.0), (True, False), q
+    """The residual R = ``_residual`` and each cell's own curvature D_i, the
+    derivative of R_i in a_i with the cell's edges held fixed.
+
+    D is 2 f(a) for r = 1 and twice the cell mass for r = 2 (``mass`` when
+    given).  Otherwise R and one more moment come from one ``_abs_moments``
+    call on 2n cells: for r > 1, D = r (r - 1) integral |x - a|**(r-2) f(x).
+    For r < 1 that weight is not integrable, and D follows by parts from
+    G = R / r, the moment M = integral |x - a|**r f(x) and the density at
+    the cell's ends lo, hi (clipped to the support and tail cuts), with
+    e(x) = |x - a|**(r-1) f(x), negated at an end on the far side of a:
+    Gaussian, D = r (e(lo) + e(hi) + ((m - a) G + M) / sigma2);
+    Gamma(alpha, lam), D = (r / a) ((r + alpha - 1 - lam a) G + lam M
+    + lo e(lo) + hi e(hi)), where x f(x) is alpha/lam times the
+    Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
+    """
+    if r == 1.0:
+        return _residual(spec, pts, r, q), 2.0 * pdf(spec, pts)
+    if r == 2.0:
+        mass = _edge_masses(spec, voronoi_bounds(pts)) if mass is None else mass
+        return _residual(spec, pts, r, q, mass), 2.0 * mass
+    n = pts.size
+    b = voronoi_bounds(pts)
+    vals, _ = _abs_moments(
+        spec, np.tile(pts, 2), np.tile(b[:-1], 2), np.tile(b[1:], 2),
+        np.repeat((r - 1.0, r - 2.0 if r > 1.0 else r), n), q,
+        signed=np.repeat((True, False), n),
     )
-    return r * grad, r * (r - 1.0) * second
+    grad, moment = vals.reshape(2, n)
+    if r > 1.0:
+        return r * grad, r * (r - 1.0) * moment
+    lo, hi, _ = _effective_bounds(spec, b[:-1], b[1:], q.tail_mass_cut)
+    ends = np.concatenate((lo, hi))
+    # a line-search point may lie beyond its cell's tail cut
+    gap = np.concatenate((pts - lo, hi - pts))
+    dist = np.sign(gap) * np.abs(gap) ** (r - 1.0)
+    if spec.family is Family.GAUSSIAN:
+        e_lo, e_hi = (pdf(spec, ends) * dist).reshape(2, n)
+        curv = e_lo + e_hi + ((spec.m - pts) * grad + moment) / spec.sigma2
+    else:
+        lifted = DistributionSpec.gamma(spec.a + 1.0, spec.lam)
+        xe_lo, xe_hi = (spec.a / spec.lam * pdf(lifted, ends) * dist).reshape(2, n)
+        curv = (
+            xe_lo + xe_hi + (r + spec.a - 1.0 - spec.lam * pts) * grad + spec.lam * moment
+        ) / pts
+    return r * grad, r * curv
 
 
 def _jacobian_banded(
-    spec: DistributionSpec,
-    pts: np.ndarray,
-    r: float,
-    q: QuadratureOpts,
-    mass: np.ndarray | None = None,
-    res: np.ndarray | None = None,
-    *,
-    curv: np.ndarray | None = None,
+    spec: DistributionSpec, pts: np.ndarray, r: float, curv: np.ndarray
 ) -> np.ndarray:
     """Banded (3, n) Jacobian of the residual; tridiagonal and symmetric.
 
     Each residual component touches its neighbours only through the
     shared cell midpoints, each with derivative 1/2.  The diagonal is the
-    cell's ``_curvature`` (``curv`` when given) less those two couplings.
-    For r < 1 the curvature's weight |x - a|**(r-2) is not
-    integrable, and the band comes from forward differences of the
-    residual at ``pts`` (``res`` when given) instead: columns k mod 3 are
-    stepped together, since no residual component sees two of them
-    (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).  The up to
-    three stepped grids are integrated in one batch.
+    cell's curvature ``curv`` (``_residual_and_curvature``) less those
+    two couplings.
     """
     n = pts.size
-    if r < 1.0:
-        base = _residual(spec, pts, r, q) if res is None else res
-        cols = np.arange(n)
-        colour = cols % 3
-        moved = np.tile(pts, (min(n, 3), 1))
-        moved[colour, cols] += 1e-7 * (1.0 + np.abs(pts))
-        d = r * _grid_moments(spec, moved, r - 1.0, True, q) - base
-        d = np.pad(d, ((0, 0), (1, 1)))
-        # column j of the band holds rows j - 1, j, j + 1 of its colour's
-        # differences (padded index j + 1 is row j)
-        return d[colour, cols + np.arange(3)[:, None]] / (moved[colour, cols] - pts)
     ab = np.zeros((3, n))
-    ab[1, :] = _curvature(spec, pts, r, q, mass) if curv is None else curv
+    ab[1, :] = curv
     if n > 1:
         w = 0.5 * np.diff(pts)
         coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, voronoi_bounds(pts)[1:-1])
@@ -482,21 +451,15 @@ def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _newton_matrix(
-    spec: DistributionSpec,
-    pts: np.ndarray,
-    r: float,
-    q: QuadratureOpts,
-    mass: np.ndarray,
-    res: np.ndarray,
-    curv: np.ndarray,
+    spec: DistributionSpec, pts: np.ndarray, r: float, res: np.ndarray, curv: np.ndarray
 ) -> np.ndarray:
-    """Banded (3, n) Jacobian of F = R / D (r >= 1), D the ``_curvature``.
+    """Banded (3, n) Jacobian of F = R / D (r >= 1), D the cells' curvatures.
 
     Row i of the residual's Jacobian divided by D_i, less F_i D_i'/D_i on
     the diagonal, with D_i' modelled as D_i (log f)'(a_i): exact for
     r = 1, where D = 2 f(a).
     """
-    ab = _jacobian_banded(spec, pts, r, q, mass, res, curv=curv)
+    ab = _jacobian_banded(spec, pts, r, curv)
     # line k of the band holds row j + k - 1 at column j (padded index j + k)
     rows = np.arange(pts.size) + np.arange(3)[:, None]
     ab /= np.pad(curv, 1, constant_values=1.0)[rows]
@@ -522,24 +485,26 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Damped Newton on the stationarity system.
 
-    For r >= 1 each equation R_i = 0 is divided by its cell's curvature
-    D_i, so that F_i = R_i / D_i is the distance point i still has to move
-    in its cell, mass or not (``_newton_matrix``).  From the limiting-law
-    seed the plain system under-steps in the tail cells, where R is that
-    distance times a minute mass.  A step is taken once sup|F| does not
-    grow; r < 1 solves R = 0 itself.  Converged: sup|R| <= grad_tol and
-    the last step <= position_tol (1 + max|x|).
+    Every state is the residual R and the cells' curvatures D from one
+    ``_residual_and_curvature`` call, and D is the diagonal of the
+    Jacobian (``_jacobian_banded``).  For r >= 1 each equation R_i = 0 is
+    divided by D_i, so that F_i = R_i / D_i is the distance point i still
+    has to move in its cell, mass or not (``_newton_matrix``).  From the
+    limiting-law seed the plain system under-steps in the tail cells,
+    where R is that distance times a minute mass.  r < 1 solves R = 0
+    itself: when alpha + r < 1 a Gamma first cell's F tends to 0 as its
+    point nears the origin, so sup|F| would be a misleading merit there.
+    A step is taken once the sup of the system solved does not grow.
+    Converged: sup|R| <= grad_tol and the last step <= position_tol
+    (1 + max|x|).
     """
     q = opts.quad
     scaled = r >= 1.0
 
     def state(pts: np.ndarray, mass: np.ndarray):
-        """The residual, the curvatures (r >= 1) and the system Newton solves."""
-        if not scaled:
-            res = _residual(spec, pts, r, q, mass)
-            return res, None, res
+        """The residual, the curvatures and the system Newton solves."""
         res, curv = _residual_and_curvature(spec, pts, r, q, mass)
-        return res, curv, res / curv
+        return res, curv, res / curv if scaled else res
 
     def converged() -> bool:
         return bool(
@@ -556,9 +521,9 @@ def _newton(
         if converged():
             return pts, res, iters, True
         if scaled:
-            ab = _newton_matrix(spec, pts, r, q, mass, res, curv)
+            ab = _newton_matrix(spec, pts, r, res, curv)
         else:
-            ab = _jacobian_banded(spec, pts, r, q, mass, res)
+            ab = _jacobian_banded(spec, pts, r, curv)
         step = _tridiagonal_solve(ab, -f)
         if step is None:
             break
@@ -585,7 +550,7 @@ def _newton(
 def _lloyd_newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``max_lloyd_iters`` Lloyd sweeps, then Newton, verified by one more sweep.
+    """Newton from ``pts``, verified by one Lloyd sweep.
 
     Returns the points, the residual, the sweeps and the Newton
     iterations.  A Newton result is accepted only if a Lloyd sweep would
@@ -595,15 +560,7 @@ def _lloyd_newton(
     stationary grid from one with a point stranded in the far tail.
     Otherwise 20 more sweeps run and Newton restarts, up to three times.
     """
-    sweeps = 0
-    for _ in range(opts.max_lloyd_iters):
-        new = _lloyd_sweep(spec, pts, r, opts)
-        move = float(np.max(np.abs(new - pts)))
-        pts = new
-        sweeps += 1
-        if move < _LLOYD_MOVE_TOL:
-            break
-    newton_iters = 0
+    sweeps = newton_iters = 0
     for _ in range(3):
         pts, res, iters, ok = _newton(spec, pts, r, opts)
         newton_iters += iters
@@ -657,17 +614,15 @@ def optimal_grid(
 ) -> Grid | SolveResult:
     """Solve for the L^r-optimal n-point grid of ``spec`` (d = 1).
 
-    Every r > 0: up to ``max_lloyd_iters`` Lloyd sweeps (none by default;
-    fewer once the max point move drops below ``_LLOYD_MOVE_TOL``), then
-    damped Newton with a tridiagonal matrix drives the stationarity
-    residual below ``grad_tol`` and its last step below ``position_tol``.
-    For r >= 1 each equation is divided by its cell's curvature, which
-    lets Newton start at the seed; for r < 1 the Jacobian comes from
-    forward differences.  The result must also be a fixed point of the
-    Lloyd sweep, else up to three rescues of 20 sweeps run.  Off the
-    closed forms (r not 1 or 2) each Newton state, each r < 1 Jacobian and
-    the fixed-point check is one batched quadrature pass over all the
-    cells it needs.  Raises
+    Every r > 0: damped Newton from the seed, with a tridiagonal
+    Jacobian whose diagonal is each cell's analytic curvature, drives the
+    stationarity residual below ``grad_tol`` and its last step below
+    ``position_tol``.  For r >= 1 each equation is divided by its cell's
+    curvature, which lets Newton start at the seed in the tail cells.
+    The result must also be a fixed point of the Lloyd sweep, else up to
+    three rescues of 20 sweeps run.  Off the closed forms (r not 1 or 2)
+    each Newton state (residual and curvatures) and the fixed-point check
+    is one batched quadrature pass over all the cells it needs.  Raises
     ``SolverError`` rather than return an unverified grid.  The solve
     starts from ``init_grid`` when given, else from the quantiles of the
     limiting point law.  For log-concave densities (Gaussian, Gamma shape

@@ -249,15 +249,16 @@ def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
     [
         ((0.5, True), (-0.5, False)),  # r = 1.5: residual and curvature
         ((2.0, True), (1.0, False)),  # r = 3
-        ((-0.5, True),) * 3,  # r = 0.5: three colour-stepped grids
+        ((-0.5, True),) * 3,  # one power on three grids
+        ((-0.5, True), (0.5, False)),  # r = 0.5: residual and moment
     ],
-    ids=["r1.5", "r3", "r0.5"],
+    ids=["r1.5", "r3", "r0.5", "r0.5-moment"],
 )
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
 def test_per_cell_powers_in_one_batch_equal_the_separate_calls(spec, weights):
-    # the solver stacks a residual's and a curvature's cells, or the cells
-    # of several grids, into one call; each cell must come out bit for bit
-    # as its own call gives it
+    # the solver stacks a residual's cells with a curvature's or a
+    # moment's into one call; each cell must come out bit for bit as its
+    # own call gives it
     opts = SolverOpts().quad
     n = 20
     law = empirical_measure_law(spec, 2.0)

@@ -170,13 +170,11 @@ def test_closed_form_residual_matches_quadrature(spec, r, n):
 
 
 # closed-form Jacobians (r = 1, 2), quadrature curvatures (r = 1.5) and
-# difference Jacobians (r < 1); at the x**(-1/2) origin pole of
-# Gamma(0.5), r < 1 difference quotients disagree by up to 4e-5, and the
-# r < 1 solve tests cover that law instead
+# curvatures integrated by parts (r < 1)
 JACOBIAN_CASES = [
     pytest.param(spec, r, id=f"{name}-{r}")
     for spec, name in zip(FAMILIES, FAMILY_IDS)
-    for r in (1.0, 1.5, 2.0) + (() if name == "gamma0.5" else (0.3, 0.5, 0.8))
+    for r in (1.0, 1.5, 2.0, 0.3, 0.5, 0.8)
 ]
 
 
@@ -186,7 +184,7 @@ def test_jacobian_matches_central_differences_of_the_residual(spec, r, n):
     q = SolverOpts().quad
     pts = _off_stationary(spec, n, r, seed=n)
     h = 1e-4 * (np.min(np.diff(pts)) if n > 1 else 1.0)
-    ab = solver._jacobian_banded(spec, pts, r, q)
+    ab = solver._jacobian_banded(spec, pts, r, solver._residual_and_curvature(spec, pts, r, q)[1])
     fd = np.zeros((3, n))
     for k in range(3):  # residual i sees points i - 1, i, i + 1 only
         moved = np.arange(n) % 3 == k
@@ -216,11 +214,9 @@ def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
     # r = 1: F = R / (2 f(a)), and dD/da = D (log f)' holds exactly
     q, n = SolverOpts().quad, 20
     pts = _off_stationary(spec, n, 1.0, seed=n)
-    curv = solver._curvature(spec, pts, 1.0, q)
+    res, curv = solver._residual_and_curvature(spec, pts, 1.0, q)
     np.testing.assert_array_equal(curv, 2.0 * pdf(spec, pts))
-    mass = _edge_masses(spec, voronoi_bounds(pts))
-    res = solver._residual(spec, pts, 1.0, q, mass)
-    ab = solver._newton_matrix(spec, pts, 1.0, q, mass, res, curv)
+    ab = solver._newton_matrix(spec, pts, 1.0, res, curv)
 
     def scaled(x):
         return solver._residual(spec, x, 1.0, q) / (2.0 * pdf(spec, x))
@@ -264,7 +260,7 @@ def _record_batches(monkeypatch, *names):
     return [records[name] for name in names]
 
 
-@pytest.mark.parametrize("r", [1.5, 3.0])
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
 def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
     states, jacobians = _record_batches(
         monkeypatch, "_residual_and_curvature", "_jacobian_banded"
@@ -274,10 +270,10 @@ def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
     # residual and curvature of a Newton state: one batch between them
     assert [batches for batches, *_ in states] == [1] * len(states)
     curvatures = [out[1] for *_, out in states]
-    for batches, _, kwargs, _ in jacobians:
+    for batches, args, _, _ in jacobians:
         # no integral of its own: each Jacobian reuses a state's curvature
         assert batches == 0
-        assert any(kwargs["curv"] is c for c in curvatures)
+        assert any(args[3] is c for c in curvatures)
 
 
 # -- optimal_grid ----------------------------------------------------------------
@@ -392,14 +388,17 @@ def test_non_finite_solver_inputs_are_rejected_by_name(bad):
 
 
 def test_nonconvergence_error_carries_best_iterate():
-    starved = SolverOpts(max_lloyd_iters=1, max_newton_iters=0, grad_tol=1e-14)
+    starved = SolverOpts(max_newton_iters=0, grad_tol=1e-14)
+    swept = solver._lloyd_sweep(GAUSS, solver._initial_points(GAUSS, 6, 4.0), 4.0, starved)
+    start = 5.0 + 2.0 * swept  # on the scale of N(5, 4)
     with pytest.raises(SolverError) as exc:
-        optimal_grid(GAUSS, 6, 4.0, starved)
+        # the unit-law start of the N(5, 4) solve below
+        optimal_grid(GAUSS, 6, 4.0, starved, init_grid=Grid((start - 5.0) / 2.0))
     assert exc.value.points.size == 6
     assert exc.value.residual_sup > 0.0
     # the best iterate is reported on the scale of the law asked for
     with pytest.raises(SolverError) as scaled:
-        optimal_grid(DistributionSpec.gaussian(5.0, 4.0), 6, 4.0, starved)
+        optimal_grid(DistributionSpec.gaussian(5.0, 4.0), 6, 4.0, starved, init_grid=Grid(start))
     np.testing.assert_array_equal(scaled.value.points, 5.0 + 2.0 * exc.value.points)
 
 
@@ -516,7 +515,7 @@ def test_poor_seed_never_converges_to_a_wrong_grid(spec, r, grid_of):
     # without Lloyd sweeps, Newton alone can push the last point into a
     # cell of negligible mass, where the stationarity residual vanishes
     try:
-        poor = optimal_grid(spec, 200, r, SolverOpts(max_lloyd_iters=0))
+        poor = optimal_grid(spec, 200, r)
     except SolverError:
         return
     np.testing.assert_allclose(poor.points, grid_of(spec, 200, r).points, rtol=0, atol=1e-9)
@@ -525,12 +524,15 @@ def test_poor_seed_never_converges_to_a_wrong_grid(spec, r, grid_of):
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
 def test_newton_converges_from_the_seed(spec, r):
-    # by default no Lloyd sweep runs before Newton: the only sweep is the
-    # verifying one, and the grid is the one two sweeps first would give
+    # no Lloyd sweep runs before Newton: the only sweep is the verifying
+    # one, and the grid is the one two sweeps first would give
     for n in (10, 50, 200, 900):
         seeded = optimal_grid(spec, n, r, full_result=True)
         assert seeded.lloyd_sweeps == 1
-        swept = optimal_grid(spec, n, r, SolverOpts(max_lloyd_iters=2))
+        pts = solver._initial_points(spec, n, r)
+        for _ in range(2):
+            pts = solver._lloyd_sweep(spec, pts, r, SolverOpts())
+        swept = optimal_grid(spec, n, r, init_grid=Grid(pts))
         np.testing.assert_allclose(seeded.grid.points, swept.points, rtol=0, atol=1e-9)
 
 
@@ -572,7 +574,7 @@ def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
     "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
 )
 def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
-    opts = SolverOpts(max_lloyd_iters=0)
+    opts = SolverOpts()
     pts, _, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, opts)
     b = voronoi_bounds(pts)
     assert np.min(_edge_masses(spec, b)) > opts.quad.tail_mass_cut
@@ -584,7 +586,7 @@ def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
 def test_newton_success_is_checked_by_a_lloyd_sweep(spec, r):
     # Newton tolerances far looser than the sweep check: Newton alone
     # would stop on a grid several units from stationary
-    opts = SolverOpts(max_lloyd_iters=0, grad_tol=1e-3, position_tol=1e-3)
+    opts = SolverOpts(grad_tol=1e-3, position_tol=1e-3)
     try:
         grid = optimal_grid(spec, 30, r, opts)
     except SolverError:
@@ -600,9 +602,10 @@ def test_planted_tail_point_never_converges_to_a_wrong_grid(r, sweeps):
     exact = exp_optimal_grid(10, r)
     planted = exact.points.copy()
     planted[-1] = 60.0  # its cell holds mass ~1e-15
-    opts = SolverOpts(max_lloyd_iters=sweeps)
+    for _ in range(sweeps):
+        planted = solver._lloyd_sweep(EXPO, planted, r, SolverOpts())
     try:
-        res = optimal_grid(EXPO, 10, r, opts, init_grid=Grid(planted))
+        res = optimal_grid(EXPO, 10, r, init_grid=Grid(planted))
     except SolverError:
         return
     np.testing.assert_allclose(res.points, exact.points, rtol=0, atol=1e-9)
@@ -650,10 +653,13 @@ def test_subunit_solves_reach_the_residual_tolerance(spec, r):
 
 
 def test_subunit_gamma_pole_at_origin_solves():
-    # Gamma(0.5) at r = 0.5: the first cell's moment derivative is -inf at 0
-    res = optimal_grid(DistributionSpec.gamma(0.5), 3, 0.5, full_result=True)
-    assert res.grid.n == 3 and res.grid.points[0] > 0.0
-    assert res.residual_sup <= SolverOpts().grad_tol and res.stationary_only
+    # Gamma(0.5) at r <= 0.5: the first cell's moment derivative is -inf at
+    # 0, and on the curvature-scaled system Newton would stall near there
+    for r, n in ((0.5, 3), (0.3, 3), (0.3, 400)):
+        res = optimal_grid(DistributionSpec.gamma(0.5), n, r, full_result=True)
+        assert res.grid.n == n and res.grid.points[0] > 0.0
+        assert res.residual_sup <= SolverOpts().grad_tol and res.stationary_only
+        assert res.lloyd_sweeps == 1
 
 
 def test_subunit_exponent_points_minimise_their_cell_moments():
@@ -668,26 +674,6 @@ def test_subunit_exponent_points_minimise_their_cell_moments():
         base = cell_moment(EXPO, float(p), b[i], b[i + 1], 0.5)
         for delta in (-1e-4, 1e-4):
             assert base <= cell_moment(EXPO, float(p) + delta, b[i], b[i + 1], 0.5) + 1e-10
-
-
-@pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
-def test_subunit_newton_hands_its_residual_to_the_jacobian(spec, monkeypatch):
-    real_jacobian = solver._jacobian_banded
-    residuals, jacobians = _record_batches(monkeypatch, "_residual", "_jacobian_banded")
-    reused = optimal_grid(spec, 20, 0.5, full_result=True)
-    assert len(jacobians) == reused.newton_iters > 0
-    for batches, args, _, _ in jacobians:
-        # the 3 colour-stepped grids in one batch; the base residual is reused
-        assert batches == 1
-        assert any(args[5] is out for *_, out in residuals)
-
-    def recomputing_jacobian(spec, pts, r, q, mass=None, res=None):
-        return real_jacobian(spec, pts, r, q, mass)  # base residual evaluated anew
-
-    monkeypatch.setattr(solver, "_jacobian_banded", recomputing_jacobian)
-    recomputed = optimal_grid(spec, 20, 0.5, full_result=True)
-    assert np.array_equal(reused.grid.points, recomputed.grid.points)
-    assert reused.newton_iters == recomputed.newton_iters
 
 
 # -- exponential closed form -----------------------------------------------------
@@ -781,6 +767,12 @@ def test_spacing_roots_take_few_evaluations(r, monkeypatch):
 def test_solver_matches_the_recursion_at_n_900(r, grid_of):
     gap = np.max(np.abs(grid_of(EXPO, 900, r).points - exp_optimal_grid(900, r).points))
     assert gap <= 1e-10
+
+
+def test_subunit_solver_matches_the_recursion_at_n_900(grid_of):
+    # an exact Jacobian lands the r < 1 grid where the recursion puts it
+    gap = np.max(np.abs(grid_of(EXPO, 900, 0.3).points - exp_optimal_grid(900, 0.3).points))
+    assert gap <= 5e-12
 
 
 def test_library_calls_do_not_import_scipy_optimize():
