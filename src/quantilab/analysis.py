@@ -19,7 +19,7 @@ from .distributions import (
     scaled_density_power_integral,
 )
 from .quantizer import Grid
-from .solver import GridCache, SolverError, SolverOpts, solve
+from .solver import GridCache, SolverError, solve
 
 __all__ = [
     "OlsFit",
@@ -110,21 +110,20 @@ def table_experiment(
     r: float,
     s: float,
     ns: Sequence[int] = CI_TABLE_SIZES,
-    solver_opts: SolverOpts | None = None,
     cache: GridCache | None = None,
 ) -> list[RegressionRow]:
     """Regress the L^s grid on the L^r grid for each size in ``ns``.
 
     Points are paired by sorted index; the response is the L^s grid, so
     the fitted slope estimates the optimal scaling number theta_star.
+    Each grid is ``solve``'s under the default solver tolerances.
     Solver failures yield a row with NaN stats and an error status.
     """
-    solver_opts = solver_opts or SolverOpts()
     rows: list[RegressionRow] = []
     for n in sorted(set(int(n) for n in ns)):
         try:
-            grid_r = solve(spec, n, r, solver_opts, cache=cache)
-            grid_s = solve(spec, n, s, solver_opts, cache=cache)
+            grid_r = solve(spec, n, r, cache=cache)
+            grid_s = solve(spec, n, s, cache=cache)
             fit = ols_fit(grid_r.points, grid_s.points)
             rows.append(RegressionRow(n, *fit))
         except SolverError as err:

@@ -12,7 +12,6 @@ from pathlib import Path
 from . import analysis, dilatation
 from .distributions import (
     DistributionSpec,
-    QuadratureError,
     UnsupportedDimensionError,
     c_fr,
     zador_q,
@@ -29,7 +28,7 @@ from .solver import (
 
 _NUMERIC_FAILURES = (
     SolverError,
-    QuadratureError,
+    ArithmeticError,  # QuadratureError, and OverflowError in the closed forms
     UnsupportedDimensionError,
     dilatation.AdmissibilityError,
 )

@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,30 +55,25 @@ CACHE_ENV_VAR = "QUANTILAB_CACHE_DIR"
 
 _LLOYD_MOVE_TOL = 1e-6  # largest point move, relative to 1 + max|x|, of a verified grid
 _STEP_DAMPING = 0.5  # Newton line-search step shrink factor
-
-
-def _tight_quad() -> QuadratureOpts:
-    # Deep tail cut and small absolute floor: stationarity residuals of
-    # far-tail cells are minuscule and would otherwise drown in the
-    # truncation bias (outer grid points must still land to ~1e-9).
-    return QuadratureOpts(
-        abs_tol=1e-16, rel_tol=1e-12, max_subdivisions=4000, tail_mass_cut=1e-20
-    )
+_MAX_NEWTON_ITERS = 60  # iterations of each Newton run
+# The cell integrals' controls.  Deep tail cut and small absolute floor:
+# stationarity residuals of far-tail cells are minuscule and would
+# otherwise drown in the truncation bias (outer grid points must still
+# land to ~1e-9).
+_QUAD = QuadratureOpts(abs_tol=1e-16, rel_tol=1e-12, max_subdivisions=4000, tail_mass_cut=1e-20)
 
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Iteration controls for ``optimal_grid``.
+    """Stopping tolerances of ``optimal_grid``'s Newton runs: ``grad_tol``
+    on the stationarity residual and ``position_tol`` on the last step.
 
-    ``max_newton_iters`` bounds each Newton run; ``grad_tol`` and
-    ``position_tol`` are its stopping tolerances on the stationarity
-    residual and the last step; ``quad`` controls the cell integrals.
+    The cell integrals' controls (``_QUAD``) and the Newton budget
+    (``_MAX_NEWTON_ITERS``) are fixed.
     """
 
-    max_newton_iters: int = 60
     grad_tol: float = 1e-10
     position_tol: float = 1e-10
-    quad: QuadratureOpts = field(default_factory=_tight_quad)
 
     def __post_init__(self) -> None:
         _require_positive(grad_tol=self.grad_tol, position_tol=self.position_tol)
@@ -201,7 +196,6 @@ def _cell_argmins(
     spec: DistributionSpec,
     b: np.ndarray,
     r: float,
-    opts: SolverOpts,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
     """The L^r-optimal point of every cell [b[i], b[i+1]] (sorted edges).
@@ -216,23 +210,23 @@ def _cell_argmins(
         return _conditional_median(spec, b)
     if r == 2.0:
         return _conditional_mean(spec, b)
-    grad, lo_e, hi_e = _moment_derivative(spec, b, r, opts)
+    grad, lo_e, hi_e = _moment_derivative(spec, b, r)
     return _increasing_roots(grad, lo_e, hi_e, start)
 
 
 def _moment_derivative(
-    spec: DistributionSpec, b: np.ndarray, r: float, opts: SolverOpts
+    spec: DistributionSpec, b: np.ndarray, r: float
 ) -> tuple[Callable, np.ndarray, np.ndarray]:
     """The cells' moment derivatives (up to the factor r) and their brackets.
 
     Returns ``grad(x, idx)``, integral |x - a|**(r-1) sign(a - x) f(x) over
     cells ``idx`` of [b[i], b[i+1]] at points ``x`` (increasing in x), and
-    each cell's ends clipped to the support and tail cuts.
+    each cell's ends clipped to the support and tail cuts.  The cells are
+    clipped once, here: ``grad`` integrates over the clipped brackets,
+    which clip to themselves.
     """
     _require_mass(spec, b)
-    lo, hi = b[:-1], b[1:]
-    q = opts.quad
-    lo_e, hi_e, _ = _effective_bounds(spec, lo, hi, q.tail_mass_cut)
+    lo_e, hi_e, _ = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
     # a Gamma density ~ x**(a-1) with a + r <= 1 makes the derivative -inf
     # at the origin, where it is not integrated but given a negative value
     pole = spec.family is Family.GAMMA and spec.a + r <= 1.0
@@ -241,46 +235,51 @@ def _moment_derivative(
         live = x > 0.0 if pole else slice(None)
         out = np.full(x.shape, -1.0)
         out[live] = _abs_moments(
-            spec, x[live], lo[idx[live]], hi[idx[live]], r - 1.0, q, signed=True
+            spec, x[live], lo_e[idx[live]], hi_e[idx[live]], r - 1.0, _QUAD, signed=True
         )[0]
         return out
 
     return grad, lo_e, hi_e
 
 
-def cell_argmin(
-    spec: DistributionSpec,
-    lo: float,
-    hi: float,
-    r: float,
-    opts: SolverOpts | None = None,
-) -> float:
+def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float:
     """The point minimising the cell's L^r moment over (lo, hi).
 
     One cell of the batched sweep: a closed form for r = 1, 2, else the
-    root of the moment derivative.
+    root of the moment derivative, integrated under the solver's
+    quadrature controls.
     """
-    opts = opts or SolverOpts()
-    return float(_cell_argmins(spec, np.array([lo, hi], float), r, opts)[0])
+    return float(_cell_argmins(spec, np.array([lo, hi], float), r)[0])
 
 
 # --------------------------------------------------------------------------
 # stationarity system
 # --------------------------------------------------------------------------
 
-def _residual(
+def _residual_and_curvature(
     spec: DistributionSpec,
     pts: np.ndarray,
     r: float,
-    q: QuadratureOpts,
     mass: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per cell, r * integral |x - a|**(r-1) sign(a - x) f(x) over the cell.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stationarity residual R and each cell's own curvature D_i, the
+    derivative of R_i in a_i with the cell's edges held fixed.
 
-    Closed forms for r = 1 (the cell's mass below its point minus the
-    mass above) and r = 2 (2 (a P - M1), P the cell mass and M1 its
-    partial first moment); quadrature otherwise.  ``mass`` holds the
-    cell masses when the caller has them.
+    R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over cell i.  Closed
+    forms for r = 1 (the cell's mass below its point minus the mass
+    above; D = 2 f(a)) and r = 2 (2 (a P - M1), P the cell mass, ``mass``
+    when given, and M1 its partial first moment; D = 2 P).  Otherwise the
+    cells are clipped to the support and tail cuts once, and R and one
+    more moment come from one ``_abs_moments`` call on those 2n brackets:
+    for r > 1, D = r (r - 1) integral |x - a|**(r-2) f(x).
+    For r < 1 that weight is not integrable, and D follows by parts from
+    G = R / r, the moment M = integral |x - a|**r f(x) and the density at
+    the clipped ends lo, hi, with e(x) = |x - a|**(r-1) f(x), negated at
+    an end on the far side of a:
+    Gaussian, D = r (e(lo) + e(hi) + ((m - a) G + M) / sigma2);
+    Gamma(alpha, lam), D = (r / a) ((r + alpha - 1 - lam a) G + lam M
+    + lo e(lo) + hi e(hi)), where x f(x) is alpha/lam times the
+    Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
     """
     b = voronoi_bounds(pts)
     if r == 1.0:
@@ -288,52 +287,20 @@ def _residual(
         edges[0::2] = b
         edges[1::2] = pts
         halves = _edge_masses(spec, edges)
-        return halves[0::2] - halves[1::2]
+        return halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
     if r == 2.0:
         mass = _edge_masses(spec, b) if mass is None else mass
-        return 2.0 * (pts * mass - _partial_mean(spec, b, mass))
-    grad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, q, signed=True)
-    return r * grad
-
-
-def _residual_and_curvature(
-    spec: DistributionSpec,
-    pts: np.ndarray,
-    r: float,
-    q: QuadratureOpts,
-    mass: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residual R = ``_residual`` and each cell's own curvature D_i, the
-    derivative of R_i in a_i with the cell's edges held fixed.
-
-    D is 2 f(a) for r = 1 and twice the cell mass for r = 2 (``mass`` when
-    given).  Otherwise R and one more moment come from one ``_abs_moments``
-    call on 2n cells: for r > 1, D = r (r - 1) integral |x - a|**(r-2) f(x).
-    For r < 1 that weight is not integrable, and D follows by parts from
-    G = R / r, the moment M = integral |x - a|**r f(x) and the density at
-    the cell's ends lo, hi (clipped to the support and tail cuts), with
-    e(x) = |x - a|**(r-1) f(x), negated at an end on the far side of a:
-    Gaussian, D = r (e(lo) + e(hi) + ((m - a) G + M) / sigma2);
-    Gamma(alpha, lam), D = (r / a) ((r + alpha - 1 - lam a) G + lam M
-    + lo e(lo) + hi e(hi)), where x f(x) is alpha/lam times the
-    Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
-    """
-    if r == 1.0:
-        return _residual(spec, pts, r, q), 2.0 * pdf(spec, pts)
-    if r == 2.0:
-        mass = _edge_masses(spec, voronoi_bounds(pts)) if mass is None else mass
-        return _residual(spec, pts, r, q, mass), 2.0 * mass
+        return 2.0 * (pts * mass - _partial_mean(spec, b, mass)), 2.0 * mass
     n = pts.size
-    b = voronoi_bounds(pts)
+    lo, hi, _ = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
     vals, _ = _abs_moments(
-        spec, np.tile(pts, 2), np.tile(b[:-1], 2), np.tile(b[1:], 2),
-        np.repeat((r - 1.0, r - 2.0 if r > 1.0 else r), n), q,
+        spec, np.tile(pts, 2), np.tile(lo, 2), np.tile(hi, 2),
+        np.repeat((r - 1.0, r - 2.0 if r > 1.0 else r), n), _QUAD,
         signed=np.repeat((True, False), n),
     )
     grad, moment = vals.reshape(2, n)
     if r > 1.0:
         return r * grad, r * (r - 1.0) * moment
-    lo, hi, _ = _effective_bounds(spec, b[:-1], b[1:], q.tail_mass_cut)
     ends = np.concatenate((lo, hi))
     # a line-search point may lie beyond its cell's tail cut
     gap = np.concatenate((pts - lo, hi - pts))
@@ -373,10 +340,8 @@ def _jacobian_banded(
     return ab
 
 
-def _lloyd_sweep(
-    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> np.ndarray:
-    new = _cell_argmins(spec, voronoi_bounds(pts), r, opts, start=pts)
+def _lloyd_sweep(spec: DistributionSpec, pts: np.ndarray, r: float) -> np.ndarray:
+    new = _cell_argmins(spec, voronoi_bounds(pts), r, start=pts)
     if new[0] <= spec.support[0]:
         # only a Gamma density ~ x**(a-1) with a + r < 1 pulls a point there
         raise SolverError(
@@ -388,9 +353,7 @@ def _lloyd_sweep(
     return new
 
 
-def _sweep_keeps(
-    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> bool:
+def _sweep_keeps(spec: DistributionSpec, pts: np.ndarray, r: float) -> bool:
     """Whether a Lloyd sweep would move no point by more than
     d = ``_LLOYD_MOVE_TOL`` (1 + max|x|).
 
@@ -407,16 +370,16 @@ def _sweep_keeps(
     """
     d = _LLOYD_MOVE_TOL * _scale(pts)
     if r in (1.0, 2.0):
-        return bool(np.max(np.abs(_lloyd_sweep(spec, pts, r, opts) - pts)) <= d)
+        return bool(np.max(np.abs(_lloyd_sweep(spec, pts, r) - pts)) <= d)
     b = voronoi_bounds(pts)
-    grad, lo_e, hi_e = _moment_derivative(spec, b, r, opts)
+    grad, lo_e, hi_e = _moment_derivative(spec, b, r)
     left, right = np.maximum(pts - d, lo_e), np.minimum(pts + d, hi_e)
     cells = np.arange(pts.size)
     g_left, g_right = np.split(
         grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
     )
     if left[0] <= spec.support[0]:
-        first = _cell_argmins(spec, b[:2], r, opts, start=pts[:1])
+        first = _cell_argmins(spec, b[:2], r, start=pts[:1])
         if first[0] <= spec.support[0]:
             return False
     return bool(
@@ -498,12 +461,11 @@ def _newton(
     Converged: sup|R| <= grad_tol and the last step <= position_tol
     (1 + max|x|).
     """
-    q = opts.quad
     scaled = r >= 1.0
 
     def state(pts: np.ndarray, mass: np.ndarray):
         """The residual, the curvatures and the system Newton solves."""
-        res, curv = _residual_and_curvature(spec, pts, r, q, mass)
+        res, curv = _residual_and_curvature(spec, pts, r, mass)
         return res, curv, res / curv if scaled else res
 
     def converged() -> bool:
@@ -517,7 +479,7 @@ def _newton(
     merit = float(np.max(np.abs(f)))
     last_step = math.inf
     iters = 0
-    for _ in range(opts.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         if converged():
             return pts, res, iters, True
         if scaled:
@@ -531,7 +493,7 @@ def _newton(
         moved = False
         while lam >= 1e-7:
             cand = pts + lam * step
-            c_mass = _admissible(spec, cand, q.tail_mass_cut)
+            c_mass = _admissible(spec, cand, _QUAD.tail_mass_cut)
             if c_mass is not None:
                 c_res, c_curv, c_f = state(cand, c_mass)
                 c_merit = float(np.max(np.abs(c_f)))
@@ -566,10 +528,10 @@ def _lloyd_newton(
         newton_iters += iters
         if ok:
             sweeps += 1
-            if _sweep_keeps(spec, pts, r, opts):
+            if _sweep_keeps(spec, pts, r):
                 return pts, res, sweeps, newton_iters
         for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
-            pts = _lloyd_sweep(spec, pts, r, opts)
+            pts = _lloyd_sweep(spec, pts, r)
             sweeps += 1
     sup = float(np.max(np.abs(res)))
     raise SolverError(
@@ -800,10 +762,11 @@ def exp_optimal_grid(n: int, r: float, lam: float = 1.0) -> Grid:
 class GridCache:
     """Text-file store of solved grids keyed by (family, params, n, r, opts).
 
-    The file name carries a digest of the whole ``SolverOpts`` repr, so a
-    grid solved under one set of options is never served to a call with
-    another.  The file payload is the Grid text serialisation, so cached
-    and fresh results are bit-identical.
+    The file name carries a digest of the ``SolverOpts`` repr together
+    with the solver's quadrature controls ``_QUAD``, so a grid solved
+    under one set of tolerances, or one quadrature, is never served to a
+    call under another.  The file payload is the Grid text serialisation,
+    so cached and fresh results are bit-identical.
     """
 
     def __init__(self, root: str | Path):
@@ -816,7 +779,7 @@ class GridCache:
         return cls(root) if root else None
 
     def _path(self, spec: DistributionSpec, n: int, r: float, opts: SolverOpts) -> Path:
-        digest = hashlib.sha256(repr(opts).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(repr((opts, _QUAD)).encode()).hexdigest()[:16]
         return self.root / f"{spec.cache_token()}__n{n}__r{float(r)!r}__o{digest}.txt"
 
     def load(

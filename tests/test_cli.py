@@ -211,6 +211,22 @@ def test_gamma_optimum_at_the_origin_exits_1_with_one_line(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("exp-grid", "--n", "3", "--r", "200"),  # math.gamma(200) overflows
+        ("constants", "--r", "2", "--s", "400"),  # so does a float power in q_inf
+    ],
+    ids=["exp-grid-r200", "constants-s400"],
+)
+def test_float_overflow_exits_1_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("quantilab: numeric failure: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("grid", "--n", "0", "--r", "2"),
         ("grid", "--n", "3", "--r", "2", "--d", "2"),
         ("distortion", "--grid-file", "{empty}"),

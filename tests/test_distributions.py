@@ -30,7 +30,7 @@ from quantilab.distributions import (
     zador_q,
 )
 from quantilab.quantizer import voronoi_bounds
-from quantilab.solver import SolverOpts
+from quantilab.solver import _QUAD as SOLVER_QUAD
 
 from oracles import mp_cell_moment, quadrature_sdpi
 
@@ -226,7 +226,7 @@ ORACLE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("opts", [DEFAULT_QUAD, SolverOpts().quad], ids=["default", "solver"])
+@pytest.mark.parametrize("opts", [DEFAULT_QUAD, SOLVER_QUAD], ids=["default", "solver"])
 @pytest.mark.parametrize("n", [1, 3, 5, 40])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
 def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
@@ -259,7 +259,7 @@ def test_per_cell_powers_in_one_batch_equal_the_separate_calls(spec, weights):
     # the solver stacks a residual's cells with a curvature's or a
     # moment's into one call; each cell must come out bit for bit as its
     # own call gives it
-    opts = SolverOpts().quad
+    opts = SOLVER_QUAD
     n = 20
     law = empirical_measure_law(spec, 2.0)
     base = np.asarray(quantile(law, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
@@ -288,7 +288,7 @@ def test_fractional_cell_integrals_match_mpmath(spec, q):
     # come out within 1e-12 relative, the far-tail cells too: their values
     # (~5e-6) sit so low that the absolute floor abs_tol = 1e-16 alone would
     # let them off at 1e-11.
-    opts = SolverOpts().quad
+    opts = SOLVER_QUAD
     n = 40
     law = empirical_measure_law(spec, 2.0)
     pts = np.asarray(quantile(law, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))

@@ -13,7 +13,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import minimize, minimize_scalar
 
 import quantilab
-from quantilab import solver
+from quantilab import distributions, solver
 from quantilab.distributions import (
     DistributionSpec,
     QuadratureOpts,
@@ -75,17 +75,17 @@ def test_cell_argmin_empty_cell_raises():
         cell_argmin(GAUSS, 50.0, 60.0, 2.0)
 
 
-def _argmin_by_minimisation(spec, lo, hi, r, opts):
+def _argmin_by_minimisation(spec, lo, hi, r):
     """Oracle: bounded scalar minimisation of the cell moment itself.
 
     This locates a minimum only to about sqrt(machine eps) relative: the
     moment changes by M'' d**2 / 2 at a distance d from its minimum,
     which sinks below rounding once d < ~1e-8.
     """
-    cut = opts.quad.tail_mass_cut
-    lo_e, hi_e, _ = _effective_bounds(spec, np.array([lo]), np.array([hi]), cut)
+    q = solver._QUAD
+    lo_e, hi_e, _ = _effective_bounds(spec, np.array([lo]), np.array([hi]), q.tail_mass_cut)
     res = minimize_scalar(
-        lambda x: cell_moment(spec, x, lo, hi, r, opts.quad),
+        lambda x: cell_moment(spec, x, lo, hi, r, q),
         bounds=(float(lo_e[0]), float(hi_e[0])),
         method="bounded",
         options={"xatol": 1e-10},
@@ -114,25 +114,23 @@ SUBUNIT_CELLS = [
     ids=[f"{c[0]}-[{c[2]},{c[3]}]" for c in SUBUNIT_CELLS],
 )
 def test_subunit_cell_argmin_matches_minimisation_oracle(spec, lo, hi, r):
-    opts = SolverOpts()
-    a = cell_argmin(spec, lo, hi, r, opts)
-    assert a == pytest.approx(_argmin_by_minimisation(spec, lo, hi, r, opts), abs=5e-8)
+    a = cell_argmin(spec, lo, hi, r)
+    assert a == pytest.approx(_argmin_by_minimisation(spec, lo, hi, r), abs=5e-8)
     # sharper, from the scalar integrator: the moment derivative changes
     # sign across a, to well below the oracle's resolution
     h = 1e-9 * (1.0 + abs(a))
-    below, _ = _abs_moment(spec, a - h, lo, hi, r - 1.0, opts.quad, signed=True)
-    above, _ = _abs_moment(spec, a + h, lo, hi, r - 1.0, opts.quad, signed=True)
+    below, _ = _abs_moment(spec, a - h, lo, hi, r - 1.0, solver._QUAD, signed=True)
+    above, _ = _abs_moment(spec, a + h, lo, hi, r - 1.0, solver._QUAD, signed=True)
     assert below < 0.0 < above
 
 
 def test_subunit_argmin_respects_memorylessness_and_symmetry():
     # the exponential law is memoryless; the Gaussian one symmetric
-    opts = SolverOpts()
     for r in (0.3, 0.5, 0.8):
-        tail = cell_argmin(EXPO, 1.0, INF, r, opts)
-        assert tail == pytest.approx(1.0 + cell_argmin(EXPO, 0.0, INF, r, opts), abs=1e-12)
-        left = cell_argmin(GAUSS, -INF, -1.0, r, opts)
-        assert left == pytest.approx(-cell_argmin(GAUSS, 1.0, INF, r, opts), abs=1e-12)
+        tail = cell_argmin(EXPO, 1.0, INF, r)
+        assert tail == pytest.approx(1.0 + cell_argmin(EXPO, 0.0, INF, r), abs=1e-12)
+        left = cell_argmin(GAUSS, -INF, -1.0, r)
+        assert left == pytest.approx(-cell_argmin(GAUSS, 1.0, INF, r), abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
@@ -141,7 +139,7 @@ def test_batched_sweep_empty_cell_raises(r):
 
     # the middle cell [55, 65] holds no Gaussian mass in double precision
     with pytest.raises(SolverError):
-        _lloyd_sweep(GAUSS, np.array([50.0, 60.0, 70.0]), r, SolverOpts())
+        _lloyd_sweep(GAUSS, np.array([50.0, 60.0, 70.0]), r)
 
 
 # -- closed-form stationarity system (r = 1, 2) ------------------------------------
@@ -162,11 +160,11 @@ def _off_stationary(spec, n, r, seed):
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
 def test_closed_form_residual_matches_quadrature(spec, r, n):
-    q = SolverOpts().quad
     pts = _off_stationary(spec, n, r, seed=n)
     b = voronoi_bounds(pts)
-    quad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, q, signed=True)
-    np.testing.assert_allclose(solver._residual(spec, pts, r, q), r * quad, rtol=0, atol=1e-13)
+    quad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, solver._QUAD, signed=True)
+    res = solver._residual_and_curvature(spec, pts, r)[0]
+    np.testing.assert_allclose(res, r * quad, rtol=0, atol=1e-13)
 
 
 # closed-form Jacobians (r = 1, 2), quadrature curvatures (r = 1.5) and
@@ -181,16 +179,17 @@ JACOBIAN_CASES = [
 @pytest.mark.parametrize("n", [1, 3, 40])
 @pytest.mark.parametrize("spec, r", JACOBIAN_CASES)
 def test_jacobian_matches_central_differences_of_the_residual(spec, r, n):
-    q = SolverOpts().quad
+    def residual(x):
+        return solver._residual_and_curvature(spec, x, r)[0]
+
     pts = _off_stationary(spec, n, r, seed=n)
     h = 1e-4 * (np.min(np.diff(pts)) if n > 1 else 1.0)
-    ab = solver._jacobian_banded(spec, pts, r, solver._residual_and_curvature(spec, pts, r, q)[1])
+    ab = solver._jacobian_banded(spec, pts, r, solver._residual_and_curvature(spec, pts, r)[1])
     fd = np.zeros((3, n))
     for k in range(3):  # residual i sees points i - 1, i, i + 1 only
         moved = np.arange(n) % 3 == k
         step = np.where(moved, h, 0.0)
-        up = solver._residual(spec, pts + step, r, q)
-        d = (up - solver._residual(spec, pts - step, r, q)) / (2.0 * h)
+        d = (residual(pts + step) - residual(pts - step)) / (2.0 * h)
         j = np.flatnonzero(moved)
         fd[1, j] = d[j]
         fd[0, j[j > 0]] = d[j[j > 0] - 1]
@@ -212,14 +211,14 @@ def test_closed_form_solves_run_no_quadrature(spec, r, monkeypatch):
 @pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
 def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
     # r = 1: F = R / (2 f(a)), and dD/da = D (log f)' holds exactly
-    q, n = SolverOpts().quad, 20
+    n = 20
     pts = _off_stationary(spec, n, 1.0, seed=n)
-    res, curv = solver._residual_and_curvature(spec, pts, 1.0, q)
+    res, curv = solver._residual_and_curvature(spec, pts, 1.0)
     np.testing.assert_array_equal(curv, 2.0 * pdf(spec, pts))
     ab = solver._newton_matrix(spec, pts, 1.0, res, curv)
 
     def scaled(x):
-        return solver._residual(spec, x, 1.0, q) / (2.0 * pdf(spec, x))
+        return solver._residual_and_curvature(spec, x, 1.0)[0] / (2.0 * pdf(spec, x))
 
     h = 1e-4 * np.min(np.diff(pts))
     fd = np.zeros((3, n))
@@ -232,6 +231,26 @@ def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
         fd[0, j[j > 0]] = d[j[j > 0] - 1]
         fd[2, j[j < n - 1]] = d[j[j < n - 1] + 1]
     np.testing.assert_allclose(ab, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(ab)))
+
+
+def test_each_cell_set_is_clipped_to_its_tail_cuts_once(monkeypatch):
+    # the tail cut of the two unbounded end cells costs one quantile_sf
+    # call; an r < 1 Newton state and a Lloyd sweep each clip their cells
+    # once and integrate over the clipped brackets from then on
+    real = distributions.quantile_sf
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distributions, "quantile_sf", counting)
+    pts = _off_stationary(GAUSS, 3, 0.5, seed=3)
+    solver._residual_and_curvature(GAUSS, pts, 0.5)
+    assert calls[0] == 1
+    calls[0] = 0
+    solver._lloyd_sweep(GAUSS, pts, 0.5)
+    assert calls[0] == 1
 
 
 def _record_batches(monkeypatch, *names):
@@ -323,19 +342,16 @@ def test_gaussian_grids_antisymmetric(grid_of, r):
 def test_stationarity_and_lloyd_stability(spec, r, grid_of):
     from quantilab.distributions import cell_gradient
 
-    opts = SolverOpts()
+    grad_tol = SolverOpts().grad_tol
     grid = grid_of(spec, 7, r)
     b = voronoi_bounds(grid)
     res = [
-        cell_gradient(spec, float(p), b[i], b[i + 1], r, opts.quad)
+        cell_gradient(spec, float(p), b[i], b[i + 1], r, solver._QUAD)
         for i, p in enumerate(grid.points)
     ]
-    assert max(abs(v) for v in res) <= opts.grad_tol
-    moves = [
-        abs(cell_argmin(spec, b[i], b[i + 1], r, opts) - grid.points[i])
-        for i in range(grid.n)
-    ]
-    assert max(moves) <= 10.0 * opts.grad_tol
+    assert max(abs(v) for v in res) <= grad_tol
+    moves = [abs(cell_argmin(spec, b[i], b[i + 1], r) - grid.points[i]) for i in range(grid.n)]
+    assert max(moves) <= 10.0 * grad_tol
 
 
 def test_distortion_decreases_with_grid_size(grid_of):
@@ -387,9 +403,10 @@ def test_non_finite_solver_inputs_are_rejected_by_name(bad):
             call()
 
 
-def test_nonconvergence_error_carries_best_iterate():
-    starved = SolverOpts(max_newton_iters=0, grad_tol=1e-14)
-    swept = solver._lloyd_sweep(GAUSS, solver._initial_points(GAUSS, 6, 4.0), 4.0, starved)
+def test_nonconvergence_error_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 0)
+    starved = SolverOpts(grad_tol=1e-14)
+    swept = solver._lloyd_sweep(GAUSS, solver._initial_points(GAUSS, 6, 4.0), 4.0)
     start = 5.0 + 2.0 * swept  # on the scale of N(5, 4)
     with pytest.raises(SolverError) as exc:
         # the unit-law start of the N(5, 4) solve below
@@ -531,7 +548,7 @@ def test_newton_converges_from_the_seed(spec, r):
         assert seeded.lloyd_sweeps == 1
         pts = solver._initial_points(spec, n, r)
         for _ in range(2):
-            pts = solver._lloyd_sweep(spec, pts, r, SolverOpts())
+            pts = solver._lloyd_sweep(spec, pts, r)
         swept = optimal_grid(spec, n, r, init_grid=Grid(pts))
         np.testing.assert_allclose(seeded.grid.points, swept.points, rtol=0, atol=1e-9)
 
@@ -574,10 +591,9 @@ def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
     "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
 )
 def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
-    opts = SolverOpts()
-    pts, _, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, opts)
+    pts, _, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, SolverOpts())
     b = voronoi_bounds(pts)
-    assert np.min(_edge_masses(spec, b)) > opts.quad.tail_mass_cut
+    assert np.min(_edge_masses(spec, b)) > solver._QUAD.tail_mass_cut
 
 
 @pytest.mark.parametrize(
@@ -591,7 +607,7 @@ def test_newton_success_is_checked_by_a_lloyd_sweep(spec, r):
         grid = optimal_grid(spec, 30, r, opts)
     except SolverError:
         return
-    swept = solver._lloyd_sweep(spec, grid.points, r, opts)
+    swept = solver._lloyd_sweep(spec, grid.points, r)
     scale = 1.0 + np.max(np.abs(grid.points))
     assert np.max(np.abs(swept - grid.points)) <= solver._LLOYD_MOVE_TOL * scale
 
@@ -603,7 +619,7 @@ def test_planted_tail_point_never_converges_to_a_wrong_grid(r, sweeps):
     planted = exact.points.copy()
     planted[-1] = 60.0  # its cell holds mass ~1e-15
     for _ in range(sweeps):
-        planted = solver._lloyd_sweep(EXPO, planted, r, SolverOpts())
+        planted = solver._lloyd_sweep(EXPO, planted, r)
     try:
         res = optimal_grid(EXPO, 10, r, init_grid=Grid(planted))
     except SolverError:
@@ -626,11 +642,12 @@ def test_subunit_exponent_matches_closed_form():
     np.testing.assert_allclose(res.grid.points, exp_optimal_grid(20, 0.5).points, atol=1e-6)
 
 
-def test_subunit_exponent_newton_budget_raises():
+def test_subunit_exponent_newton_budget_raises(monkeypatch):
     # one Newton iteration cannot meet the tolerances; an unconverged grid
     # is never returned
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 1)
     with pytest.raises(SolverError, match="no verified convergence") as exc:
-        optimal_grid(EXPO, 20, 0.5, SolverOpts(max_newton_iters=1))
+        optimal_grid(EXPO, 20, 0.5)
     assert exc.value.points.size == 20
 
 
@@ -828,17 +845,19 @@ def test_grid_cache_damaged_file_is_a_miss(tmp_path, damage):
     assert path.read_text() == first.to_text()
 
 
-def test_grid_cache_keys_on_every_solver_option(tmp_path):
-    # same grad_tol, looser quadrature: a grid 5e-6 off the default solve
+def test_grid_cache_keys_on_every_solver_option(tmp_path, monkeypatch):
+    # same tolerances, looser quadrature: a grid 5e-6 off the default solve
     cache = GridCache(tmp_path)
-    loose = SolverOpts(
-        quad=QuadratureOpts(abs_tol=1e-8, rel_tol=1e-6, tail_mass_cut=1e-8)
-    )
-    stale = optimal_grid(GAUSS, 30, 4.0, loose, cache=cache)
+    loose = QuadratureOpts(abs_tol=1e-8, rel_tol=1e-6, tail_mass_cut=1e-8)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_QUAD", loose)
+        stale = optimal_grid(GAUSS, 30, 4.0, cache=cache)
     fresh = optimal_grid(GAUSS, 30, 4.0)
     assert np.max(np.abs(stale.points - fresh.points)) > 1e-6
     assert optimal_grid(GAUSS, 30, 4.0, cache=cache) == fresh
-    assert cache.load(GAUSS, 30, 4.0, loose) == stale
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_QUAD", loose)
+        assert cache.load(GAUSS, 30, 4.0, SolverOpts()) == stale
     assert len(list(tmp_path.iterdir())) == 2
 
 
@@ -880,7 +899,6 @@ def test_grid_cache_from_env(tmp_path, monkeypatch):
     ids=["gauss", "exp", "gamma0.5", "gamma3"],
 )
 def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
-    opts = SolverOpts()
     rng = np.random.default_rng(7)
     decisions = set()
     for n in (5, 20):
@@ -889,10 +907,10 @@ def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
             pts = base + eps * (1.0 + np.max(np.abs(base))) * rng.uniform(-1.0, 1.0, n)
             if np.any(np.diff(pts) <= 0.0) or pts[0] <= spec.support[0]:
                 continue
-            swept = solver._lloyd_sweep(spec, pts, r, opts)
+            swept = solver._lloyd_sweep(spec, pts, r)
             move = np.max(np.abs(swept - pts))
             fixed = move <= solver._LLOYD_MOVE_TOL * (1.0 + np.max(np.abs(pts)))
-            assert solver._sweep_keeps(spec, pts, r, opts) == fixed, (n, eps, move)
+            assert solver._sweep_keeps(spec, pts, r) == fixed, (n, eps, move)
             decisions.add(bool(fixed))
     assert decisions == {True, False}
 
@@ -902,8 +920,8 @@ def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
     spec = DistributionSpec.gamma(a)
     pts = solver._initial_points(spec, n, r)
     with pytest.raises(SolverError, match="origin"):
-        solver._lloyd_sweep(spec, pts, r, SolverOpts())
-    assert not solver._sweep_keeps(spec, pts, r, SolverOpts())
+        solver._lloyd_sweep(spec, pts, r)
+    assert not solver._sweep_keeps(spec, pts, r)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -911,20 +929,20 @@ def test_sign_test_rejects_a_first_point_near_the_origin_that_the_sweep_sends_th
     # the first point lies within the sweep tolerance of the origin, so the
     # sign test's left point is the clipped end; every later cell is
     # stationary, and only cell 0's own root, the origin, can fail the grid
-    spec, r, opts = DistributionSpec.gamma(0.3), 0.3, SolverOpts()
+    spec, r = DistributionSpec.gamma(0.3), 0.3
     first = 0.5 * solver._LLOYD_MOVE_TOL
     pts = np.array([first])
     if n == 2:
         x = 1.0
         for _ in range(80):
-            x = cell_argmin(spec, 0.5 * (first + x), math.inf, r, opts)
+            x = cell_argmin(spec, 0.5 * (first + x), math.inf, r)
         pts = np.array([first, x])
-    roots = solver._cell_argmins(spec, voronoi_bounds(pts), r, opts, start=pts)
+    roots = solver._cell_argmins(spec, voronoi_bounds(pts), r, start=pts)
     assert roots[0] == spec.support[0]
     assert np.all(np.abs(roots[1:] - pts[1:]) <= solver._LLOYD_MOVE_TOL * (1.0 + pts[-1]))
     with pytest.raises(SolverError, match="origin"):
-        solver._lloyd_sweep(spec, pts, r, opts)
-    assert not solver._sweep_keeps(spec, pts, r, opts)
+        solver._lloyd_sweep(spec, pts, r)
+    assert not solver._sweep_keeps(spec, pts, r)
 
 
 def test_gamma_half_with_a_first_point_near_the_pole_solves():
