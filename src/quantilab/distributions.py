@@ -292,11 +292,13 @@ def _effective_bounds(spec: DistributionSpec, lo, hi, cut: float, pt=0.0, q=0.0)
     lo_e = np.maximum(lo, s_lo)
     hi_e = np.minimum(hi, s_hi)
     err = np.zeros(lo_e.shape)
+    lo_cut = np.flatnonzero(np.isneginf(lo_e))
+    hi_cut = np.flatnonzero(np.isposinf(hi_e))
+    if not (lo_cut.size or hi_cut.size):  # finite cells, as the solver's clipped ones
+        return lo_e, hi_e, err
     pt = np.broadcast_to(pt, lo_e.shape)
     q_pos = np.broadcast_to(np.maximum(q, 0.0), lo_e.shape)
     tiny = np.finfo(float).tiny  # the dropped mass when the cell's own mass underflows
-    lo_cut = np.flatnonzero(np.isneginf(lo_e))
-    hi_cut = np.flatnonzero(np.isposinf(hi_e))
     if hi_cut.size:  # read before lo_e changes: a cell can be infinite at both ends
         hi_drop = np.maximum(cut * sf(spec, lo_e[hi_cut]), tiny)
     if lo_cut.size:
