@@ -417,11 +417,11 @@ def _abs_moments(
     ``q`` and ``signed`` are scalars or per-cell arrays, so cells with
     different weights (a residual's and a curvature's, or the cells of
     several grids) share one call.  ``integrate_batch`` refines each
-    integral on its own test, so a cell gets the same panels as in a call
-    of its own, but not always the same last bits: a batch without
-    Gauss-Jacobi end panels sums its Gauss-Legendre panels with a BLAS
-    matrix-vector product, whose row sums can depend on the number of
-    rows in the batch, and a batch with them sums with ``einsum``.
+    integral on its own test, yet a cell need not come out bit for bit as
+    in a call of its own: a batch without Gauss-Jacobi end panels sums its
+    Gauss-Legendre panels with a BLAS matrix-vector product, whose row
+    sums can depend on the number of rows in the batch, and a batch with
+    them sums with ``einsum``.
 
     Each cell is split at its point, which then sits at or beyond one end
     of each piece.  A piece is integrated in t, the distance from its
