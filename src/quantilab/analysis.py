@@ -19,7 +19,7 @@ from .distributions import (
     scaled_density_power_integral,
 )
 from .quantizer import Grid
-from .solver import GridCache, SolverError, solve
+from .solver import GridCache, SolverError, _exp_grid, _takes_recursion, exp_ak_sequence, solve
 
 __all__ = [
     "OlsFit",
@@ -116,14 +116,31 @@ def table_experiment(
 
     Points are paired by sorted index; the response is the L^s grid, so
     the fitted slope estimates the optimal scaling number theta_star.
-    Each grid is ``solve``'s under the default solver tolerances.
+    Each grid is ``solve``'s under the default solver tolerances.  For
+    the exponential law, whose grids come from the spacing recursion,
+    each exponent's sequence is built once, for the largest size, and
+    every size takes its first n terms.
     Solver failures yield a row with NaN stats and an error status.
     """
+    sizes = sorted(set(int(n) for n in ns))
+    spacings = {}
+    if sizes and sizes[0] >= 1 and _takes_recursion(spec):
+        for e in (r, s):
+            try:
+                spacings[e] = exp_ak_sequence(e, sizes[-1]).values
+            except SolverError:
+                pass  # each size meets the failure in its own solve
+
+    def grid(n: int, e: float) -> Grid:
+        if e in spacings:
+            return _exp_grid(spacings[e][:n], spec.lam)
+        return solve(spec, n, e, cache=cache)
+
     rows: list[RegressionRow] = []
-    for n in sorted(set(int(n) for n in ns)):
+    for n in sizes:
         try:
-            grid_r = solve(spec, n, r, cache=cache)
-            grid_s = solve(spec, n, s, cache=cache)
+            grid_r = grid(n, r)
+            grid_s = grid(n, s)
             fit = ols_fit(grid_r.points, grid_s.points)
             rows.append(RegressionRow(n, *fit))
         except SolverError as err:

@@ -14,6 +14,7 @@ and the density-power product integral behind the rate constants,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -252,25 +253,79 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
     return _ret(out, scalar)
 
 
+@functools.lru_cache(maxsize=64)
+def _median_band(spec: DistributionSpec) -> np.ndarray:
+    """The quantiles at 0.5 -+ 1e-9: an edge below the first has cdf <= 0.5
+    and one at or above the second cdf > 0.5, whatever the cdf's round-off."""
+    band = quantile(spec, np.array([0.5 - 1e-9, 0.5 + 1e-9]))
+    band.flags.writeable = False
+    return band
+
+
+def _edge_law(spec: DistributionSpec, edges: np.ndarray):
+    """The cdf and sf of sorted ``edges`` where ``_edge_masses`` needs them.
+
+    Interval i, [edges[i], edges[i+1]], is upper when its lower edge has
+    cdf > 0.5; its mass is then an sf difference, else a cdf difference.
+    An edge outside the median band is upper or lower by its position
+    alone; the cdf decides the lower edges inside the band.  Returns
+    (k, c, s): the intervals [0, k) are lower and the rest upper, c holds
+    the cdf of the edges of the lower ones and s the sf of the edges of
+    the upper ones, 0 elsewhere.  Outside the band each edge gets each
+    value its intervals need once: the edge where the lower intervals
+    meet the upper ones gets both.  Should the cdf's round-off step back
+    within the band, k is None, c and s hold every edge and each interval
+    is upper where c > 0.5 (``_upper_intervals``).
+    """
+    n = edges.size - 1
+    left = edges[:-1]
+    k, k_hi = (int(v) for v in left.searchsorted(_median_band(spec)))
+    c, s = np.zeros(n + 1), np.zeros(n + 1)
+    if k < k_hi:
+        up = cdf(spec, left[k:k_hi]) > 0.5
+        if np.any(up[:-1] > up[1:]):
+            c[:], s[:] = cdf(spec, edges), sf(spec, edges)
+            return None, c, s
+        k += int(np.count_nonzero(~up))
+    if k:
+        c[: k + 1] = cdf(spec, edges[: k + 1])
+    if k < n:
+        s[k:] = sf(spec, edges[k:])
+    return k, c, s
+
+
+def _upper_intervals(k: int | None, c: np.ndarray) -> np.ndarray:
+    """Which intervals of ``_edge_law``'s (k, c, s) take the sf side."""
+    return c[:-1] > 0.5 if k is None else np.arange(c.size - 1) >= k
+
+
+def _interval_masses(k: int | None, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The interval masses from ``_edge_law``'s (k, c, s); an empty interval
+    has mass 0."""
+    if k is None:
+        mass = np.where(c[:-1] > 0.5, s[:-1] - s[1:], c[1:] - c[:-1])
+    else:
+        mass = np.concatenate((c[1 : k + 1] - c[:k], s[k:-1] - s[k + 1 :]))
+    return np.maximum(mass, 0.0)
+
+
 def _edge_masses(spec: DistributionSpec, edges: np.ndarray, with_tails: bool = False):
     """P([edges[i], edges[i+1]]) for sorted edges (infinite ends allowed).
 
     Each interval takes whichever of cdf/sf avoids cancellation: the cdf
     difference when its lower edge has cdf <= 0.5, else the sf
-    difference.  One ``cdf`` call on every edge, one ``sf`` call on the
-    edges of the upper intervals.  ``with_tails`` also returns the cdf of
-    every edge and the sf of those edges (0 at the others).
+    difference.  ``_edge_law`` evaluates each edge once, outside a narrow
+    band around the median, with the cdf or the sf as its intervals need.
+    ``with_tails`` also returns which intervals are upper and each
+    interval's tail beyond its lower edge: the cdf of that edge for a
+    lower interval, its sf for an upper one.
     """
-    c = cdf(spec, edges)
-    upper = c[:-1] > 0.5
-    tail = np.zeros(edges.shape, dtype=bool)
-    tail[:-1] |= upper
-    tail[1:] |= upper
-    s = np.zeros(edges.shape)
-    s[tail] = sf(spec, edges[tail])
-    mass = np.where(upper, s[:-1] - s[1:], c[1:] - c[:-1])
-    mass = np.where(edges[1:] > edges[:-1], np.maximum(mass, 0.0), 0.0)
-    return (mass, c, s) if with_tails else mass
+    k, c, s = _edge_law(spec, edges)
+    mass = _interval_masses(k, c, s)
+    if not with_tails:
+        return mass
+    upper = _upper_intervals(k, c)
+    return mass, upper, np.where(upper, s[:-1], c[:-1])
 
 
 # --------------------------------------------------------------------------
@@ -541,6 +596,11 @@ def c_fr(spec: DistributionSpec, r: float) -> float:
 
     Closed form per family; agrees with direct quadrature of the
     defining integral to 1e-8 relative (d=1), which the test-suite pins.
+    Gamma: Gamma(e) Gamma(a)**(-1/(1+r)) lam**(-r/(r+1)) (r+1)**e with
+    e = (r + a)/(r + 1), as one log-sum of ``lgamma`` terms once Gamma(a)
+    leaves the float range (a > 171).  The product is kept below that:
+    lgamma(a) is near 700 at a = 170, and its rounding alone would move
+    the result by up to 1e-13.
     """
     _require_positive(r=r)
     d = spec.d
@@ -550,12 +610,15 @@ def c_fr(spec: DistributionSpec, r: float) -> float:
             (d + r) / d
         ) ** (d / 2.0)
     _require_d1(spec, "c_fr for the Gamma family")
-    a = spec.a
-    return (
-        math.gamma((r + a) / (r + 1.0))
-        * math.gamma(a) ** (-1.0 / (1.0 + r))
-        * spec.lam ** (-r / (r + 1.0))
-        * (r + 1.0) ** ((r + a) / (r + 1.0))
+    a, lam = spec.a, spec.lam
+    e = (r + a) / (r + 1.0)
+    if a <= 171.0:
+        return math.gamma(e) * math.gamma(a) ** (-1.0 / (1.0 + r)) * lam ** (-r / (r + 1.0)) * (
+            r + 1.0
+        ) ** e
+    return math.exp(
+        math.lgamma(e) - math.lgamma(a) / (1.0 + r) - r / (r + 1.0) * math.log(lam)
+        + e * math.log(r + 1.0)
     )
 
 

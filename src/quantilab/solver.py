@@ -2,10 +2,10 @@
 
 Two routes: for any family and every r > 0, damped Newton on the
 stationarity system started at the limiting point density quantiles and
-one verifying generalized Lloyd sweep; and the closed-form implicit
-recursion that yields the exact optimal grid of the exponential law.
-``solve`` picks the recursion for the exponential law (Gamma shape 1)
-and the solver for every other law.
+verified as a fixed point of the generalized Lloyd sweep; and the
+closed-form implicit recursion that yields the exact optimal grid of the
+exponential law.  ``solve`` picks the recursion for the exponential law
+(Gamma shape 1) and the solver for every other law.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -27,14 +28,19 @@ from .distributions import (
     Family,
     QuadratureOpts,
     _abs_moments,
+    _edge_law,
     _edge_masses,
     _effective_bounds,
+    _interval_masses,
     _require_positive,
+    _upper_intervals,
+    cdf,
     cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
     empirical_measure_law,
     pdf,
     quantile,
     quantile_sf,
+    sf,
 )
 from .quantizer import Grid, voronoi_bounds
 
@@ -102,11 +108,11 @@ class SolveResult:
 # --------------------------------------------------------------------------
 
 def _require_mass(spec: DistributionSpec, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The cell masses, edge cdf and edge sf of ``_edge_masses``; no empty cell."""
-    mass, c, s = _edge_masses(spec, b, with_tails=True)
+    """The cell masses, upper cells and tails of ``_edge_masses``; no empty cell."""
+    mass, upper, tail = _edge_masses(spec, b, with_tails=True)
     if np.any(mass <= 0.0):
         raise SolverError("empty-mass cell", np.array([]), math.nan)
-    return mass, c, s
+    return mass, upper, tail
 
 
 def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -127,13 +133,13 @@ def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
 
 
 def _conditional_median(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
-    mass, c, s = _require_mass(spec, b)
-    lower = c[:-1] <= 0.5  # the cells whose mass came from the cdf
+    mass, upper, tail = _require_mass(spec, b)
+    lower = ~upper  # the cells whose mass came from the cdf
     out = np.empty(mass.shape)
-    p = c[:-1][lower] + 0.5 * mass[lower]
+    p = tail[lower] + 0.5 * mass[lower]
     out[lower] = quantile(spec, np.clip(p, 1e-300, 1.0 - 1e-16))
-    q = s[:-1][~lower] - 0.5 * mass[~lower]
-    out[~lower] = quantile_sf(spec, np.clip(q, 1e-300, 1.0 - 1e-16))
+    q = tail[upper] - 0.5 * mass[upper]
+    out[upper] = quantile_sf(spec, np.clip(q, 1e-300, 1.0 - 1e-16))
     return out
 
 
@@ -256,19 +262,51 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
 # stationarity system
 # --------------------------------------------------------------------------
 
+def _cell_masses(spec: DistributionSpec, pts: np.ndarray, r: float):
+    """The cell masses of ``pts`` and, for r = 1, the law at its edges.
+
+    For r = 1 the law is evaluated once, by ``_edge_law``, at the
+    interleaved edges b0, a0, b1, a1, ..., bn of the cells and their
+    points: the Newton state's half-cell masses and the fixed-point check
+    read the same values.  A cell takes the cdf or sf side of its lower
+    edge b_i, as in ``_edge_masses`` on the cell edges, so the masses are
+    the same bit for bit; the one lower cell whose point is an upper edge
+    needs the cdf of its upper edge, which no half-cell needed.  Returns
+    (mass, law), law being the interleaved (k, c, s) for r = 1, else None.
+    """
+    b = voronoi_bounds(pts)
+    if r != 1.0:
+        return _edge_masses(spec, b), None
+    edges = np.empty(2 * pts.size + 1)
+    edges[0::2] = b
+    edges[1::2] = pts
+    k, c, s = _edge_law(spec, edges)
+    if k is not None and k % 2:
+        c[k + 1] = cdf(spec, edges[k + 1])
+    return _interval_masses(_cell_split(k), c[0::2], s[0::2]), (k, c, s)
+
+
+def _cell_split(k: int | None) -> int | None:
+    """The lower cells of a split ``k`` of the interleaved edges."""
+    return None if k is None else (k + 1) // 2
+
+
 def _residual_and_curvature(
     spec: DistributionSpec,
     pts: np.ndarray,
     r: float,
     mass: np.ndarray | None = None,
+    law: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stationarity residual R and each cell's own curvature D_i, the
     derivative of R_i in a_i with the cell's edges held fixed.
 
     R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over cell i.  Closed
     forms for r = 1 (the cell's mass below its point minus the mass
-    above; D = 2 f(a)) and r = 2 (2 (a P - M1), P the cell mass, ``mass``
-    when given, and M1 its partial first moment; D = 2 P).  Otherwise the
+    above, from the edge values ``law`` of ``_cell_masses``; D = 2 f(a))
+    and r = 2 (2 (a P - M1), P the cell mass, ``mass`` when given, and M1
+    its partial first moment; D = 2 P).  Each takes the law once at each
+    abscissa it needs.  Otherwise the
     cells are clipped to the support and tail cuts once, and R and one
     more moment come from one ``_abs_moments`` call on those 2n brackets:
     for r > 1, D = r (r - 1) integral |x - a|**(r-2) f(x).
@@ -281,13 +319,10 @@ def _residual_and_curvature(
     + lo e(lo) + hi e(hi)), where x f(x) is alpha/lam times the
     Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
     """
-    b = voronoi_bounds(pts)
     if r == 1.0:
-        edges = np.empty(2 * pts.size + 1)  # b0, a0, b1, a1, ..., bn
-        edges[0::2] = b
-        edges[1::2] = pts
-        halves = _edge_masses(spec, edges)
+        halves = _interval_masses(*(law or _cell_masses(spec, pts, r)[1]))
         return halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
+    b = voronoi_bounds(pts)
     if r == 2.0:
         mass = _edge_masses(spec, b) if mass is None else mass
         return 2.0 * (pts * mass - _partial_mean(spec, b, mass)), 2.0 * mass
@@ -353,15 +388,26 @@ def _lloyd_sweep(spec: DistributionSpec, pts: np.ndarray, r: float) -> np.ndarra
     return new
 
 
-def _sweep_keeps(spec: DistributionSpec, pts: np.ndarray, r: float) -> bool:
+def _sweep_keeps(
+    spec: DistributionSpec, pts: np.ndarray, r: float, state: "_State | None" = None
+) -> bool:
     """Whether a Lloyd sweep would move no point by more than
     d = ``_LLOYD_MOVE_TOL`` (1 + max|x|).
 
-    r = 1, 2 run the closed-form sweep.  Otherwise each cell's moment
-    derivative, increasing in its point a, is evaluated at a - d and
-    a + d, clipped to the cell's bracket, in one batch: the sweep's root
-    lies within d of a exactly when the derivative is <= 0 at the left
-    point and >= 0 at the right one, or that point is the bracket end.
+    r = 1 and 2 read the Newton ``state`` at ``pts`` (made when not
+    given) and run no sweep.  For r = 2, F = R / D = a - M1 / P is each
+    point's distance from its cell's conditional mean, the sweep's move
+    up to round-off, so the test is max|F| <= d with no evaluation of the
+    law.  For r = 1 the residual R(x) = P[b_i, x] - P[x, b_(i+1)] is taken
+    at x = a - d and a + d, clipped to the cell, with the cell's edges
+    held fixed: 2 (cdf(x) - cdf(b_i)) - P_i in a cell of the cdf side and
+    P_i - 2 (sf(x) - sf(b_(i+1))) in one of the sf side, from the state's
+    edge values and the law at those 2n points.
+    Otherwise each cell's moment derivative is evaluated at a - d and
+    a + d, clipped to the cell's bracket, in one batch.  Either way the
+    residual or derivative increases in the point, and the sweep's root
+    lies within d of a exactly when it is <= 0 at the left point and
+    >= 0 at the right one, or that point is the bracket end.
     When the first left point is clipped to the origin, every root in
     (0, a + d] lies within d of a, but the sweep may send the point to
     the origin itself; that cell's root is then searched as the sweep
@@ -370,7 +416,18 @@ def _sweep_keeps(spec: DistributionSpec, pts: np.ndarray, r: float) -> bool:
     """
     d = _LLOYD_MOVE_TOL * _scale(pts)
     if r in (1.0, 2.0):
-        return bool(np.max(np.abs(_lloyd_sweep(spec, pts, r) - pts)) <= d)
+        if state is None:
+            state = _state(spec, pts, r)
+        if r == 2.0:
+            return bool(np.max(np.abs(state.f)) <= d)
+        k, c, s = state.law
+        low, mass = ~_upper_intervals(_cell_split(k), c[0::2]), state.mass
+        b = voronoi_bounds(pts)
+        x = np.stack((np.maximum(pts - d, b[:-1]), np.minimum(pts + d, b[1:])))
+        g = np.empty(x.shape)
+        g[:, low] = 2.0 * (cdf(spec, x[:, low]) - c[0:-1:2][low]) - mass[low]
+        g[:, ~low] = mass[~low] - 2.0 * (sf(spec, x[:, ~low]) - s[2::2][~low])
+        return bool(np.all(g[0] <= 0.0) and np.all(g[1] >= 0.0))
     b = voronoi_bounds(pts)
     grad, lo_e, hi_e = _moment_derivative(spec, b, r)
     left, right = np.maximum(pts - d, lo_e), np.minimum(pts + d, hi_e)
@@ -387,19 +444,37 @@ def _sweep_keeps(spec: DistributionSpec, pts: np.ndarray, r: float) -> bool:
     )
 
 
-def _admissible(spec: DistributionSpec, pts: np.ndarray, cut: float) -> np.ndarray | None:
-    """The cell masses of ``pts`` if it is admissible, else None.
+class _State(NamedTuple):
+    """A Newton iterate's cell masses, edge law (``_cell_masses``),
+    residual, curvatures and the system Newton solves."""
+
+    mass: np.ndarray
+    law: tuple | None
+    res: np.ndarray
+    curv: np.ndarray
+    f: np.ndarray
+
+
+def _state(
+    spec: DistributionSpec, pts: np.ndarray, r: float, cut: float | None = None
+) -> _State | None:
+    """The Newton state at ``pts``; with a ``cut``, None unless admissible.
 
     Admissible: strictly increasing inside the support, every cell with
     mass > cut.  A point pushed into a cell of negligible mass has a
     vanishing stationarity residual wherever it sits; such iterates are
-    refused.
+    refused before their residual is computed.  Newton solves
+    F = R / D for r >= 1 and R itself for r < 1 (``_newton``).
     """
-    s_lo, s_hi = spec.support
-    if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
+    if cut is not None:
+        s_lo, s_hi = spec.support
+        if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
+            return None
+    mass, law = _cell_masses(spec, pts, r)
+    if cut is not None and np.min(mass) <= cut:
         return None
-    mass = _edge_masses(spec, voronoi_bounds(pts))
-    return mass if np.min(mass) > cut else None
+    res, curv = _residual_and_curvature(spec, pts, r, mass, law)
+    return _State(mass, law, res, curv, res / curv if r >= 1.0 else res)
 
 
 def _scale(pts: np.ndarray) -> float:
@@ -445,7 +520,7 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 def _newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
+) -> tuple[np.ndarray, _State, int, bool]:
     """Damped Newton on the stationarity system.
 
     Every state is the residual R and the cells' curvatures D from one
@@ -459,46 +534,39 @@ def _newton(
     point nears the origin, so sup|F| would be a misleading merit there.
     A step is taken once the sup of the system solved does not grow.
     Converged: sup|R| <= grad_tol and the last step <= position_tol
-    (1 + max|x|).
+    (1 + max|x|).  Returns the points, their state, the iterations and
+    whether it converged.
     """
-    scaled = r >= 1.0
-
-    def state(pts: np.ndarray, mass: np.ndarray):
-        """The residual, the curvatures and the system Newton solves."""
-        res, curv = _residual_and_curvature(spec, pts, r, mass)
-        return res, curv, res / curv if scaled else res
 
     def converged() -> bool:
         return bool(
-            np.max(np.abs(res)) <= opts.grad_tol
+            np.max(np.abs(st.res)) <= opts.grad_tol
             and last_step <= opts.position_tol * _scale(pts)
         )
 
-    mass = _edge_masses(spec, voronoi_bounds(pts))
-    res, curv, f = state(pts, mass)
-    merit = float(np.max(np.abs(f)))
+    st = _state(spec, pts, r)
+    merit = float(np.max(np.abs(st.f)))
     last_step = math.inf
     iters = 0
     for _ in range(_MAX_NEWTON_ITERS):
         if converged():
-            return pts, res, iters, True
-        if scaled:
-            ab = _newton_matrix(spec, pts, r, res, curv)
+            return pts, st, iters, True
+        if r >= 1.0:
+            ab = _newton_matrix(spec, pts, r, st.res, st.curv)
         else:
-            ab = _jacobian_banded(spec, pts, r, curv)
-        step = _tridiagonal_solve(ab, -f)
+            ab = _jacobian_banded(spec, pts, r, st.curv)
+        step = _tridiagonal_solve(ab, -st.f)
         if step is None:
             break
         lam = 1.0
         moved = False
         while lam >= 1e-7:
             cand = pts + lam * step
-            c_mass = _admissible(spec, cand, _QUAD.tail_mass_cut)
-            if c_mass is not None:
-                c_res, c_curv, c_f = state(cand, c_mass)
-                c_merit = float(np.max(np.abs(c_f)))
-                if c_merit <= merit or np.max(np.abs(c_res)) <= opts.grad_tol:
-                    pts, mass, res, curv, f, merit = cand, c_mass, c_res, c_curv, c_f, c_merit
+            c_st = _state(spec, cand, r, _QUAD.tail_mass_cut)
+            if c_st is not None:
+                c_merit = float(np.max(np.abs(c_st.f)))
+                if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:
+                    pts, st, merit = cand, c_st, c_merit
                     last_step = lam * float(np.max(np.abs(step)))
                     moved = True
                     break
@@ -506,34 +574,37 @@ def _newton(
         iters += 1
         if not moved:
             break
-    return pts, res, iters, converged()
+    return pts, st, iters, converged()
 
 
 def _lloyd_newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Newton from ``pts``, verified by one Lloyd sweep.
+    """Newton from ``pts``, verified as a fixed point of the Lloyd sweep.
 
     Returns the points, the residual, the sweeps and the Newton
     iterations.  A Newton result is accepted only if a Lloyd sweep would
     move it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which
-    ``_sweep_keeps`` decides in one batched pass (counted as one sweep):
-    the residual is weighted by cell mass, so it alone cannot tell a
-    stationary grid from one with a point stranded in the far tail.
-    Otherwise 20 more sweeps run and Newton restarts, up to three times.
+    ``_sweep_keeps`` decides without running the sweep (counted as one
+    sweep): from the final Newton state alone for r = 2, from its edge
+    values and the law at 2n more points for r = 1, and in one batched
+    quadrature pass otherwise.  The residual is weighted by cell mass, so
+    it alone cannot tell a stationary grid from one with a point stranded
+    in the far tail.  Otherwise 20 more sweeps run and Newton restarts,
+    up to three times.
     """
     sweeps = newton_iters = 0
     for _ in range(3):
-        pts, res, iters, ok = _newton(spec, pts, r, opts)
+        pts, st, iters, ok = _newton(spec, pts, r, opts)
         newton_iters += iters
         if ok:
             sweeps += 1
-            if _sweep_keeps(spec, pts, r):
-                return pts, res, sweeps, newton_iters
+            if _sweep_keeps(spec, pts, r, st):
+                return pts, st.res, sweeps, newton_iters
         for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
             pts = _lloyd_sweep(spec, pts, r)
             sweeps += 1
-    sup = float(np.max(np.abs(res)))
+    sup = float(np.max(np.abs(st.res)))
     raise SolverError(
         f"no verified convergence for n={pts.size}, r={r} (residual sup {sup:.3g})",
         pts,
@@ -582,9 +653,13 @@ def optimal_grid(
     ``position_tol``.  For r >= 1 each equation is divided by its cell's
     curvature, which lets Newton start at the seed in the tail cells.
     The result must also be a fixed point of the Lloyd sweep, else up to
-    three rescues of 20 sweeps run.  Off the closed forms (r not 1 or 2)
-    each Newton state (residual and curvatures) and the fixed-point check
-    is one batched quadrature pass over all the cells it needs.  Raises
+    three rescues of 20 sweeps run.  For r = 1 and 2 a Newton state takes
+    the cdf or sf once per abscissa it needs; the fixed-point check of
+    r = 2 is max|F| of the final state, and that of r = 1 the sign of the
+    residual at a -+ d from the final state's edge values and the law at
+    2n more points.  Off the closed forms (r not 1 or 2) each Newton
+    state (residual and curvatures) and the fixed-point check is one
+    batched quadrature pass over all the cells it needs.  Raises
     ``SolverError`` rather than return an unverified grid.  The solve
     starts from ``init_grid`` when given, else from the quantiles of the
     limiting point law.  For log-concave densities (Gaussian, Gamma shape
@@ -648,9 +723,14 @@ def solve(
     ``exp_optimal_grid``; every other law goes to ``optimal_grid`` with
     ``opts`` and ``cache``.
     """
-    if spec.family is Family.GAMMA and spec.a == 1.0 and spec.d == 1:
+    if _takes_recursion(spec):
         return exp_optimal_grid(n, r, spec.lam)
     return optimal_grid(spec, n, r, opts, cache=cache)
+
+
+def _takes_recursion(spec: DistributionSpec) -> bool:
+    """Whether ``solve`` takes the exponential law's exact recursion."""
+    return spec.family is Family.GAMMA and spec.a == 1.0 and spec.d == 1
 
 
 # --------------------------------------------------------------------------
@@ -745,8 +825,16 @@ def exp_optimal_grid(n: int, r: float, lam: float = 1.0) -> Grid:
     scaled by 1/lam (optimal grids are equivariant under scaling).
     """
     _require_positive(lam=lam)
-    seq = exp_ak_sequence(r, n)
-    v = seq.values
+    return _exp_grid(exp_ak_sequence(r, n).values, lam)
+
+
+def _exp_grid(v: np.ndarray, lam: float) -> Grid:
+    """``exp_optimal_grid`` of n = v.size points from the first n spacings ``v``.
+
+    The recursion's terms do not depend on n, so the first n terms of a
+    longer sequence give the same grid bit for bit.
+    """
+    n = v.size
     if n == 1:
         pts = np.array([v[0] / 2.0])
     else:

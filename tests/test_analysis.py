@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+
+from quantilab import analysis
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from quantilab.distributions import (
     quantile,
 )
 from quantilab.quantizer import DilationParams, Grid, dilate
-from quantilab.solver import exp_optimal_grid
+from quantilab.solver import exp_ak_sequence, exp_optimal_grid, solve
 
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
@@ -74,6 +76,23 @@ def test_exponential_table_rows_match_reference():
     assert by_n[20].b_hat == pytest.approx(-0.0104881, abs=1e-6)
     assert by_n[50].a_hat == pytest.approx(0.6726145, abs=1e-6)
     assert all(row.status == "ok" for row in rows)
+
+
+def test_exponential_table_builds_each_spacing_sequence_once(monkeypatch):
+    calls = []
+
+    def recording(r, n):
+        calls.append((r, n))
+        return exp_ak_sequence(r, n)
+
+    monkeypatch.setattr(analysis, "exp_ak_sequence", recording)
+    ns = (20, 50, 7)
+    rows = table_experiment(EXPO, 2.0, 1.0, ns)
+    assert calls == [(2.0, 50), (1.0, 50)]
+    # each size's grids are solve's, bit for bit
+    for row in rows:
+        fit = ols_fit(solve(EXPO, row.n, 2.0).points, solve(EXPO, row.n, 1.0).points)
+        assert (row.a_hat, row.b_hat, row.eps_rmse, row.eps_maxabs) == tuple(fit)
 
 
 def test_table_slopes_converge_to_theta_star():

@@ -177,6 +177,15 @@ def test_constants_just_above_the_condition_threshold(capsys):
     assert math.isfinite(cond) and cond > 1e15
 
 
+def test_constants_for_a_gamma_shape_beyond_the_float_range_of_its_gamma(capsys):
+    # math.gamma(200) overflows; c_fr and the constants built on it do not
+    code, out, err = run_cli(capsys, "constants", "--dist", "gamma", "--a", "200",
+                             "--r", "2", "--s", "1", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert all(math.isfinite(payload[key]) for key in ("c_fr", "q_r", "q_inf", "theta_star"))
+
+
 def test_exp_grid_has_no_root_tolerance_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exp-grid", "--n", "3", "--root-tol", "1e-12"])

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantilab import distributions
 from quantilab.distributions import (
     DEFAULT_QUAD,
     DistributionSpec,
@@ -321,6 +323,95 @@ def test_edge_masses_match_the_per_interval_choice(spec):
     assert _edge_masses(spec, edges)[-1] == sf(spec, inner[-1])
 
 
+def _record_abscissae(monkeypatch, *names):
+    """Wrap distributions.<name> to record every abscissa it is given."""
+    seen = {name: [] for name in names}
+
+    def recorder(name, real):
+        def recording(spec, x, *args, **kwargs):
+            seen[name].append(np.ravel(np.array(x, dtype=float)))
+            return real(spec, x, *args, **kwargs)
+
+        return recording
+
+    for name in names:
+        monkeypatch.setattr(distributions, name, recorder(name, getattr(distributions, name)))
+    return {name: lambda name=name: np.concatenate(seen[name] or [np.empty(0)]) for name in names}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 41])
+@pytest.mark.parametrize(
+    "spec",
+    [GAUSS, EXPO, DistributionSpec.gamma(2.0, 1.5), DistributionSpec.gamma(0.5)],
+    ids=["gauss", "exp", "gamma2", "gamma0.5"],
+)
+def test_edge_masses_evaluate_each_edge_once_outside_the_median_band(spec, n, monkeypatch):
+    # an interval's mass is a cdf difference below the median and an sf
+    # difference above it; an edge outside the band around the median
+    # goes to each function once if one of its intervals needs it, else
+    # never (the edge where lower intervals meet upper ones goes to both).
+    # Even-n Gaussian grids put an edge on the median itself.
+    edges = voronoi_bounds(quantile(spec, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
+    upper = cdf(spec, edges[:-1]) > 0.5
+    need = {"cdf": np.zeros(n + 1, bool), "sf": np.zeros(n + 1, bool)}
+    for name, cells in (("cdf", ~upper), ("sf", upper)):
+        need[name][:-1] |= cells
+        need[name][1:] |= cells
+    lo, hi = quantile(spec, np.array([0.5 - 1e-9, 0.5 + 1e-9]))
+    outside = (edges < lo) | (edges > hi)
+    seen = _record_abscissae(monkeypatch, "cdf", "sf")
+    mass = _edge_masses(spec, edges)
+    for name in ("cdf", "sf"):
+        counts = np.array([np.count_nonzero(seen[name]() == x) for x in edges])
+        np.testing.assert_array_equal(counts[outside], need[name][outside].astype(int))
+    assert mass.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("a", [3.0, 7.0, 20.0])
+def test_edge_masses_keep_the_rule_on_edges_ulps_apart_at_the_median(a):
+    # scipy's gammainc steps back across 0.5 within a few ulps of these
+    # medians (Gamma(7): cdf 0.5000000000000001 one ulp above the computed
+    # median, 0.49999999999999994 at the next float)
+    spec = DistributionSpec.gamma(a)
+    med = quantile(spec, 0.5)
+    near = med + np.arange(-16, 17) * np.spacing(med)
+    edges = np.concatenate(([0.0, 0.5 * med], near, [2.0 * med, INF]))
+    ref = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if cdf(spec, lo) <= 0.5:
+            ref.append(max(cdf(spec, hi) - cdf(spec, lo), 0.0))
+        else:
+            ref.append(max(sf(spec, lo) - sf(spec, hi), 0.0))
+    np.testing.assert_array_equal(_edge_masses(spec, edges), ref)
+
+
+def test_edge_masses_keep_the_rule_where_the_cdf_steps_back_in_the_band(monkeypatch):
+    # a cdf whose round-off is not monotone inside the median band: the
+    # intervals there still take their own lower edge's side
+    x1, x2 = -1e-10, 1e-10
+    real = distributions.cdf
+
+    def stepping(spec, x):
+        out = np.array(real(spec, x), dtype=float)
+        xs = np.asarray(x, dtype=float)
+        out[xs == x1] = 0.5 + 2.0**-53
+        out[xs == x2] = 0.5
+        return out
+
+    monkeypatch.setattr(distributions, "cdf", stepping)
+    edges = np.array([-INF, -1.0, x1, x2, 1.0, INF])
+    ref = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if stepping(GAUSS, lo) <= 0.5:
+            ref.append(float(stepping(GAUSS, hi) - stepping(GAUSS, lo)))
+        else:
+            ref.append(float(sf(GAUSS, lo) - sf(GAUSS, hi)))
+    np.testing.assert_array_equal(_edge_masses(GAUSS, edges), ref)
+    mass, upper, tail = _edge_masses(GAUSS, edges, with_tails=True)
+    np.testing.assert_array_equal(upper, [False, False, True, False, True])
+    assert tail[2] == sf(GAUSS, x1) and tail[3] == 0.5
+
+
 def test_tail_cut_is_relative_to_the_cell_mass():
     cut = 1e-12
     lo = np.array([0.0, 30.0])
@@ -359,6 +450,35 @@ def test_c_fr_closed_forms():
     assert c_fr(DistributionSpec.gamma(1.0, 2.5), 4.0) == pytest.approx(
         c_fr(DistributionSpec.exponential(2.5), 4.0), rel=1e-14
     )
+
+
+def test_c_fr_for_large_gamma_shapes():
+    # Gamma(a) leaves the float range above a = 171.6; c_fr does not
+    def product(a, r, lam):
+        e = (r + a) / (r + 1.0)
+        return math.gamma(e) * math.gamma(a) ** (-1.0 / (1.0 + r)) * lam ** (
+            -r / (r + 1.0)
+        ) * (r + 1.0) ** e
+
+    for a in (0.3, 1.0, 7.0, 50.0, 120.0, 170.0):
+        for r in (0.5, 1.0, 2.0, 4.0):
+            for lam in (1.0, 1.3):
+                got = c_fr(DistributionSpec.gamma(a, lam), r)
+                assert got == pytest.approx(product(a, r, lam), rel=1e-14, abs=0.0)
+    # the log-sum's terms reach lgamma(a) (858 at a = 200, 82,000 at 1e4),
+    # whose rounding bounds the relative error; mpmath at 40 digits
+    for a, tol in ((200.0, 1e-12), (1e4, 1e-10)):
+        for r in (0.5, 2.0, 4.0):
+            for lam in (1.0, 1.3):
+                with mpmath.workdps(40):
+                    a_, r_ = mpmath.mpf(a), mpmath.mpf(r)
+                    e = (r_ + a_) / (r_ + 1)
+                    ref = float(
+                        mpmath.gamma(e) * mpmath.gamma(a_) ** (-1 / (1 + r_))
+                        * mpmath.mpf(lam) ** (-r_ / (r_ + 1)) * (r_ + 1) ** e
+                    )
+                got = c_fr(DistributionSpec.gamma(a, lam), r)
+                assert abs(got / ref - 1.0) <= tol, (a, r, lam)
 
 
 @pytest.mark.parametrize("spec", FAMILIES)

@@ -208,6 +208,84 @@ def test_closed_form_solves_run_no_quadrature(spec, r, monkeypatch):
     assert res.grid.n == 60 and res.newton_iters > 0
 
 
+def _count_law(monkeypatch):
+    """Count the abscissae given to cdf, sf, quantile and quantile_sf, in
+    every module that calls them."""
+    counts = dict.fromkeys(("cdf", "sf", "quantile", "quantile_sf"), 0)
+    for name in counts:
+        real = getattr(distributions, name)
+
+        def counting(spec, x, *args, _name=name, _real=real, **kwargs):
+            counts[_name] += np.size(x)
+            return _real(spec, x, *args, **kwargs)
+
+        for module in (distributions, solver):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
+    # one evaluation of the interleaved edges b0, a0, b1, ..., bn gives the
+    # half-cell masses and the cell masses, each bit for bit as a call of
+    # its own, whether the cdf side ends at a cell edge or at a point
+    parities = set()
+    for n in (1, 2, 3, 4, 7, 40):
+        for seed in range(4):
+            pts = _off_stationary(spec, n, 1.0, seed)
+            b = voronoi_bounds(pts)
+            edges = np.empty(2 * n + 1)
+            edges[0::2], edges[1::2] = b, pts
+            mass, law = solver._cell_masses(spec, pts, 1.0)
+            np.testing.assert_array_equal(mass, _edge_masses(spec, b))
+            np.testing.assert_array_equal(
+                distributions._interval_masses(*law), _edge_masses(spec, edges)
+            )
+            parities.add(law[0] % 2)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_closed_form_solves_take_the_law_once_per_abscissa(r, monkeypatch):
+    spec, n = DistributionSpec.gamma(0.5), 300
+    counts = _count_law(monkeypatch)
+    real_state, states = solver._state, [0]
+
+    def counting_state(*args, **kwargs):
+        states[0] += 1
+        return real_state(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_state", counting_state)
+    optimal_grid(spec, n, r)
+    law = counts["cdf"] + counts["sf"]
+    # a Newton state takes, for r = 1, the 2n + 1 interleaved edges, the
+    # edge where the cdf side meets the sf side twice and one cell edge's
+    # cdf; for r = 2, the n + 1 cell edges under the law and under
+    # Gamma(a + 1, lam) (for M1), one edge twice in each.  Two more allow
+    # for edges inside the median band.  The r = 1 check takes the law at
+    # 2n more points, the r = 2 check at none.
+    per_state = 2 * n + 5 if r == 1.0 else 2 * n + 6
+    assert law <= states[0] * per_state + (2 * n if r == 1.0 else 0)
+    # when every edge took the cdf, the upper ones the sf too, and the
+    # check re-ran the Lloyd sweep: 11,875 (r = 1) and 8,345 (r = 2)
+    assert law <= {1.0: 5_000, 2.0: 4_500}[r]
+    assert counts["quantile_sf"] == 0
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_closed_form_fixed_point_check_reads_the_newton_state(spec, r, grid_of, monkeypatch):
+    n = 300
+    pts = grid_of(spec, n, r).points
+    state = solver._state(spec, pts, r)
+    counts = _count_law(monkeypatch)
+    assert solver._sweep_keeps(spec, pts, r, state)
+    # r = 1: the residual at a -+ d; r = 2: max|F| of the state itself
+    assert counts["cdf"] + counts["sf"] == (2 * n if r == 1.0 else 0)
+    assert counts["quantile"] == counts["quantile_sf"] == 0
+
+
 @pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
 def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
     # r = 1: F = R / (2 f(a)), and dD/da = D (log f)' holds exactly
@@ -765,6 +843,13 @@ def test_spacings_match_a_40_digit_recursion(r, n):
     assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-13
 
 
+@pytest.mark.parametrize("r, n, longer", [(0.5, 20, 300), (2.0, 50, 300), (4.0, 100, 300)])
+def test_spacing_sequence_is_a_prefix_of_a_longer_one(r, n, longer):
+    np.testing.assert_array_equal(
+        exp_ak_sequence(r, n).values, exp_ak_sequence(r, longer).values[:n]
+    )
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0])
 def test_spacing_roots_take_few_evaluations(r, monkeypatch):
     # a converged Newton step from above lands on the bracket end; it must
@@ -893,7 +978,7 @@ def test_grid_cache_from_env(tmp_path, monkeypatch):
 
 # -- batched verification and tridiagonal solve ---------------------------------
 
-@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 0.5])
 @pytest.mark.parametrize(
     "spec", [GAUSS, EXPO, DistributionSpec.gamma(0.5), DistributionSpec.gamma(3.0)],
     ids=["gauss", "exp", "gamma0.5", "gamma3"],
