@@ -114,6 +114,15 @@ class DistributionSpec:
             return (-_INF, _INF)
         return (0.0, _INF)
 
+    @functools.cached_property
+    def _median_band(self) -> np.ndarray:
+        """The quantiles at 0.5 -+ 1e-9: an edge below the first has cdf
+        <= 0.5 and one at or above the second cdf > 0.5, whatever the
+        cdf's round-off (``_edge_law``); computed once per spec."""
+        band = quantile(self, np.array([0.5 - 1e-9, 0.5 + 1e-9]))
+        band.flags.writeable = False
+        return band
+
     def cache_token(self) -> str:
         """Deterministic parameter string used in cache file names."""
         if self.family is Family.GAUSSIAN:
@@ -253,15 +262,6 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
     return _ret(out, scalar)
 
 
-@functools.lru_cache(maxsize=64)
-def _median_band(spec: DistributionSpec) -> np.ndarray:
-    """The quantiles at 0.5 -+ 1e-9: an edge below the first has cdf <= 0.5
-    and one at or above the second cdf > 0.5, whatever the cdf's round-off."""
-    band = quantile(spec, np.array([0.5 - 1e-9, 0.5 + 1e-9]))
-    band.flags.writeable = False
-    return band
-
-
 def _edge_law(spec: DistributionSpec, edges: np.ndarray):
     """The cdf and sf of sorted ``edges`` where ``_edge_masses`` needs them.
 
@@ -279,7 +279,7 @@ def _edge_law(spec: DistributionSpec, edges: np.ndarray):
     """
     n = edges.size - 1
     left = edges[:-1]
-    k, k_hi = (int(v) for v in left.searchsorted(_median_band(spec)))
+    k, k_hi = left.searchsorted(spec._median_band).tolist()
     c, s = np.zeros(n + 1), np.zeros(n + 1)
     if k < k_hi:
         up = cdf(spec, left[k:k_hi]) > 0.5

@@ -10,6 +10,7 @@ exponential law.  ``solve`` picks the recursion for the exponential law
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -115,6 +116,13 @@ def _require_mass(spec: DistributionSpec, b: np.ndarray) -> tuple[np.ndarray, ..
     return mass, upper, tail
 
 
+@functools.lru_cache(maxsize=64)
+def _lifted(a: float, lam: float) -> DistributionSpec:
+    """Gamma(a + 1, lam), whose density times a/lam is x f(x) for Gamma(a, lam):
+    one spec per law, so its median band is computed once."""
+    return DistributionSpec.gamma(a + 1.0, lam)
+
+
 def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """integral of x f(x) over each cell [b[i], b[i+1]] of mass ``mass[i]``.
 
@@ -123,8 +131,7 @@ def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np
     """
     if spec.family is Family.GAUSSIAN:
         return spec.m * mass - spec.sigma2 * np.diff(pdf(spec, b))
-    lifted = DistributionSpec.gamma(spec.a + 1.0, spec.lam)
-    return (spec.a / spec.lam) * _edge_masses(lifted, b)
+    return (spec.a / spec.lam) * _edge_masses(_lifted(spec.a, spec.lam), b)
 
 
 def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
@@ -344,7 +351,7 @@ def _residual_and_curvature(
         e_lo, e_hi = (pdf(spec, ends) * dist).reshape(2, n)
         curv = e_lo + e_hi + ((spec.m - pts) * grad + moment) / spec.sigma2
     else:
-        lifted = DistributionSpec.gamma(spec.a + 1.0, spec.lam)
+        lifted = _lifted(spec.a, spec.lam)
         xe_lo, xe_hi = (spec.a / spec.lam * pdf(lifted, ends) * dist).reshape(2, n)
         curv = (
             xe_lo + xe_hi + (r + spec.a - 1.0 - spec.lam * pts) * grad + spec.lam * moment
