@@ -613,9 +613,12 @@ def c_fr(spec: DistributionSpec, r: float) -> float:
     a, lam = spec.a, spec.lam
     e = (r + a) / (r + 1.0)
     if a <= 171.0:
-        return math.gamma(e) * math.gamma(a) ** (-1.0 / (1.0 + r)) * lam ** (-r / (r + 1.0)) * (
-            r + 1.0
-        ) ** e
+        return (
+            math.gamma(e)
+            * math.gamma(a) ** (-1.0 / (1.0 + r))
+            * lam ** (-r / (r + 1.0))
+            * (r + 1.0) ** e
+        )
     return math.exp(
         math.lgamma(e) - math.lgamma(a) / (1.0 + r) - r / (r + 1.0) * math.log(lam)
         + e * math.log(r + 1.0)

@@ -456,9 +456,12 @@ def test_c_fr_for_large_gamma_shapes():
     # Gamma(a) leaves the float range above a = 171.6; c_fr does not
     def product(a, r, lam):
         e = (r + a) / (r + 1.0)
-        return math.gamma(e) * math.gamma(a) ** (-1.0 / (1.0 + r)) * lam ** (
-            -r / (r + 1.0)
-        ) * (r + 1.0) ** e
+        return (
+            math.gamma(e)
+            * math.gamma(a) ** (-1.0 / (1.0 + r))
+            * lam ** (-r / (r + 1.0))
+            * (r + 1.0) ** e
+        )
 
     for a in (0.3, 1.0, 7.0, 50.0, 120.0, 170.0):
         for r in (0.5, 1.0, 2.0, 4.0):
