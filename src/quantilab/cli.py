@@ -84,6 +84,21 @@ def _read_grid(path: str) -> Grid:
     return Grid.from_text(text)
 
 
+def _payload_text(payload: dict[str, object], fmt: str) -> str:
+    """``key = value`` lines, floats to 9 significant digits, or indented
+    JSON with infinities written as the string "inf"."""
+    if fmt == "json":
+        clean = {
+            k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
+            for k, v in payload.items()
+        }
+        return json.dumps(clean, indent=2, default=str) + "\n"
+    return "".join(
+        f"{k} = {v:.9g}\n" if isinstance(v, float) else f"{k} = {v}\n"
+        for k, v in payload.items()
+    )
+
+
 def _rows_text(rows, fmt: str) -> str:
     if fmt == "csv":
         return analysis.rows_to_csv(rows)
@@ -246,20 +261,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
                 condition_integral=consts.condition_integral,
                 theta_admissible=consts.theta_admissible,
             )
-        if args.format == "json":
-            clean = {
-                k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-                for k, v in payload.items()
-            }
-            _emit(json.dumps(clean, indent=2, default=str) + "\n", args.output)
-        else:
-            lines = []
-            for key, val in payload.items():
-                if isinstance(val, float):
-                    lines.append(f"{key} = {val:.9g}")
-                else:
-                    lines.append(f"{key} = {val}")
-            _emit("\n".join(lines) + "\n", args.output)
+        _emit(_payload_text(payload, args.format), args.output)
         return 0
 
     if cmd in ("table1", "table2"):
@@ -282,20 +284,13 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         mu = dilatation.default_mu(spec)
         dilated = dilate(grid, DilationParams(theta, mu))
         report = analysis.empirical_discrepancy(dilated, spec, args.s, args.bins)
-        if args.format == "json":
-            payload = {
-                "n": report.n,
-                "bins": args.bins,
-                "theta_star": theta,
-                "max_discrepancy": report.max_discrepancy,
-            }
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        else:
-            _emit(
-                f"n = {report.n}\nbins = {args.bins}\ntheta_star = {theta:.9g}\n"
-                f"max_discrepancy = {report.max_discrepancy:.9g}\n",
-                args.output,
-            )
+        payload = {
+            "n": report.n,
+            "bins": args.bins,
+            "theta_star": theta,
+            "max_discrepancy": report.max_discrepancy,
+        }
+        _emit(_payload_text(payload, args.format), args.output)
         return 0
 
     if cmd == "counterexample":

@@ -135,9 +135,7 @@ class QuadratureOpts:
     """Tolerances for the adaptive integrator.
 
     An infinite integration limit is truncated where the neglected tail
-    holds the fraction ``tail_mass_cut`` of the cell's mass; the
-    neglected mass enters the error bound as mass * (distance to the
-    truncation point)**r.
+    holds the fraction ``tail_mass_cut`` of the cell's mass.
     """
 
     abs_tol: float = 1e-12
@@ -332,38 +330,29 @@ def _edge_masses(spec: DistributionSpec, edges: np.ndarray, with_tails: bool = F
 # cell-wise moment integrals
 # --------------------------------------------------------------------------
 
-def _effective_bounds(spec: DistributionSpec, lo, hi, cut: float, pt=0.0, q=0.0):
+def _effective_bounds(spec: DistributionSpec, lo, hi, cut: float):
     """Clip [lo, hi] to the support and truncate infinite ends at tail quantiles.
 
-    Elementwise over 1-D arrays of cells.  The cut is relative to the cell's
-    own mass: an infinite upper end drops the fraction ``cut`` of the mass
-    beyond the finite lower end, and vice versa, so far-tail cells keep
-    the same relative accuracy as central ones.  Also returns the
-    truncation's error bound for the weight |x - pt|**q (``pt`` and ``q``
-    scalars or per cell): the dropped mass times |t - pt|**max(q, 0) at
-    each truncation point t.
+    Elementwise over 1-D arrays of cells; returns the clipped ends.  The
+    cut is relative to the cell's own mass: an infinite upper end drops
+    the fraction ``cut`` of the mass beyond the finite lower end, and vice
+    versa, so far-tail cells keep the same relative accuracy as central
+    ones.  Cells with finite ends, as the solver's clipped ones, only take
+    the support clip.
     """
     s_lo, s_hi = spec.support
     lo_e = np.maximum(lo, s_lo)
     hi_e = np.minimum(hi, s_hi)
-    err = np.zeros(lo_e.shape)
     lo_cut = np.flatnonzero(np.isneginf(lo_e))
     hi_cut = np.flatnonzero(np.isposinf(hi_e))
-    if not (lo_cut.size or hi_cut.size):  # finite cells, as the solver's clipped ones
-        return lo_e, hi_e, err
-    pt = np.broadcast_to(pt, lo_e.shape)
-    q_pos = np.broadcast_to(np.maximum(q, 0.0), lo_e.shape)
     tiny = np.finfo(float).tiny  # the dropped mass when the cell's own mass underflows
     if hi_cut.size:  # read before lo_e changes: a cell can be infinite at both ends
         hi_drop = np.maximum(cut * sf(spec, lo_e[hi_cut]), tiny)
     if lo_cut.size:
-        lo_drop = np.maximum(cut * cdf(spec, hi_e[lo_cut]), tiny)
-        lo_e[lo_cut] = quantile(spec, lo_drop)
-        err[lo_cut] += lo_drop * np.abs(lo_e[lo_cut] - pt[lo_cut]) ** q_pos[lo_cut]
+        lo_e[lo_cut] = quantile(spec, np.maximum(cut * cdf(spec, hi_e[lo_cut]), tiny))
     if hi_cut.size:
         hi_e[hi_cut] = quantile_sf(spec, hi_drop)
-        err[hi_cut] += hi_drop * np.abs(hi_e[hi_cut] - pt[hi_cut]) ** q_pos[hi_cut]
-    return lo_e, hi_e, err
+    return lo_e, hi_e
 
 
 def _weighted_piece(
@@ -373,10 +362,10 @@ def _weighted_piece(
     b0: float,
     q: float,
     opts: QuadratureOpts,
-) -> tuple[float, float]:
+) -> float:
     """integral of |x - pt|**q * f(x) over [a0, b0]; pt never interior."""
     if not a0 < b0:
-        return 0.0, 0.0
+        return 0.0
     kw = dict(
         abs_tol=opts.abs_tol,
         rel_tol=opts.rel_tol,
@@ -387,9 +376,9 @@ def _weighted_piece(
     if gamma_sing and pt_sing and pt == b0:
         # singular weight at both ends; give each its own sub-interval
         c = 0.5 * b0
-        v1, e1 = _weighted_piece(spec, pt, a0, c, q, opts)
-        v2, e2 = _weighted_piece(spec, pt, c, b0, q, opts)
-        return v1 + v2, e1 + e2
+        return _weighted_piece(spec, pt, a0, c, q, opts) + _weighted_piece(
+            spec, pt, c, b0, q, opts
+        )
     if gamma_sing:
         scale = math.exp(spec.a * math.log(spec.lam) - math.lgamma(spec.a))
         lam = spec.lam
@@ -401,25 +390,25 @@ def _weighted_piece(
             return integrate_endpoint_power(
                 lambda x: scale * np.exp(-lam * x), merged, a0, b0,
                 singular_at="lo", **kw,
-            )
+            )[0]
 
         def fn(x: np.ndarray) -> np.ndarray:
             return np.abs(x - pt) ** q * scale * np.exp(-lam * x)
 
         return integrate_endpoint_power(
             fn, spec.a - 1.0, a0, b0, singular_at="lo", breakpoints=(pt,), **kw
-        )
+        )[0]
     if pt_sing:
         end = "lo" if pt == a0 else "hi"
         return integrate_endpoint_power(
             lambda x: pdf(spec, x), q, a0, b0, singular_at=end, **kw
-        )
+        )[0]
     if q == 0.0:
         fn = lambda x: pdf(spec, x)
     else:
         fn = lambda x: np.abs(x - pt) ** q * pdf(spec, x)
     bps = (pt,) if a0 < pt < b0 else ()
-    return integrate(fn, a0, b0, breakpoints=bps, **kw)
+    return integrate(fn, a0, b0, breakpoints=bps, **kw)[0]
 
 
 def _abs_moment(
@@ -430,14 +419,14 @@ def _abs_moment(
     q: float,
     opts: QuadratureOpts,
     signed: bool = False,
-) -> tuple[float, float]:
-    """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi] with bound."""
-    lo_e, hi_e, err = (
+) -> float:
+    """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi]."""
+    lo_e, hi_e = (
         float(v[0])
-        for v in _effective_bounds(spec, np.array([lo]), np.array([hi]), opts.tail_mass_cut, pt, q)
+        for v in _effective_bounds(spec, np.array([lo]), np.array([hi]), opts.tail_mass_cut)
     )
     if not lo_e < hi_e:
-        return 0.0, 0.0
+        return 0.0
     if signed:
         if pt <= lo_e:
             pieces = [(lo_e, hi_e, -1.0)]
@@ -452,10 +441,8 @@ def _abs_moment(
             pieces = [(lo_e, hi_e, 1.0)]
     total = 0.0
     for a0, b0, sgn in pieces:
-        v, e = _weighted_piece(spec, pt, a0, b0, q, opts)
-        total += sgn * v
-        err += e
-    return total, err
+        total += sgn * _weighted_piece(spec, pt, a0, b0, q, opts)
+    return total
 
 
 def _abs_moments(
@@ -466,8 +453,11 @@ def _abs_moments(
     q,
     opts: QuadratureOpts,
     signed=False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``_abs_moment``: all cells in one batched integration.
+) -> np.ndarray:
+    """Array form of ``_abs_moment``: the cells' values from one batched
+    integration.  No error bound is returned: a cell that misses its
+    tolerance raises ``QuadratureError`` instead.  Cells are clipped by
+    ``_effective_bounds``; cells already clipped clip to themselves.
 
     ``q`` and ``signed`` are scalars or per-cell arrays, so cells with
     different weights (a residual's and a curvature's, or the cells of
@@ -491,7 +481,7 @@ def _abs_moments(
     m = pt.size
     q = np.broadcast_to(np.asarray(q, dtype=float), pt.shape)
     signed = np.broadcast_to(signed, pt.shape)
-    lo_e, hi_e, err = _effective_bounds(spec, lo, hi, opts.tail_mass_cut, pt, q)
+    lo_e, hi_e = _effective_bounds(spec, lo, hi, opts.tail_mass_cut)
     hi_e = np.maximum(hi_e, lo_e)
     cut = np.clip(pt, lo_e, hi_e)
     a = np.concatenate((lo_e, cut))
@@ -533,7 +523,7 @@ def _abs_moments(
             f = f * np.abs(t + shift[k, None]) ** shift_pow[k, None]
         return f
 
-    val, val_err = integrate_batch(
+    val, _ = integrate_batch(
         integrand,
         np.zeros(a.size),
         b - a,
@@ -542,7 +532,7 @@ def _abs_moments(
         rel_tol=opts.rel_tol,
         max_subdivisions=opts.max_subdivisions,
     )
-    return np.bincount(cell, sign * val, m), err + np.bincount(cell, val_err, m)
+    return np.bincount(cell, sign * val, m)
 
 
 def cell_moment(
@@ -560,10 +550,9 @@ def cell_moment(
     """
     _require_d1(spec, "cell_moment")
     _require_positive(r=r)
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    val, _ = _abs_moment(spec, float(a), lo, hi, r, opts, signed=False)
-    return val
+    if not lo <= hi:  # NaN fails it too
+        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    return _abs_moment(spec, float(a), lo, hi, r, opts, signed=False)
 
 
 def cell_gradient(
@@ -576,15 +565,14 @@ def cell_gradient(
 ) -> float:
     """d/da of cell_moment: r * integral |x-a|**(r-1) sign(a-x) f(x) dx.
 
-    Zero exactly at the cell's L^r-optimal point.  Requires r >= 1.
+    Zero exactly at the cell's L^r-optimal point.  Requires a finite r >= 1.
     """
     _require_d1(spec, "cell_gradient")
-    if r < 1.0:
-        raise ValueError("cell_gradient requires r >= 1")
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    val, _ = _abs_moment(spec, float(a), lo, hi, r - 1.0, opts, signed=True)
-    return r * val
+    if not 1.0 <= r < _INF:
+        raise ValueError(f"cell_gradient requires a finite r >= 1, got r={r!r}")
+    if not lo <= hi:  # NaN fails it too
+        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    return r * _abs_moment(spec, float(a), lo, hi, r - 1.0, opts, signed=True)
 
 
 # --------------------------------------------------------------------------

@@ -113,6 +113,8 @@ def voronoi_bounds(grid: Grid | np.ndarray) -> np.ndarray:
 
 def nearest(grid: Grid, x: float) -> int:
     """Index of the closest grid point; exact midpoint ties go low."""
+    if math.isnan(x):
+        raise ValueError(f"x must not be NaN, got {x!r}")
     mids = 0.5 * (grid.points[:-1] + grid.points[1:])
     return int(np.searchsorted(mids, x, side="left"))
 
@@ -126,8 +128,8 @@ def dilate(grid: Grid, params: DilationParams) -> Grid:
 
 def count_in_interval(grid: Grid, lo: float, hi: float) -> int:
     """Number of grid points in the closed interval [lo, hi]."""
-    if hi < lo:
-        raise ValueError("need lo <= hi")
+    if not lo <= hi:  # NaN fails it too
+        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
     pts = grid.points
     i = np.searchsorted(pts, lo, side="left")
     j = np.searchsorted(pts, hi, side="right")
@@ -147,5 +149,4 @@ def distortion(
     """
     _require_positive(r=r)
     bounds = voronoi_bounds(grid)
-    moments, _ = _abs_moments(spec, grid.points, bounds[:-1], bounds[1:], r, opts)
-    return float(np.sum(moments))
+    return float(np.sum(_abs_moments(spec, grid.points, bounds[:-1], bounds[1:], r, opts)))

@@ -216,30 +216,28 @@ def _cell_argmins(
     r = 1: the conditional median; r = 2: the conditional mean; otherwise
     the root of the moment derivative r * integral |x - a|**(r-1)
     sign(a - x) f(x) (unique for these unimodal densities; for r < 1 its
-    weight is singular at a) within the cell clipped to the support and
-    tail cuts, searched first at ``start`` when given.
+    weight is singular at a) within the cell clipped, once, to the support
+    and tail cuts, searched first at ``start`` when given.
     """
     if r == 1.0:
         return _conditional_median(spec, b)
     if r == 2.0:
         return _conditional_mean(spec, b)
-    grad, lo_e, hi_e = _moment_derivative(spec, b, r)
-    return _increasing_roots(grad, lo_e, hi_e, start)
+    _require_mass(spec, b)
+    lo, hi = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
+    return _increasing_roots(_moment_derivative(spec, lo, hi, r), lo, hi, start)
 
 
 def _moment_derivative(
-    spec: DistributionSpec, b: np.ndarray, r: float
-) -> tuple[Callable, np.ndarray, np.ndarray]:
-    """The cells' moment derivatives (up to the factor r) and their brackets.
+    spec: DistributionSpec, lo: np.ndarray, hi: np.ndarray, r: float
+) -> Callable:
+    """The moment derivatives (up to the factor r) of the clipped cells [lo, hi].
 
     Returns ``grad(x, idx)``, integral |x - a|**(r-1) sign(a - x) f(x) over
-    cells ``idx`` of [b[i], b[i+1]] at points ``x`` (increasing in x), and
-    each cell's ends clipped to the support and tail cuts.  The cells are
-    clipped once, here: ``grad`` integrates over the clipped brackets,
-    which clip to themselves.
+    cells ``idx`` at points ``x`` (increasing in x).  The brackets must
+    already be clipped to the support and tail cuts (``_effective_bounds``),
+    so that the integration clips nothing more.
     """
-    _require_mass(spec, b)
-    lo_e, hi_e, _ = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
     # a Gamma density ~ x**(a-1) with a + r <= 1 makes the derivative -inf
     # at the origin, where it is not integrated but given a negative value
     pole = spec.family is Family.GAMMA and spec.a + r <= 1.0
@@ -248,11 +246,11 @@ def _moment_derivative(
         live = x > 0.0 if pole else slice(None)
         out = np.full(x.shape, -1.0)
         out[live] = _abs_moments(
-            spec, x[live], lo_e[idx[live]], hi_e[idx[live]], r - 1.0, _QUAD, signed=True
-        )[0]
+            spec, x[live], lo[idx[live]], hi[idx[live]], r - 1.0, _QUAD, signed=True
+        )
         return out
 
-    return grad, lo_e, hi_e
+    return grad
 
 
 def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float:
@@ -260,8 +258,12 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
 
     One cell of the batched sweep: a closed form for r = 1, 2, else the
     root of the moment derivative, integrated under the solver's
-    quadrature controls.
+    quadrature controls.  Infinite ends are allowed; NaN ends and a
+    non-positive or infinite r raise ValueError.
     """
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    _require_positive(r=r)
     return float(_cell_argmins(spec, np.array([lo, hi], float), r)[0])
 
 
@@ -269,28 +271,111 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
 # stationarity system
 # --------------------------------------------------------------------------
 
-def _cell_masses(spec: DistributionSpec, pts: np.ndarray, r: float):
-    """The cell masses of ``pts`` and, for r = 1, the law at its edges.
+class _State(NamedTuple):
+    """A Newton iterate: its points, Voronoi edges ``b``, cell masses, the
+    r = 1 edge law, the cells clipped to the support and tail cuts
+    (``lo``, ``hi``; r not 1 or 2, else None), the residual, the cells'
+    curvatures and the system Newton solves."""
+
+    pts: np.ndarray
+    b: np.ndarray
+    mass: np.ndarray
+    law: tuple | None
+    lo: np.ndarray | None
+    hi: np.ndarray | None
+    res: np.ndarray
+    curv: np.ndarray
+    f: np.ndarray
+
+
+def _state(
+    spec: DistributionSpec, pts: np.ndarray, r: float, cut: float | None = None
+) -> _State | None:
+    """The Newton state at ``pts``; with a ``cut``, None unless admissible.
+
+    Admissible: strictly increasing inside the support, every cell with
+    mass > cut.  A point pushed into a cell of negligible mass has a
+    vanishing stationarity residual wherever it sits; such iterates are
+    refused before their residual is computed.  Each part of the state
+    is computed once: the Jacobian (``_jacobian_banded``) and the
+    fixed-point check (``_sweep_keeps``) read it.
 
     For r = 1 the law is evaluated once, by ``_edge_law``, at the
     interleaved edges b0, a0, b1, a1, ..., bn of the cells and their
-    points: the Newton state's half-cell masses and the fixed-point check
-    read the same values.  A cell takes the cdf or sf side of its lower
-    edge b_i, as in ``_edge_masses`` on the cell edges, so the masses are
-    the same bit for bit; the one lower cell whose point is an upper edge
-    needs the cdf of its upper edge, which no half-cell needed.  Returns
-    (mass, law), law being the interleaved (k, c, s) for r = 1, else None.
+    points (``law``, as (k, c, s)): the half-cell masses and the cell
+    masses read the same values.  A cell takes the cdf or sf side of its
+    lower edge b_i, as in ``_edge_masses`` on the cell edges, so the
+    masses are the same bit for bit; the one lower cell whose point is an
+    upper edge needs the cdf of its upper edge, which no half-cell needed.
+
+    The residual R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over
+    cell i, and the curvature D_i is the derivative of R_i in a_i with
+    the cell's edges held fixed.  Closed forms for r = 1 (the cell's mass
+    below its point minus the mass above; D = 2 f(a)) and r = 2
+    (2 (a P - M1), P the cell mass and M1 its partial first moment;
+    D = 2 P).  Otherwise the cells are clipped to the support and tail
+    cuts once, and R and one more moment come from one ``_abs_moments``
+    call on those 2n brackets: for r > 1, D = r (r - 1) integral
+    |x - a|**(r-2) f(x).  For r < 1 that weight is not integrable, and D
+    follows by parts from G = R / r, the moment M = integral |x - a|**r
+    f(x) and the density at the clipped ends lo, hi, with
+    e(x) = |x - a|**(r-1) f(x), negated at an end on the far side of a:
+    Gaussian, D = r (e(lo) + e(hi) + ((m - a) G + M) / sigma2);
+    Gamma(alpha, lam), D = (r / a) ((r + alpha - 1 - lam a) G + lam M
+    + lo e(lo) + hi e(hi)), where x f(x) is alpha/lam times the
+    Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
+    Newton solves F = R / D for r >= 1 and R itself for r < 1 (``_newton``).
     """
+    if cut is not None:
+        s_lo, s_hi = spec.support
+        if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
+            return None
     b = voronoi_bounds(pts)
-    if r != 1.0:
-        return _edge_masses(spec, b), None
-    edges = np.empty(2 * pts.size + 1)
-    edges[0::2] = b
-    edges[1::2] = pts
-    k, c, s = _edge_law(spec, edges)
-    if k is not None and k % 2:
-        c[k + 1] = cdf(spec, edges[k + 1])
-    return _interval_masses(_cell_split(k), c[0::2], s[0::2]), (k, c, s)
+    law = lo = hi = None
+    if r == 1.0:
+        edges = np.empty(2 * pts.size + 1)
+        edges[0::2] = b
+        edges[1::2] = pts
+        law = k, c, s = _edge_law(spec, edges)
+        if k is not None and k % 2:
+            c[k + 1] = cdf(spec, edges[k + 1])
+        mass = _interval_masses(_cell_split(k), c[0::2], s[0::2])
+    else:
+        mass = _edge_masses(spec, b)
+    if cut is not None and np.min(mass) <= cut:
+        return None
+    if r == 1.0:
+        halves = _interval_masses(*law)
+        res, curv = halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
+    elif r == 2.0:
+        res, curv = 2.0 * (pts * mass - _partial_mean(spec, b, mass)), 2.0 * mass
+    else:
+        n = pts.size
+        lo, hi = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
+        grad, moment = _abs_moments(
+            spec, np.tile(pts, 2), np.tile(lo, 2), np.tile(hi, 2),
+            np.repeat((r - 1.0, r - 2.0 if r > 1.0 else r), n), _QUAD,
+            signed=np.repeat((True, False), n),
+        ).reshape(2, n)
+        res = r * grad
+        if r > 1.0:
+            curv = r * (r - 1.0) * moment
+        else:
+            ends = np.concatenate((lo, hi))
+            # a line-search point may lie beyond its cell's tail cut
+            gap = np.concatenate((pts - lo, hi - pts))
+            dist = np.sign(gap) * np.abs(gap) ** (r - 1.0)
+            if spec.family is Family.GAUSSIAN:
+                e_lo, e_hi = (pdf(spec, ends) * dist).reshape(2, n)
+                curv = e_lo + e_hi + ((spec.m - pts) * grad + moment) / spec.sigma2
+            else:
+                lifted = _lifted(spec.a, spec.lam)
+                xe_lo, xe_hi = (spec.a / spec.lam * pdf(lifted, ends) * dist).reshape(2, n)
+                curv = (
+                    xe_lo + xe_hi + (r + spec.a - 1.0 - spec.lam * pts) * grad + spec.lam * moment
+                ) / pts
+            curv = r * curv
+    return _State(pts, b, mass, law, lo, hi, res, curv, res / curv if r >= 1.0 else res)
 
 
 def _cell_split(k: int | None) -> int | None:
@@ -298,83 +383,21 @@ def _cell_split(k: int | None) -> int | None:
     return None if k is None else (k + 1) // 2
 
 
-def _residual_and_curvature(
-    spec: DistributionSpec,
-    pts: np.ndarray,
-    r: float,
-    mass: np.ndarray | None = None,
-    law: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stationarity residual R and each cell's own curvature D_i, the
-    derivative of R_i in a_i with the cell's edges held fixed.
-
-    R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over cell i.  Closed
-    forms for r = 1 (the cell's mass below its point minus the mass
-    above, from the edge values ``law`` of ``_cell_masses``; D = 2 f(a))
-    and r = 2 (2 (a P - M1), P the cell mass, ``mass`` when given, and M1
-    its partial first moment; D = 2 P).  Each takes the law once at each
-    abscissa it needs.  Otherwise the
-    cells are clipped to the support and tail cuts once, and R and one
-    more moment come from one ``_abs_moments`` call on those 2n brackets:
-    for r > 1, D = r (r - 1) integral |x - a|**(r-2) f(x).
-    For r < 1 that weight is not integrable, and D follows by parts from
-    G = R / r, the moment M = integral |x - a|**r f(x) and the density at
-    the clipped ends lo, hi, with e(x) = |x - a|**(r-1) f(x), negated at
-    an end on the far side of a:
-    Gaussian, D = r (e(lo) + e(hi) + ((m - a) G + M) / sigma2);
-    Gamma(alpha, lam), D = (r / a) ((r + alpha - 1 - lam a) G + lam M
-    + lo e(lo) + hi e(hi)), where x f(x) is alpha/lam times the
-    Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
-    """
-    if r == 1.0:
-        halves = _interval_masses(*(law or _cell_masses(spec, pts, r)[1]))
-        return halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
-    b = voronoi_bounds(pts)
-    if r == 2.0:
-        mass = _edge_masses(spec, b) if mass is None else mass
-        return 2.0 * (pts * mass - _partial_mean(spec, b, mass)), 2.0 * mass
-    n = pts.size
-    lo, hi, _ = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
-    vals, _ = _abs_moments(
-        spec, np.tile(pts, 2), np.tile(lo, 2), np.tile(hi, 2),
-        np.repeat((r - 1.0, r - 2.0 if r > 1.0 else r), n), _QUAD,
-        signed=np.repeat((True, False), n),
-    )
-    grad, moment = vals.reshape(2, n)
-    if r > 1.0:
-        return r * grad, r * (r - 1.0) * moment
-    ends = np.concatenate((lo, hi))
-    # a line-search point may lie beyond its cell's tail cut
-    gap = np.concatenate((pts - lo, hi - pts))
-    dist = np.sign(gap) * np.abs(gap) ** (r - 1.0)
-    if spec.family is Family.GAUSSIAN:
-        e_lo, e_hi = (pdf(spec, ends) * dist).reshape(2, n)
-        curv = e_lo + e_hi + ((spec.m - pts) * grad + moment) / spec.sigma2
-    else:
-        lifted = _lifted(spec.a, spec.lam)
-        xe_lo, xe_hi = (spec.a / spec.lam * pdf(lifted, ends) * dist).reshape(2, n)
-        curv = (
-            xe_lo + xe_hi + (r + spec.a - 1.0 - spec.lam * pts) * grad + spec.lam * moment
-        ) / pts
-    return r * grad, r * curv
-
-
-def _jacobian_banded(
-    spec: DistributionSpec, pts: np.ndarray, r: float, curv: np.ndarray
-) -> np.ndarray:
-    """Banded (3, n) Jacobian of the residual; tridiagonal and symmetric.
+def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
+    """Banded (3, n) Jacobian of the residual at the state ``st``;
+    tridiagonal and symmetric.
 
     Each residual component touches its neighbours only through the
-    shared cell midpoints, each with derivative 1/2.  The diagonal is the
-    cell's curvature ``curv`` (``_residual_and_curvature``) less those
-    two couplings.
+    shared cell midpoints ``st.b``, each with derivative 1/2.  The
+    diagonal is the state's curvature ``st.curv`` less those two
+    couplings.
     """
-    n = pts.size
+    n = st.pts.size
     ab = np.zeros((3, n))
-    ab[1, :] = curv
+    ab[1, :] = st.curv
     if n > 1:
-        w = 0.5 * np.diff(pts)
-        coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, voronoi_bounds(pts)[1:-1])
+        w = 0.5 * np.diff(st.pts)
+        coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, st.b[1:-1])
         ab[1, :-1] -= coupling
         ab[1, 1:] -= coupling
         ab[0, 1:] = -coupling
@@ -395,23 +418,23 @@ def _lloyd_sweep(spec: DistributionSpec, pts: np.ndarray, r: float) -> np.ndarra
     return new
 
 
-def _sweep_keeps(
-    spec: DistributionSpec, pts: np.ndarray, r: float, state: "_State | None" = None
-) -> bool:
-    """Whether a Lloyd sweep would move no point by more than
-    d = ``_LLOYD_MOVE_TOL`` (1 + max|x|).
+def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
+    """Whether a Lloyd sweep would move no point of the Newton state ``st``
+    by more than d = ``_LLOYD_MOVE_TOL`` (1 + max|x|).
 
-    r = 1 and 2 read the Newton ``state`` at ``pts`` (made when not
-    given) and run no sweep.  For r = 2, F = R / D = a - M1 / P is each
-    point's distance from its cell's conditional mean, the sweep's move
-    up to round-off, so the test is max|F| <= d with no evaluation of the
-    law.  For r = 1 the residual R(x) = P[b_i, x] - P[x, b_(i+1)] is taken
-    at x = a - d and a + d, clipped to the cell, with the cell's edges
-    held fixed: 2 (cdf(x) - cdf(b_i)) - P_i in a cell of the cdf side and
+    No sweep runs, and the state's edges, masses, edge law and clipped
+    cells are read, not computed again.  For r = 2, F = R / D = a - M1 / P
+    is each point's distance from its cell's conditional mean, the
+    sweep's move up to round-off, so the test is max|F| <= d with no
+    evaluation of the law.  For r = 1 the residual
+    R(x) = P[b_i, x] - P[x, b_(i+1)] is taken at x = a - d and a + d,
+    clipped to the cell, with the cell's edges held fixed:
+    2 (cdf(x) - cdf(b_i)) - P_i in a cell of the cdf side and
     P_i - 2 (sf(x) - sf(b_(i+1))) in one of the sf side, from the state's
     edge values and the law at those 2n points.
     Otherwise each cell's moment derivative is evaluated at a - d and
-    a + d, clipped to the cell's bracket, in one batch.  Either way the
+    a + d, clipped to the state's clipped cell, in one batch, with no
+    cdf, sf or quantile call.  Either way the
     residual or derivative increases in the point, and the sweep's root
     lies within d of a exactly when it is <= 0 at the left point and
     >= 0 at the right one, or that point is the bracket end.
@@ -421,67 +444,31 @@ def _sweep_keeps(
     does, and the origin fails, so that the rescue sweep raises
     ``_lloyd_sweep``'s error.
     """
+    pts = st.pts
     d = _LLOYD_MOVE_TOL * _scale(pts)
-    if r in (1.0, 2.0):
-        if state is None:
-            state = _state(spec, pts, r)
-        if r == 2.0:
-            return bool(np.max(np.abs(state.f)) <= d)
-        k, c, s = state.law
-        low, mass = ~_upper_intervals(_cell_split(k), c[0::2]), state.mass
-        b = voronoi_bounds(pts)
-        x = np.stack((np.maximum(pts - d, b[:-1]), np.minimum(pts + d, b[1:])))
+    if r == 2.0:
+        return bool(np.max(np.abs(st.f)) <= d)
+    if r == 1.0:
+        k, c, s = st.law
+        low, mass = ~_upper_intervals(_cell_split(k), c[0::2]), st.mass
+        x = np.stack((np.maximum(pts - d, st.b[:-1]), np.minimum(pts + d, st.b[1:])))
         g = np.empty(x.shape)
         g[:, low] = 2.0 * (cdf(spec, x[:, low]) - c[0:-1:2][low]) - mass[low]
         g[:, ~low] = mass[~low] - 2.0 * (sf(spec, x[:, ~low]) - s[2::2][~low])
         return bool(np.all(g[0] <= 0.0) and np.all(g[1] >= 0.0))
-    b = voronoi_bounds(pts)
-    grad, lo_e, hi_e = _moment_derivative(spec, b, r)
-    left, right = np.maximum(pts - d, lo_e), np.minimum(pts + d, hi_e)
+    grad = _moment_derivative(spec, st.lo, st.hi, r)
+    left, right = np.maximum(pts - d, st.lo), np.minimum(pts + d, st.hi)
     cells = np.arange(pts.size)
     g_left, g_right = np.split(
         grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
     )
     if left[0] <= spec.support[0]:
-        first = _cell_argmins(spec, b[:2], r, start=pts[:1])
+        first = _increasing_roots(grad, st.lo[:1], st.hi[:1], pts[:1])
         if first[0] <= spec.support[0]:
             return False
     return bool(
-        np.all((g_left <= 0.0) | (left == lo_e)) and np.all((g_right >= 0.0) | (right == hi_e))
+        np.all((g_left <= 0.0) | (left == st.lo)) and np.all((g_right >= 0.0) | (right == st.hi))
     )
-
-
-class _State(NamedTuple):
-    """A Newton iterate's cell masses, edge law (``_cell_masses``),
-    residual, curvatures and the system Newton solves."""
-
-    mass: np.ndarray
-    law: tuple | None
-    res: np.ndarray
-    curv: np.ndarray
-    f: np.ndarray
-
-
-def _state(
-    spec: DistributionSpec, pts: np.ndarray, r: float, cut: float | None = None
-) -> _State | None:
-    """The Newton state at ``pts``; with a ``cut``, None unless admissible.
-
-    Admissible: strictly increasing inside the support, every cell with
-    mass > cut.  A point pushed into a cell of negligible mass has a
-    vanishing stationarity residual wherever it sits; such iterates are
-    refused before their residual is computed.  Newton solves
-    F = R / D for r >= 1 and R itself for r < 1 (``_newton``).
-    """
-    if cut is not None:
-        s_lo, s_hi = spec.support
-        if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
-            return None
-    mass, law = _cell_masses(spec, pts, r)
-    if cut is not None and np.min(mass) <= cut:
-        return None
-    res, curv = _residual_and_curvature(spec, pts, r, mass, law)
-    return _State(mass, law, res, curv, res / curv if r >= 1.0 else res)
 
 
 def _scale(pts: np.ndarray) -> float:
@@ -495,20 +482,19 @@ def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
     return (spec.a - 1.0) / x - spec.lam
 
 
-def _newton_matrix(
-    spec: DistributionSpec, pts: np.ndarray, r: float, res: np.ndarray, curv: np.ndarray
-) -> np.ndarray:
-    """Banded (3, n) Jacobian of F = R / D (r >= 1), D the cells' curvatures.
+def _newton_matrix(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
+    """Banded (3, n) Jacobian of F = R / D (r >= 1) at the state ``st``,
+    D the cells' curvatures.
 
     Row i of the residual's Jacobian divided by D_i, less F_i D_i'/D_i on
     the diagonal, with D_i' modelled as D_i (log f)'(a_i): exact for
     r = 1, where D = 2 f(a).
     """
-    ab = _jacobian_banded(spec, pts, r, curv)
+    ab = _jacobian_banded(spec, st, r)
     # line k of the band holds row j + k - 1 at column j (padded index j + k)
-    rows = np.arange(pts.size) + np.arange(3)[:, None]
-    ab /= np.pad(curv, 1, constant_values=1.0)[rows]
-    ab[1] -= res / curv * _dlog_pdf(spec, pts)
+    rows = np.arange(st.pts.size) + np.arange(3)[:, None]
+    ab /= np.pad(st.curv, 1, constant_values=1.0)[rows]
+    ab[1] -= st.f * _dlog_pdf(spec, st.pts)
     return ab
 
 
@@ -527,12 +513,12 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 def _newton(
     spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> tuple[np.ndarray, _State, int, bool]:
+) -> tuple[_State, int, bool]:
     """Damped Newton on the stationarity system.
 
-    Every state is the residual R and the cells' curvatures D from one
-    ``_residual_and_curvature`` call, and D is the diagonal of the
-    Jacobian (``_jacobian_banded``).  For r >= 1 each equation R_i = 0 is
+    Every iterate is one ``_state``: its residual R, and the cells'
+    curvatures D on the diagonal of the Jacobian (``_jacobian_banded``).
+    For r >= 1 each equation R_i = 0 is
     divided by D_i, so that F_i = R_i / D_i is the distance point i still
     has to move in its cell, mass or not (``_newton_matrix``).  From the
     limiting-law seed the plain system under-steps in the tail cells,
@@ -541,14 +527,14 @@ def _newton(
     point nears the origin, so sup|F| would be a misleading merit there.
     A step is taken once the sup of the system solved does not grow.
     Converged: sup|R| <= grad_tol and the last step <= position_tol
-    (1 + max|x|).  Returns the points, their state, the iterations and
-    whether it converged.
+    (1 + max|x|).  Returns the last state, the iterations and whether it
+    converged.
     """
 
     def converged() -> bool:
         return bool(
             np.max(np.abs(st.res)) <= opts.grad_tol
-            and last_step <= opts.position_tol * _scale(pts)
+            and last_step <= opts.position_tol * _scale(st.pts)
         )
 
     st = _state(spec, pts, r)
@@ -557,23 +543,19 @@ def _newton(
     iters = 0
     for _ in range(_MAX_NEWTON_ITERS):
         if converged():
-            return pts, st, iters, True
-        if r >= 1.0:
-            ab = _newton_matrix(spec, pts, r, st.res, st.curv)
-        else:
-            ab = _jacobian_banded(spec, pts, r, st.curv)
+            return st, iters, True
+        ab = _newton_matrix(spec, st, r) if r >= 1.0 else _jacobian_banded(spec, st, r)
         step = _tridiagonal_solve(ab, -st.f)
         if step is None:
             break
         lam = 1.0
         moved = False
         while lam >= 1e-7:
-            cand = pts + lam * step
-            c_st = _state(spec, cand, r, _QUAD.tail_mass_cut)
+            c_st = _state(spec, st.pts + lam * step, r, _QUAD.tail_mass_cut)
             if c_st is not None:
                 c_merit = float(np.max(np.abs(c_st.f)))
                 if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:
-                    pts, st, merit = cand, c_st, c_merit
+                    st, merit = c_st, c_merit
                     last_step = lam * float(np.max(np.abs(step)))
                     moved = True
                     break
@@ -581,7 +563,7 @@ def _newton(
         iters += 1
         if not moved:
             break
-    return pts, st, iters, converged()
+    return st, iters, converged()
 
 
 def _lloyd_newton(
@@ -592,21 +574,23 @@ def _lloyd_newton(
     Returns the points, the residual, the sweeps and the Newton
     iterations.  A Newton result is accepted only if a Lloyd sweep would
     move it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which
-    ``_sweep_keeps`` decides without running the sweep (counted as one
-    sweep): from the final Newton state alone for r = 2, from its edge
-    values and the law at 2n more points for r = 1, and in one batched
-    quadrature pass otherwise.  The residual is weighted by cell mass, so
+    ``_sweep_keeps`` decides from the final Newton state without running
+    the sweep (counted as one sweep): from that state alone for r = 2,
+    from its edge values and the law at 2n more points for r = 1, and
+    from its clipped cells in one batched quadrature pass otherwise.  The
+    residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
     in the far tail.  Otherwise 20 more sweeps run and Newton restarts,
     up to three times.
     """
     sweeps = newton_iters = 0
     for _ in range(3):
-        pts, st, iters, ok = _newton(spec, pts, r, opts)
+        st, iters, ok = _newton(spec, pts, r, opts)
+        pts = st.pts
         newton_iters += iters
         if ok:
             sweeps += 1
-            if _sweep_keeps(spec, pts, r, st):
+            if _sweep_keeps(spec, st, r):
                 return pts, st.res, sweeps, newton_iters
         for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
             pts = _lloyd_sweep(spec, pts, r)

@@ -146,6 +146,23 @@ def test_empirical_check_json(capsys):
     assert payload["max_discrepancy"] <= 0.05
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "n = 30\nbins = 10\ntheta_star = 1.14285714\nmax_discrepancy = 0.0333333333\n"),
+        (
+            "json",
+            '{\n  "n": 30,\n  "bins": 10,\n  "theta_star": 1.1428571428571428,\n'
+            '  "max_discrepancy": 0.03333333333333334\n}\n',
+        ),
+    ],
+)
+def test_empirical_check_output_is_pinned(capsys, fmt, expected):
+    code, out, _ = run_cli(capsys, "empirical-check", "--dist", "gamma", "--a", "2",
+                           "--n", "30", "--r", "1.5", "--s", "2", "--format", fmt)
+    assert code == 0 and out == expected
+
+
 def test_constants_json_contains_bundle(capsys):
     code, out, _ = run_cli(capsys, "constants", "--dist", "exponential",
                            "--r", "2", "--s", "1", "--format", "json")

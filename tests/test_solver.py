@@ -26,7 +26,7 @@ from quantilab.distributions import (
     pdf,
     quantile,
 )
-from quantilab.quantizer import Grid, distortion, voronoi_bounds
+from quantilab.quantizer import Grid, count_in_interval, distortion, nearest, voronoi_bounds
 from quantilab.solver import (
     AkSequence,
     GridCache,
@@ -75,6 +75,26 @@ def test_cell_argmin_empty_cell_raises():
         cell_argmin(GAUSS, 50.0, 60.0, 2.0)
 
 
+_GRID3 = Grid(np.array([0.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: count_in_interval(_GRID3, math.nan, 1.0), "lo=nan"),
+        (lambda: nearest(_GRID3, math.nan), "^x must not be NaN"),
+        (lambda: cell_argmin(GAUSS, math.nan, 1.0, 3.0), "lo=nan"),
+        (lambda: cell_argmin(GAUSS, -1.0, 1.0, math.nan), "^r must be finite and positive, got nan"),
+        (lambda: cell_moment(GAUSS, 0.0, math.nan, 1.0, 2.0), "lo=nan"),
+        (lambda: distributions.cell_gradient(GAUSS, 0.0, -1.0, 1.0, INF), "r=inf"),
+    ],
+    ids=["count-lo", "nearest-x", "argmin-lo", "argmin-r", "moment-lo", "gradient-r"],
+)
+def test_nan_and_infinite_arguments_raise_value_error_naming_them(call, bad):
+    with pytest.raises(ValueError, match=bad):
+        call()
+
+
 def _argmin_by_minimisation(spec, lo, hi, r):
     """Oracle: bounded scalar minimisation of the cell moment itself.
 
@@ -83,7 +103,7 @@ def _argmin_by_minimisation(spec, lo, hi, r):
     which sinks below rounding once d < ~1e-8.
     """
     q = solver._QUAD
-    lo_e, hi_e, _ = _effective_bounds(spec, np.array([lo]), np.array([hi]), q.tail_mass_cut)
+    lo_e, hi_e = _effective_bounds(spec, np.array([lo]), np.array([hi]), q.tail_mass_cut)
     res = minimize_scalar(
         lambda x: cell_moment(spec, x, lo, hi, r, q),
         bounds=(float(lo_e[0]), float(hi_e[0])),
@@ -119,8 +139,8 @@ def test_subunit_cell_argmin_matches_minimisation_oracle(spec, lo, hi, r):
     # sharper, from the scalar integrator: the moment derivative changes
     # sign across a, to well below the oracle's resolution
     h = 1e-9 * (1.0 + abs(a))
-    below, _ = _abs_moment(spec, a - h, lo, hi, r - 1.0, solver._QUAD, signed=True)
-    above, _ = _abs_moment(spec, a + h, lo, hi, r - 1.0, solver._QUAD, signed=True)
+    below = _abs_moment(spec, a - h, lo, hi, r - 1.0, solver._QUAD, signed=True)
+    above = _abs_moment(spec, a + h, lo, hi, r - 1.0, solver._QUAD, signed=True)
     assert below < 0.0 < above
 
 
@@ -162,8 +182,8 @@ def _off_stationary(spec, n, r, seed):
 def test_closed_form_residual_matches_quadrature(spec, r, n):
     pts = _off_stationary(spec, n, r, seed=n)
     b = voronoi_bounds(pts)
-    quad, _ = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, solver._QUAD, signed=True)
-    res = solver._residual_and_curvature(spec, pts, r)[0]
+    quad = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, solver._QUAD, signed=True)
+    res = solver._state(spec, pts, r).res
     np.testing.assert_allclose(res, r * quad, rtol=0, atol=1e-13)
 
 
@@ -180,11 +200,11 @@ JACOBIAN_CASES = [
 @pytest.mark.parametrize("spec, r", JACOBIAN_CASES)
 def test_jacobian_matches_central_differences_of_the_residual(spec, r, n):
     def residual(x):
-        return solver._residual_and_curvature(spec, x, r)[0]
+        return solver._state(spec, x, r).res
 
     pts = _off_stationary(spec, n, r, seed=n)
     h = 1e-4 * (np.min(np.diff(pts)) if n > 1 else 1.0)
-    ab = solver._jacobian_banded(spec, pts, r, solver._residual_and_curvature(spec, pts, r)[1])
+    ab = solver._jacobian_banded(spec, solver._state(spec, pts, r), r)
     fd = np.zeros((3, n))
     for k in range(3):  # residual i sees points i - 1, i, i + 1 only
         moved = np.arange(n) % 3 == k
@@ -237,7 +257,8 @@ def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
             b = voronoi_bounds(pts)
             edges = np.empty(2 * n + 1)
             edges[0::2], edges[1::2] = b, pts
-            mass, law = solver._cell_masses(spec, pts, 1.0)
+            st = solver._state(spec, pts, 1.0)
+            mass, law = st.mass, st.law
             np.testing.assert_array_equal(mass, _edge_masses(spec, b))
             np.testing.assert_array_equal(
                 distributions._interval_masses(*law), _edge_masses(spec, edges)
@@ -280,10 +301,46 @@ def test_closed_form_fixed_point_check_reads_the_newton_state(spec, r, grid_of, 
     pts = grid_of(spec, n, r).points
     state = solver._state(spec, pts, r)
     counts = _count_law(monkeypatch)
-    assert solver._sweep_keeps(spec, pts, r, state)
+    assert solver._sweep_keeps(spec, state, r)
     # r = 1: the residual at a -+ d; r = 2: max|F| of the state itself
     assert counts["cdf"] + counts["sf"] == (2 * n if r == 1.0 else 0)
     assert counts["quantile"] == counts["quantile_sf"] == 0
+
+
+def test_each_newton_state_takes_its_voronoi_edges_once(monkeypatch):
+    # the Jacobian and the fixed-point check read the state's edges: 27
+    # voronoi_bounds calls for the 9 states of this solve before
+    real_bounds, real_state = solver.voronoi_bounds, solver._state
+    bounds, states = [0], [0]
+
+    def counting_bounds(*args, **kwargs):
+        bounds[0] += 1
+        return real_bounds(*args, **kwargs)
+
+    def counting_state(*args, **kwargs):
+        st = real_state(*args, **kwargs)
+        states[0] += st is not None
+        return st
+
+    monkeypatch.setattr(solver, "voronoi_bounds", counting_bounds)
+    monkeypatch.setattr(solver, "_state", counting_state)
+    res = optimal_grid(GAUSS, 300, 4.0, full_result=True)
+    assert res.lloyd_sweeps == 1
+    assert bounds[0] == states[0] > 0
+
+
+@pytest.mark.parametrize("r", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+def test_quadrature_fixed_point_check_reads_the_clipped_cells_of_the_state(
+    spec, r, grid_of, monkeypatch
+):
+    # no mass test and no second clip: a Gaussian n = 300 check sent 305
+    # abscissae to cdf and sf and made 2 tail inversions before
+    pts = grid_of(spec, 300, r).points
+    state = solver._state(spec, pts, r)
+    counts = _count_law(monkeypatch)
+    assert solver._sweep_keeps(spec, state, r)
+    assert counts == dict.fromkeys(("cdf", "sf", "quantile", "quantile_sf"), 0)
 
 
 @pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
@@ -291,12 +348,12 @@ def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
     # r = 1: F = R / (2 f(a)), and dD/da = D (log f)' holds exactly
     n = 20
     pts = _off_stationary(spec, n, 1.0, seed=n)
-    res, curv = solver._residual_and_curvature(spec, pts, 1.0)
-    np.testing.assert_array_equal(curv, 2.0 * pdf(spec, pts))
-    ab = solver._newton_matrix(spec, pts, 1.0, res, curv)
+    st = solver._state(spec, pts, 1.0)
+    np.testing.assert_array_equal(st.curv, 2.0 * pdf(spec, pts))
+    ab = solver._newton_matrix(spec, st, 1.0)
 
     def scaled(x):
-        return solver._residual_and_curvature(spec, x, 1.0)[0] / (2.0 * pdf(spec, x))
+        return solver._state(spec, x, 1.0).res / (2.0 * pdf(spec, x))
 
     h = 1e-4 * np.min(np.diff(pts))
     fd = np.zeros((3, n))
@@ -324,7 +381,7 @@ def test_each_cell_set_is_clipped_to_its_tail_cuts_once(monkeypatch):
 
     monkeypatch.setattr(distributions, "quantile_sf", counting)
     pts = _off_stationary(GAUSS, 3, 0.5, seed=3)
-    solver._residual_and_curvature(GAUSS, pts, 0.5)
+    solver._state(GAUSS, pts, 0.5)
     assert calls[0] == 1
     calls[0] = 0
     solver._lloyd_sweep(GAUSS, pts, 0.5)
@@ -359,18 +416,18 @@ def _record_batches(monkeypatch, *names):
 
 @pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
 def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
-    states, jacobians = _record_batches(
-        monkeypatch, "_residual_and_curvature", "_jacobian_banded"
-    )
+    states, jacobians = _record_batches(monkeypatch, "_state", "_jacobian_banded")
     res = optimal_grid(GAUSS, 20, r, full_result=True)
     assert len(jacobians) == res.newton_iters > 0
-    # residual and curvature of a Newton state: one batch between them
-    assert [batches for batches, *_ in states] == [1] * len(states)
-    curvatures = [out[1] for *_, out in states]
+    # residual and curvature of a computed Newton state: one batch between
+    # them; a refused candidate runs none
+    computed = [out for *_, out in states if out is not None]
+    assert [batches for batches, *_, out in states if out is not None] == [1] * len(computed)
+    assert all(batches == 0 for batches, *_, out in states if out is None)
     for batches, args, _, _ in jacobians:
-        # no integral of its own: each Jacobian reuses a state's curvature
+        # no integral of its own: each Jacobian reads a state's curvature
         assert batches == 0
-        assert any(args[3] is c for c in curvatures)
+        assert any(args[1] is st for st in computed)
 
 
 # -- optimal_grid ----------------------------------------------------------------
@@ -669,7 +726,8 @@ def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
     "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
 )
 def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
-    pts, _, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, SolverOpts())
+    st, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, SolverOpts())
+    pts = st.pts
     b = voronoi_bounds(pts)
     assert np.min(_edge_masses(spec, b)) > solver._QUAD.tail_mass_cut
 
@@ -995,7 +1053,9 @@ def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
             swept = solver._lloyd_sweep(spec, pts, r)
             move = np.max(np.abs(swept - pts))
             fixed = move <= solver._LLOYD_MOVE_TOL * (1.0 + np.max(np.abs(pts)))
-            assert solver._sweep_keeps(spec, pts, r) == fixed, (n, eps, move)
+            assert solver._sweep_keeps(spec, solver._state(spec, pts, r), r) == fixed, (
+                n, eps, move,
+            )
             decisions.add(bool(fixed))
     assert decisions == {True, False}
 
@@ -1006,7 +1066,7 @@ def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
     pts = solver._initial_points(spec, n, r)
     with pytest.raises(SolverError, match="origin"):
         solver._lloyd_sweep(spec, pts, r)
-    assert not solver._sweep_keeps(spec, pts, r)
+    assert not solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1027,7 +1087,7 @@ def test_sign_test_rejects_a_first_point_near_the_origin_that_the_sweep_sends_th
     assert np.all(np.abs(roots[1:] - pts[1:]) <= solver._LLOYD_MOVE_TOL * (1.0 + pts[-1]))
     with pytest.raises(SolverError, match="origin"):
         solver._lloyd_sweep(spec, pts, r)
-    assert not solver._sweep_keeps(spec, pts, r)
+    assert not solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
 
 
 def test_gamma_half_with_a_first_point_near_the_pole_solves():
