@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -116,9 +117,10 @@ class DistributionSpec:
 
     @functools.cached_property
     def _median_band(self) -> np.ndarray:
-        """The quantiles at 0.5 -+ 1e-9: an edge below the first has cdf
-        <= 0.5 and one at or above the second cdf > 0.5, whatever the
-        cdf's round-off (``_edge_law``); computed once per spec."""
+        """The quantiles at 0.5 -+ 1e-9, once per spec: an edge below the
+        first has cdf <= 0.5 and one at or above the second cdf > 0.5,
+        whatever the cdf's round-off, so ``_edge_law`` asks the cdf only
+        about the edges between."""
         band = quantile(self, np.array([0.5 - 1e-9, 0.5 + 1e-9]))
         band.flags.writeable = False
         return band
@@ -191,7 +193,7 @@ def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
         out[mask] = math.log(lam) - lam * flat[mask]
         return _ret(out.reshape(xs.shape), scalar)
     a = spec.a
-    mask = flat > 0.0
+    mask = (flat > 0.0) & (flat < _INF)  # (a - 1) log(x) - lam x is inf - inf at +inf
     with np.errstate(divide="ignore"):
         out[mask] = (
             a * math.log(lam)
@@ -260,70 +262,67 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
     return _ret(out, scalar)
 
 
-def _edge_law(spec: DistributionSpec, edges: np.ndarray):
-    """The cdf and sf of sorted ``edges`` where ``_edge_masses`` needs them.
+class _EdgeLaw(NamedTuple):
+    """The law at sorted edges, read one interval [edges[i], edges[i+1]] at
+    a time (``_edge_law``).
 
-    Interval i, [edges[i], edges[i+1]], is upper when its lower edge has
-    cdf > 0.5; its mass is then an sf difference, else a cdf difference.
-    An edge outside the median band is upper or lower by its position
-    alone; the cdf decides the lower edges inside the band.  Returns
-    (k, c, s): the intervals [0, k) are lower and the rest upper, c holds
-    the cdf of the edges of the lower ones and s the sf of the edges of
-    the upper ones, 0 elsewhere.  Outside the band each edge gets each
-    value its intervals need once: the edge where the lower intervals
-    meet the upper ones gets both.  Should the cdf's round-off step back
-    within the band, k is None, c and s hold every edge and each interval
-    is upper where c > 0.5 (``_upper_intervals``).
+    ``upper[i]``: interval i takes the sf side, else the cdf side.  ``c``
+    holds the cdf of every edge that bounds a lower interval, ``s`` the sf
+    of every edge that bounds an upper one; each is 0 outside its run of
+    edges.
+    """
+
+    upper: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+
+    def masses(self) -> np.ndarray:
+        """The interval masses, each on its own side; 0 if empty."""
+        mass = np.where(self.upper, self.s[:-1] - self.s[1:], self.c[1:] - self.c[:-1])
+        return np.maximum(mass, 0.0)
+
+    def tails(self) -> np.ndarray:
+        """Each interval's tail beyond its lower edge: that edge's cdf on
+        the cdf side, its sf on the sf side."""
+        return np.where(self.upper, self.s[:-1], self.c[:-1])
+
+
+def _edge_law(spec: DistributionSpec, edges: np.ndarray) -> _EdgeLaw:
+    """The cdf and sf of sorted ``edges`` (infinite ends allowed) where
+    their intervals need them.
+
+    Interval i is upper when its lower edge has cdf > 0.5; its mass is
+    then an sf difference, else a cdf difference, so neither tail loses
+    digits to cancellation.  An edge outside the median band is upper or
+    lower by its position alone; inside the band its cdf decides.  The
+    cdf runs from the first edge to the last lower interval's upper edge
+    and the sf from the first upper interval's lower edge to the last
+    edge, so an edge outside the band takes each function its intervals
+    need once.  Where the cdf's round-off steps back across 0.5 inside
+    the band, the two runs overlap there and the same rule holds.
     """
     n = edges.size - 1
-    left = edges[:-1]
-    k, k_hi = left.searchsorted(spec._median_band).tolist()
-    c, s = np.zeros(n + 1), np.zeros(n + 1)
+    k, k_hi = edges[:-1].searchsorted(spec._median_band).tolist()
+    upper = np.zeros(n, bool)
+    upper[k_hi:] = True
+    c_end, s_start = k, k_hi  # the cdf of edges[:c_end + 1], the sf of edges[s_start:]
     if k < k_hi:
-        up = cdf(spec, left[k:k_hi]) > 0.5
-        if np.any(up[:-1] > up[1:]):
-            c[:], s[:] = cdf(spec, edges), sf(spec, edges)
-            return None, c, s
-        k += int(np.count_nonzero(~up))
-    if k:
-        c[: k + 1] = cdf(spec, edges[: k + 1])
-    if k < n:
-        s[k:] = sf(spec, edges[k:])
-    return k, c, s
+        band = upper[k:k_hi] = cdf(spec, edges[k:k_hi]) > 0.5
+        at = np.arange(k, k_hi)
+        s_start = int(at[band].min(initial=k_hi))
+        c_end = int(at[~band].max(initial=k - 1)) + 1
+    c, s = np.zeros(n + 1), np.zeros(n + 1)
+    if c_end:
+        c[: c_end + 1] = cdf(spec, edges[: c_end + 1])
+    if s_start < n:
+        s[s_start:] = sf(spec, edges[s_start:])
+    return _EdgeLaw(upper, c, s)
 
 
-def _upper_intervals(k: int | None, c: np.ndarray) -> np.ndarray:
-    """Which intervals of ``_edge_law``'s (k, c, s) take the sf side."""
-    return c[:-1] > 0.5 if k is None else np.arange(c.size - 1) >= k
-
-
-def _interval_masses(k: int | None, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The interval masses from ``_edge_law``'s (k, c, s); an empty interval
-    has mass 0."""
-    if k is None:
-        mass = np.where(c[:-1] > 0.5, s[:-1] - s[1:], c[1:] - c[:-1])
-    else:
-        mass = np.concatenate((c[1 : k + 1] - c[:k], s[k:-1] - s[k + 1 :]))
-    return np.maximum(mass, 0.0)
-
-
-def _edge_masses(spec: DistributionSpec, edges: np.ndarray, with_tails: bool = False):
-    """P([edges[i], edges[i+1]]) for sorted edges (infinite ends allowed).
-
-    Each interval takes whichever of cdf/sf avoids cancellation: the cdf
-    difference when its lower edge has cdf <= 0.5, else the sf
-    difference.  ``_edge_law`` evaluates each edge once, outside a narrow
-    band around the median, with the cdf or the sf as its intervals need.
-    ``with_tails`` also returns which intervals are upper and each
-    interval's tail beyond its lower edge: the cdf of that edge for a
-    lower interval, its sf for an upper one.
-    """
-    k, c, s = _edge_law(spec, edges)
-    mass = _interval_masses(k, c, s)
-    if not with_tails:
-        return mass
-    upper = _upper_intervals(k, c)
-    return mass, upper, np.where(upper, s[:-1], c[:-1])
+def _edge_masses(spec: DistributionSpec, edges: np.ndarray) -> np.ndarray:
+    """P([edges[i], edges[i+1]]) for sorted edges (infinite ends allowed),
+    each from the cdf or the sf side as ``_edge_law`` decides."""
+    return _edge_law(spec, edges).masses()
 
 
 # --------------------------------------------------------------------------
@@ -550,8 +549,8 @@ def cell_moment(
     """
     _require_d1(spec, "cell_moment")
     _require_positive(r=r)
-    if not lo <= hi:  # NaN fails it too
-        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    if not (-_INF < a < _INF and lo <= hi):  # NaN fails it too
+        raise ValueError(f"need a finite a and lo <= hi, got a={a!r}, lo={lo!r}, hi={hi!r}")
     return _abs_moment(spec, float(a), lo, hi, r, opts, signed=False)
 
 
@@ -570,8 +569,8 @@ def cell_gradient(
     _require_d1(spec, "cell_gradient")
     if not 1.0 <= r < _INF:
         raise ValueError(f"cell_gradient requires a finite r >= 1, got r={r!r}")
-    if not lo <= hi:  # NaN fails it too
-        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    if not (-_INF < a < _INF and lo <= hi):  # NaN fails it too
+        raise ValueError(f"need a finite a and lo <= hi, got a={a!r}, lo={lo!r}, hi={hi!r}")
     return r * _abs_moment(spec, float(a), lo, hi, r - 1.0, opts, signed=True)
 
 

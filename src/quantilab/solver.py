@@ -31,10 +31,9 @@ from .distributions import (
     _abs_moments,
     _edge_law,
     _edge_masses,
+    _EdgeLaw,
     _effective_bounds,
-    _interval_masses,
     _require_positive,
-    _upper_intervals,
     cdf,
     cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
     empirical_measure_law,
@@ -108,12 +107,13 @@ class SolveResult:
 # cell optimisation, all cells at once
 # --------------------------------------------------------------------------
 
-def _require_mass(spec: DistributionSpec, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The cell masses, upper cells and tails of ``_edge_masses``; no empty cell."""
-    mass, upper, tail = _edge_masses(spec, b, with_tails=True)
+def _require_mass(spec: DistributionSpec, b: np.ndarray) -> tuple[np.ndarray, _EdgeLaw]:
+    """The cell masses and the edge law they come from; no empty cell."""
+    law = _edge_law(spec, b)
+    mass = law.masses()
     if np.any(mass <= 0.0):
         raise SolverError("empty-mass cell", np.array([]), math.nan)
-    return mass, upper, tail
+    return mass, law
 
 
 @functools.lru_cache(maxsize=64)
@@ -140,7 +140,8 @@ def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
 
 
 def _conditional_median(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
-    mass, upper, tail = _require_mass(spec, b)
+    mass, law = _require_mass(spec, b)
+    upper, tail = law.upper, law.tails()
     lower = ~upper  # the cells whose mass came from the cdf
     out = np.empty(mass.shape)
     p = tail[lower] + 0.5 * mass[lower]
@@ -273,14 +274,15 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
 
 class _State(NamedTuple):
     """A Newton iterate: its points, Voronoi edges ``b``, cell masses, the
-    r = 1 edge law, the cells clipped to the support and tail cuts
-    (``lo``, ``hi``; r not 1 or 2, else None), the residual, the cells'
-    curvatures and the system Newton solves."""
+    r = 1 edge law of the interleaved edges (``_EdgeLaw``; else None), the
+    cells clipped to the support and tail cuts (``lo``, ``hi``; r not 1
+    or 2, else None), the residual, the cells' curvatures and the system
+    Newton solves."""
 
     pts: np.ndarray
     b: np.ndarray
     mass: np.ndarray
-    law: tuple | None
+    law: _EdgeLaw | None
     lo: np.ndarray | None
     hi: np.ndarray | None
     res: np.ndarray
@@ -302,11 +304,9 @@ def _state(
 
     For r = 1 the law is evaluated once, by ``_edge_law``, at the
     interleaved edges b0, a0, b1, a1, ..., bn of the cells and their
-    points (``law``, as (k, c, s)): the half-cell masses and the cell
-    masses read the same values.  A cell takes the cdf or sf side of its
-    lower edge b_i, as in ``_edge_masses`` on the cell edges, so the
-    masses are the same bit for bit; the one lower cell whose point is an
-    upper edge needs the cdf of its upper edge, which no half-cell needed.
+    points (``law``).  The residual reads its half-cell masses; each
+    cell mass is the sum of its two halves, read only by the tail-cut
+    test here and by the fixed-point check.
 
     The residual R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over
     cell i, and the curvature D_i is the derivative of R_i in a_i with
@@ -336,16 +336,14 @@ def _state(
         edges = np.empty(2 * pts.size + 1)
         edges[0::2] = b
         edges[1::2] = pts
-        law = k, c, s = _edge_law(spec, edges)
-        if k is not None and k % 2:
-            c[k + 1] = cdf(spec, edges[k + 1])
-        mass = _interval_masses(_cell_split(k), c[0::2], s[0::2])
+        law = _edge_law(spec, edges)
+        halves = law.masses()
+        mass = halves[0::2] + halves[1::2]
     else:
         mass = _edge_masses(spec, b)
     if cut is not None and np.min(mass) <= cut:
         return None
     if r == 1.0:
-        halves = _interval_masses(*law)
         res, curv = halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
     elif r == 2.0:
         res, curv = 2.0 * (pts * mass - _partial_mean(spec, b, mass)), 2.0 * mass
@@ -376,11 +374,6 @@ def _state(
                 ) / pts
             curv = r * curv
     return _State(pts, b, mass, law, lo, hi, res, curv, res / curv if r >= 1.0 else res)
-
-
-def _cell_split(k: int | None) -> int | None:
-    """The lower cells of a split ``k`` of the interleaved edges."""
-    return None if k is None else (k + 1) // 2
 
 
 def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
@@ -428,10 +421,11 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
     sweep's move up to round-off, so the test is max|F| <= d with no
     evaluation of the law.  For r = 1 the residual
     R(x) = P[b_i, x] - P[x, b_(i+1)] is taken at x = a - d and a + d,
-    clipped to the cell, with the cell's edges held fixed:
-    2 (cdf(x) - cdf(b_i)) - P_i in a cell of the cdf side and
-    P_i - 2 (sf(x) - sf(b_(i+1))) in one of the sf side, from the state's
-    edge values and the law at those 2n points.
+    clipped to the cell, with the cell's edges held fixed.  A cell takes
+    the side of its half-cell [b_i, a_i] in the state's edge law, and t,
+    that half's tail beyond b_i: R(x) = 2 (cdf(x) - t) - P_i on the cdf
+    side and 2 (t - sf(x)) - P_i on the sf side, with the law at those
+    2n points.
     Otherwise each cell's moment derivative is evaluated at a - d and
     a + d, clipped to the state's clipped cell, in one batch, with no
     cdf, sf or quantile call.  Either way the
@@ -449,12 +443,12 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
     if r == 2.0:
         return bool(np.max(np.abs(st.f)) <= d)
     if r == 1.0:
-        k, c, s = st.law
-        low, mass = ~_upper_intervals(_cell_split(k), c[0::2]), st.mass
+        up, t = st.law.upper[0::2], st.law.tails()[0::2]
         x = np.stack((np.maximum(pts - d, st.b[:-1]), np.minimum(pts + d, st.b[1:])))
         g = np.empty(x.shape)
-        g[:, low] = 2.0 * (cdf(spec, x[:, low]) - c[0:-1:2][low]) - mass[low]
-        g[:, ~low] = mass[~low] - 2.0 * (sf(spec, x[:, ~low]) - s[2::2][~low])
+        g[:, ~up] = 2.0 * (cdf(spec, x[:, ~up]) - t[~up])
+        g[:, up] = 2.0 * (t[up] - sf(spec, x[:, up]))
+        g -= st.mass
         return bool(np.all(g[0] <= 0.0) and np.all(g[1] >= 0.0))
     grad = _moment_derivative(spec, st.lo, st.hi, r)
     left, right = np.maximum(pts - d, st.lo), np.minimum(pts + d, st.hi)
@@ -576,7 +570,7 @@ def _lloyd_newton(
     move it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which
     ``_sweep_keeps`` decides from the final Newton state without running
     the sweep (counted as one sweep): from that state alone for r = 2,
-    from its edge values and the law at 2n more points for r = 1, and
+    from its edge law and the law at 2n more points for r = 1, and
     from its clipped cells in one batched quadrature pass otherwise.  The
     residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
@@ -645,19 +639,19 @@ def optimal_grid(
     curvature, which lets Newton start at the seed in the tail cells.
     The result must also be a fixed point of the Lloyd sweep, else up to
     three rescues of 20 sweeps run.  For r = 1 and 2 a Newton state takes
-    the cdf or sf once per abscissa it needs; the fixed-point check of
-    r = 2 is max|F| of the final state, and that of r = 1 the sign of the
-    residual at a -+ d from the final state's edge values and the law at
-    2n more points.  Off the closed forms (r not 1 or 2) each Newton
-    state (residual and curvatures) and the fixed-point check is one
-    batched quadrature pass over all the cells it needs.  Raises
-    ``SolverError`` rather than return an unverified grid.  The solve
-    starts from ``init_grid`` when given, else from the quantiles of the
-    limiting point law.  For log-concave densities (Gaussian, Gamma shape
-    >= 1) the stationary point is the global optimum; Gamma shapes below 1
-    are flagged ``stationary_only`` in the full result.  The solve runs on
-    the unit-scale law (N(0, 1) or Gamma(a, 1)); the tolerances and the
-    reported residual are those of that law.
+    the cdf or sf once per abscissa it needs (``_edge_law``); the
+    fixed-point check of r = 2 is max|F| of the final state, and that of
+    r = 1 the sign of the residual at a -+ d from the final state's edge
+    law and the law at 2n more points.  Off the closed forms (r not 1 or
+    2) each Newton state (residual and curvatures) and the fixed-point
+    check is one batched quadrature pass over all the cells it needs.
+    Raises ``SolverError`` rather than return an unverified grid.  The
+    solve starts from ``init_grid`` when given, else from the quantiles
+    of the limiting point law.  For log-concave densities (Gaussian,
+    Gamma shape >= 1) the stationary point is the global optimum; Gamma
+    shapes below 1 are flagged ``stationary_only`` in the full result.
+    The solve runs on the unit-scale law (N(0, 1) or Gamma(a, 1)); the
+    tolerances and the reported residual are those of that law.
     """
     opts = opts or SolverOpts()
     if spec.d != 1:

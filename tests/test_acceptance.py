@@ -1,10 +1,12 @@
 """Acceptance suite: one test per exit criterion, each printing a
 PASS/FAIL line with the measured quantity."""
 
+import contextlib
 import math
 import time
 
 import numpy as np
+import pytest
 
 from quantilab.analysis import (
     empirical_identity_check,
@@ -232,7 +234,10 @@ def test_criterion_9_property_suites():
             for s in (0.5, 1.0, 2.0, 4.0):
                 if s == r:
                     continue
-                th = theta_star(spec, r, s)
+                # the Gaussian s = r + d lies outside the proven window
+                window = pytest.warns(UserWarning, match="outside the proven equivalence window")
+                with window if spec is GAUSS and s == r + 1.0 else contextlib.nullcontext():
+                    th = theta_star(spec, r, s)
                 lo, hi = admissible_theta_range(spec, r, s)
                 if not lo < th < hi:
                     failures.append(f"admissibility {spec.family.value} r={r} s={s}")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -189,7 +190,10 @@ def test_identity_holds_for_gaussian_and_exponential(spec, r, s, interval):
 @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
 def test_identity_via_quantile_windows(spec, r, s):
     interval = (float(quantile(spec, 0.1)), float(quantile(spec, 0.9)))
-    res = empirical_identity_check(spec, r, s, interval)
+    # the Gaussian s = r + d lies outside theta_star's proven window
+    window = pytest.warns(UserWarning, match="outside the proven equivalence window")
+    with window if spec is GAUSS and s == r + 1.0 else contextlib.nullcontext():
+        res = empirical_identity_check(spec, r, s, interval)
     assert res.abs_gap <= 1e-8
 
 

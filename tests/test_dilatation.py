@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import pytest
@@ -94,7 +95,11 @@ def test_admissible_range_reference_values():
 @pytest.mark.parametrize("s", EXPONENT_GRID)
 def test_theta_star_lies_in_admissible_range(spec, r, s):
     lo, hi = admissible_theta_range(spec, r, s)
-    assert lo < theta_star(spec, r, s) < hi
+    # the Gaussian s = r + d lies outside the proven window
+    window = pytest.warns(UserWarning, match="outside the proven equivalence window")
+    with window if spec is GAUSS and s == r + 1.0 else contextlib.nullcontext():
+        th = theta_star(spec, r, s)
+    assert lo < th < hi
 
 
 # -- quadrature constants vs closed forms ---------------------------------------

@@ -15,6 +15,7 @@ from quantilab.distributions import (
     UnsupportedDimensionError,
     _abs_moment,
     _abs_moments,
+    _edge_law,
     _edge_masses,
     _effective_bounds,
     c_fr,
@@ -24,6 +25,7 @@ from quantilab.distributions import (
     cube_coefficient,
     empirical_density,
     empirical_measure_law,
+    log_pdf,
     pdf,
     quantile,
     quantile_sf,
@@ -59,6 +61,16 @@ def test_pdf_exponential_support_boundary():
 def test_pdf_gamma7_at_one():
     # x**6 e**(-x) / 6! at x = 1
     assert pdf(GAMMA7, 1.0) == pytest.approx(math.exp(-1.0) / 720.0, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_pdf_vanishes_at_both_infinities(spec):
+    # a Gamma shape above 1 once took (a - 1) log(x) - lam x = inf - inf at +inf
+    assert pdf(spec, INF) == pdf(spec, -INF) == 0.0
+    assert log_pdf(spec, INF) == log_pdf(spec, -INF) == -INF
+    np.testing.assert_array_equal(pdf(spec, np.array([-INF, 1.0, INF]))[[0, 2]], 0.0)
+    np.testing.assert_array_equal(log_pdf(spec, np.array([-INF, INF])), -INF)
 
 
 @pytest.mark.parametrize("spec", FAMILIES)
@@ -406,8 +418,10 @@ def test_edge_masses_keep_the_rule_where_the_cdf_steps_back_in_the_band(monkeypa
         else:
             ref.append(float(sf(GAUSS, lo) - sf(GAUSS, hi)))
     np.testing.assert_array_equal(_edge_masses(GAUSS, edges), ref)
-    mass, upper, tail = _edge_masses(GAUSS, edges, with_tails=True)
-    np.testing.assert_array_equal(upper, [False, False, True, False, True])
+    law = _edge_law(GAUSS, edges)
+    np.testing.assert_array_equal(law.upper, [False, False, True, False, True])
+    np.testing.assert_array_equal(law.masses(), ref)
+    tail = law.tails()
     assert tail[2] == sf(GAUSS, x1) and tail[3] == 0.5
 
 

@@ -87,8 +87,15 @@ _GRID3 = Grid(np.array([0.0, 1.0, 2.0]))
         (lambda: cell_argmin(GAUSS, -1.0, 1.0, math.nan), "^r must be finite and positive, got nan"),
         (lambda: cell_moment(GAUSS, 0.0, math.nan, 1.0, 2.0), "lo=nan"),
         (lambda: distributions.cell_gradient(GAUSS, 0.0, -1.0, 1.0, INF), "r=inf"),
+        (lambda: cell_moment(GAUSS, math.nan, 0.0, 1.0, 2.0), "a=nan"),
+        (lambda: cell_moment(GAUSS, INF, 0.0, 1.0, 2.0), "a=inf"),
+        (lambda: distributions.cell_gradient(GAUSS, math.nan, 0.0, 1.0, 2.0), "a=nan"),
+        (lambda: distributions.cell_gradient(GAUSS, -INF, 0.0, 1.0, 2.0), "a=-inf"),
     ],
-    ids=["count-lo", "nearest-x", "argmin-lo", "argmin-r", "moment-lo", "gradient-r"],
+    ids=[
+        "count-lo", "nearest-x", "argmin-lo", "argmin-r", "moment-lo", "gradient-r",
+        "moment-a-nan", "moment-a-inf", "gradient-a-nan", "gradient-a-inf",
+    ],
 )
 def test_nan_and_infinite_arguments_raise_value_error_naming_them(call, bad):
     with pytest.raises(ValueError, match=bad):
@@ -248,8 +255,9 @@ def _count_law(monkeypatch):
 @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
 def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
     # one evaluation of the interleaved edges b0, a0, b1, ..., bn gives the
-    # half-cell masses and the cell masses, each bit for bit as a call of
-    # its own, whether the cdf side ends at a cell edge or at a point
+    # half-cell masses, bit for bit as a call of its own, and the cell
+    # masses are their pair sums, whether the cdf side ends at a cell edge
+    # or at a point
     parities = set()
     for n in (1, 2, 3, 4, 7, 40):
         for seed in range(4):
@@ -258,12 +266,11 @@ def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
             edges = np.empty(2 * n + 1)
             edges[0::2], edges[1::2] = b, pts
             st = solver._state(spec, pts, 1.0)
-            mass, law = st.mass, st.law
-            np.testing.assert_array_equal(mass, _edge_masses(spec, b))
-            np.testing.assert_array_equal(
-                distributions._interval_masses(*law), _edge_masses(spec, edges)
-            )
-            parities.add(law[0] % 2)
+            halves = _edge_masses(spec, edges)
+            np.testing.assert_array_equal(st.law.masses(), halves)
+            np.testing.assert_array_equal(st.mass, halves[0::2] + halves[1::2])
+            np.testing.assert_allclose(st.mass, _edge_masses(spec, b), rtol=1e-13)
+            parities.add(np.count_nonzero(~st.law.upper) % 2)
     assert parities == {0, 1}
 
 
@@ -280,13 +287,13 @@ def test_closed_form_solves_take_the_law_once_per_abscissa(r, monkeypatch):
     monkeypatch.setattr(solver, "_state", counting_state)
     optimal_grid(spec, n, r)
     law = counts["cdf"] + counts["sf"]
-    # a Newton state takes, for r = 1, the 2n + 1 interleaved edges, the
-    # edge where the cdf side meets the sf side twice and one cell edge's
-    # cdf; for r = 2, the n + 1 cell edges under the law and under
-    # Gamma(a + 1, lam) (for M1), one edge twice in each.  Two more allow
-    # for edges inside the median band.  The r = 1 check takes the law at
-    # 2n more points, the r = 2 check at none.
-    per_state = 2 * n + 5 if r == 1.0 else 2 * n + 6
+    # a Newton state takes, for r = 1, the 2n + 1 interleaved edges and
+    # the edge where the cdf side meets the sf side twice; for r = 2, the
+    # n + 1 cell edges under the law and under Gamma(a + 1, lam) (for M1),
+    # one edge twice in each.  Two more allow for edges inside the median
+    # band.  The r = 1 check takes the law at 2n more points, the r = 2
+    # check at none.
+    per_state = 2 * n + 4 if r == 1.0 else 2 * n + 6
     assert law <= states[0] * per_state + (2 * n if r == 1.0 else 0)
     # when every edge took the cdf, the upper ones the sf too, and the
     # check re-ran the Lloyd sweep: 11,875 (r = 1) and 8,345 (r = 2)
