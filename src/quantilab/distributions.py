@@ -177,7 +177,7 @@ def _ret(arr: np.ndarray, scalar: bool):
 # --------------------------------------------------------------------------
 
 def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Natural log of the density; -inf outside the support."""
+    """Natural log of the density; -inf outside the support, NaN at NaN."""
     _require_d1(spec, "log_pdf")
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
@@ -187,7 +187,7 @@ def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
         return _ret(out, scalar)
     lam = spec.lam
     flat = np.atleast_1d(xs)
-    out = np.full(flat.shape, -_INF)
+    out = np.where(np.isnan(flat), np.nan, -_INF)
     if spec.a == 1.0:
         mask = flat >= 0.0
         out[mask] = math.log(lam) - lam * flat[mask]
@@ -215,24 +215,59 @@ def pdf(spec: DistributionSpec, x) -> np.ndarray | float:
     return _ret(out, scalar)
 
 
+def _gamma_p_or_q(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
+    """Q(a, x) (``upper``) or P(a, x), the regularised incomplete gamma
+    functions at x >= 0 (NaN and +inf allowed).
+
+    For a < 1 scipy's series path is slow on x < 1.1, so there both come
+    from shape a + 1 (DLMF 8.8.2) with t = x^a e^(-x) / Gamma(a + 1):
+    P(a, x) = P(a + 1, x) + t adds two positive terms, and
+    Q(a, x) = Q(a + 1, x) - t keeps a point only where
+    Q(a + 1, x) + t <= 8 Q(a, x), at most 3 bits lost to cancellation;
+    any other point, and every shape a >= 1, takes scipy at shape a.
+    """
+    fn = special.gammaincc if upper else special.gammainc
+    if a >= 1.0:
+        return fn(a, x)
+    near = x < 1.1
+    out = np.empty_like(x)
+    out[~near] = fn(a, x[~near])
+    xn = x[near]
+    with np.errstate(divide="ignore"):
+        t = np.exp(a * np.log(xn) - xn - math.lgamma(a + 1.0))
+    if upper:
+        q1 = special.gammaincc(a + 1.0, xn)
+        v = q1 - t
+        lossy = q1 + t > 8.0 * v
+        v[lossy] = special.gammaincc(a, xn[lossy])
+    else:  # two rounded terms can pass 1 where Q(a, x) is below round-off
+        v = np.minimum(special.gammainc(a + 1.0, xn) + t, 1.0)
+    out[near] = v
+    return out
+
+
 def cdf(spec: DistributionSpec, x) -> np.ndarray | float:
+    """Distribution function P(X <= x); a Gamma shape below 1 is evaluated
+    near the origin from shape a + 1 (``_gamma_p_or_q``)."""
     _require_d1(spec, "cdf")
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
         out = special.ndtr((xs - spec.m) / spec.sigma)
     else:
-        out = special.gammainc(spec.a, spec.lam * np.maximum(xs, 0.0))
+        out = _gamma_p_or_q(spec.a, spec.lam * np.maximum(xs, 0.0), upper=False)
     return _ret(out, scalar)
 
 
 def sf(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Survival function 1 - cdf, computed without cancellation in the tail."""
+    """Survival function 1 - cdf, computed without cancellation in the tail;
+    a Gamma shape below 1 is evaluated near the origin from shape a + 1
+    (``_gamma_p_or_q``)."""
     _require_d1(spec, "sf")
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
         out = special.ndtr(-(xs - spec.m) / spec.sigma)
     else:
-        out = special.gammaincc(spec.a, spec.lam * np.maximum(xs, 0.0))
+        out = _gamma_p_or_q(spec.a, spec.lam * np.maximum(xs, 0.0), upper=True)
     return _ret(out, scalar)
 
 

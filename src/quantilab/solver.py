@@ -470,10 +470,12 @@ def _scale(pts: np.ndarray) -> float:
 
 
 def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    """(log f)'(x) inside the support."""
+    """(log f)'(x) inside the support; +-inf where (a - 1) / x overflows
+    for a Gamma point near the origin."""
     if spec.family is Family.GAUSSIAN:
         return (spec.m - x) / spec.sigma2
-    return (spec.a - 1.0) / x - spec.lam
+    with np.errstate(over="ignore"):
+        return (spec.a - 1.0) / x - spec.lam
 
 
 def _newton_matrix(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:

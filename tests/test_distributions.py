@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import special
 from hypothesis import strategies as st
 
 from quantilab import distributions
@@ -73,6 +74,16 @@ def test_pdf_vanishes_at_both_infinities(spec):
     np.testing.assert_array_equal(log_pdf(spec, np.array([-INF, INF])), -INF)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_pointwise_functions_give_nan_at_nan(spec):
+    # a Gamma density once read NaN as a point outside its support
+    for fn in (pdf, log_pdf, cdf, sf):
+        assert math.isnan(fn(spec, math.nan))
+        got = fn(spec, np.array([[math.nan, 1.0], [2.0, math.nan]]))
+        assert np.isnan(got).tolist() == [[True, False], [False, True]]
+
+
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_pdf_integrates_to_one(spec):
     mass = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0, TIGHT)
@@ -128,6 +139,64 @@ def test_exponential_quantiles_match_closed_forms(lam, p):
     spec = DistributionSpec.exponential(lam)
     _assert_rel_close(quantile(spec, p), -math.log1p(-p) / lam)
     _assert_rel_close(quantile_sf(spec, p), -math.log(p) / lam)
+
+
+# Gamma shapes below 1 take cdf and sf near the origin from shape a + 1.
+SUBUNIT_X = np.concatenate([np.geomspace(1e-8, 40.0, 120), np.linspace(0.05, 1.1, 200)])
+
+
+def _max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want) / want))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+@pytest.mark.parametrize("a", [1e-6, 0.05, 0.3, 0.5, 0.9])
+def test_subunit_gamma_cdf_and_sf_match_mpmath(a, lam):
+    # the recurrence, its cancellation guard (a = 1e-6, and a = 0.05 near
+    # x = 1.1) and the points left to scipy stay within scipy's own error
+    spec = DistributionSpec.gamma(a, lam)
+    x = SUBUNIT_X / lam
+    u = lam * x
+    with mpmath.workdps(40):
+        p = np.array([float(mpmath.gammainc(a, 0, v, regularized=True)) for v in u])
+        q = np.array([float(mpmath.gammainc(a, v, mpmath.inf, regularized=True)) for v in u])
+    assert _max_rel_err(cdf(spec, x), p) <= max(5e-14, _max_rel_err(special.gammainc(a, u), p))
+    assert _max_rel_err(sf(spec, x), q) <= max(5e-14, _max_rel_err(special.gammaincc(a, u), q))
+
+
+def test_gamma_half_cdf_and_sf_match_the_error_function():
+    spec = DistributionSpec.gamma(0.5)
+    x = SUBUNIT_X
+    assert _max_rel_err(cdf(spec, x), special.erf(np.sqrt(x))) <= 5e-14
+    assert _max_rel_err(sf(spec, x), special.erfc(np.sqrt(x))) <= 5e-14
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9])
+def test_subunit_gamma_cdf_and_sf_at_the_ends_and_in_any_shape(a):
+    spec = DistributionSpec.gamma(a, 2.5)
+    assert (cdf(spec, 0.0), sf(spec, 0.0)) == (0.0, 1.0)
+    assert (cdf(spec, -1.0), sf(spec, -1.0)) == (0.0, 1.0)
+    assert (cdf(spec, INF), sf(spec, INF)) == (1.0, 0.0)
+    assert isinstance(cdf(spec, 0.3), float) and isinstance(sf(spec, 0.3), float)
+    grid = np.array([[0.0, 0.01, 0.3], [0.44, 2.0, INF]])
+    for fn in (cdf, sf):
+        got = fn(spec, grid)
+        assert got.shape == grid.shape
+        np.testing.assert_array_equal(got.ravel(), fn(spec, grid.ravel()))
+        np.testing.assert_array_equal(got[0], [fn(spec, v) for v in grid[0]])
+
+
+def test_subunit_gamma_cdf_stays_at_most_one_where_its_sf_is_below_round_off():
+    x = np.linspace(0.0, 1.1, 1001)
+    assert np.all(cdf(DistributionSpec.gamma(1e-20), x) <= 1.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 7.0])
+def test_gamma_shapes_from_one_take_scipy_bit_for_bit(a):
+    x = np.concatenate([[0.0, INF, math.nan], SUBUNIT_X])
+    spec = DistributionSpec.gamma(a)
+    np.testing.assert_array_equal(cdf(spec, x), special.gammainc(a, x))
+    np.testing.assert_array_equal(sf(spec, x), special.gammaincc(a, x))
 
 
 def test_quantile_examples():

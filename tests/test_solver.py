@@ -1105,6 +1105,47 @@ def test_gamma_half_with_a_first_point_near_the_pole_solves():
     assert res.residual_sup <= SolverOpts().grad_tol and res.lloyd_sweeps == 1
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
+def test_gamma_seed_near_the_origin_solves(a, r):
+    # (a - 1) / x once overflowed in the Newton matrix (Gamma(0.5), r = 1, 2)
+    spec = DistributionSpec.gamma(a)
+    seeded = optimal_grid(spec, 5, r, init_grid=Grid(np.linspace(0.01, 5.0, 5))).points
+    ref = optimal_grid(spec, 5, r).points
+    assert np.max(np.abs(seeded - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
+def _mp_cell_centres(a: float, pts: np.ndarray, r: float) -> np.ndarray:
+    """Each Voronoi cell's conditional median (r = 1) or mean (r = 2) under
+    Gamma(a, 1) at 40 digits; a median is two Newton steps from the cell's
+    point, which is far closer than the steps' quadratic error can show."""
+    with mpmath.workdps(40):
+        a_ = mpmath.mpf(a)
+        b = [mpmath.mpf(0)] + [mpmath.mpf(v) for v in voronoi_bounds(pts)[1:-1]] + [mpmath.inf]
+        P = [mpmath.gammainc(a_, 0, v, regularized=True) for v in b]
+        if r == 2.0:
+            P1 = [mpmath.gammainc(a_ + 1, 0, v, regularized=True) for v in b]
+            return np.array(
+                [float(a_ * (P1[i + 1] - P1[i]) / (P[i + 1] - P[i])) for i in range(len(pts))]
+            )
+        out = []
+        for i, p in enumerate(pts):
+            target, y = (P[i] + P[i + 1]) / 2, mpmath.mpf(p)
+            for _ in range(2):
+                dens = y ** (a_ - 1) * mpmath.exp(-y) / mpmath.gamma(a_)
+                y -= (mpmath.gammainc(a_, 0, y, regularized=True) - target) / dens
+            out.append(float(y))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("r, tol", [(1.0, 1e-14), (2.0, 1e-12)])
+@pytest.mark.parametrize("a", [0.3, 0.5])
+def test_subunit_gamma_grids_sit_at_their_mpmath_cell_centres(a, r, tol):
+    pts = optimal_grid(DistributionSpec.gamma(a), 100, r).points
+    centres = _mp_cell_centres(a, pts, r)
+    assert np.all(np.abs(pts - centres) <= tol * (1.0 + np.abs(pts)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 900])
 def test_tridiagonal_solve_matches_solve_banded(n):
     rng = np.random.default_rng(n)
