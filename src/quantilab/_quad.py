@@ -5,11 +5,14 @@ error bound meets the requested tolerance.  ``integrate_endpoint_power``
 removes an endpoint power ``|x - end|**p``, ``p`` in (-1, 0), by a
 monomial change of variable rather than by brute-force subdivision.
 
-``integrate_batch`` runs many integrals at once as ``(panels, 16)`` node
-arrays, with the same per-integral stopping test and subdivision budget.
-An integral that behaves like ``(x - lo)**p`` at its lower end gets a
-16-point Gauss-Jacobi panel there (a product rule for the algebraic end
-weight, as in QUADPACK's QAWS), so that end needs no bisection.
+``integrate_batch`` runs many integrals at once as node-major
+``(16, panels)`` node arrays, with the same per-integral stopping test and
+subdivision budget.  An integral that behaves like ``(x - lo)**p`` at its
+lower end gets a 16-point Gauss-Jacobi panel there (a product rule for the
+algebraic end weight, as in QUADPACK's QAWS), so that end needs no
+bisection.  Panels are summed from a C-contiguous ``(panels, 16)`` copy of
+the integrand's values: BLAS sums a transposed view in another order, and
+the copy keeps every panel sum bit for bit that of a row-major layout.
 """
 
 from __future__ import annotations
@@ -158,12 +161,19 @@ def _panels(
     """16-point panel sums over [a[j], b[j]], Gauss-Legendre without ``ends``.
 
     ``ends = (lo, rule_of, nodes, weights)``: a panel of integral k that
-    starts at ``lo[k]`` uses row ``rule_of[k]`` of ``nodes`` and ``weights``,
-    a Jacobi rule in ``_jacobi_rule`` form; every other panel uses row 0,
-    Gauss-Legendre about the panel's midpoint.  Rows are gathered per chunk
-    and the nodes built in place, because extra panel-sized temporaries
-    make the allocator hand heap pages back and fault them in again on
-    every call (about 30% of a Gamma(7) s = 2.5 distortion).
+    starts at ``lo[k]`` uses column ``rule_of[k]`` of ``nodes`` (16, rules)
+    and row ``rule_of[k]`` of ``weights`` (rules, 16), a Jacobi rule in
+    ``_jacobi_rule`` form; every other panel uses rule 0, Gauss-Legendre
+    about the panel's midpoint.
+
+    The nodes of a chunk are a ``(16, p)`` array, node-major, so that
+    per-panel values broadcast along contiguous rows.  Rules are gathered
+    per chunk and the nodes built in place, because extra panel-sized
+    temporaries make the allocator hand heap pages back and fault them in
+    again on every call (about 30% of a Gamma(7) s = 2.5 distortion).  The
+    integrand's values are summed from a C-contiguous ``(p, 16)`` copy:
+    BLAS and ``einsum`` sum a transposed view in another order, so the
+    copy keeps each panel's sum bit for bit that of the row-major layout.
     """
     out = np.empty(a.size)
     for s in range(0, a.size, _CHUNK):
@@ -173,18 +183,20 @@ def _panels(
         half = 0.5 * width
         mid = 0.5 * (a[part] + b[part])
         if ends is None:
-            x = mid[:, None] + half[:, None] * _NODES
-            out[part] = half * (fn(x, k) @ _WEIGHTS)
+            x = _NODES[:, None] * half
+            x += mid
+            out[part] = half * (np.ascontiguousarray(fn(x, k).T) @ _WEIGHTS)
             continue
         lo, rule_of, nodes, weights = ends
         rule = np.where(a[part] == lo[k], rule_of[k], 0)
         at_lo = rule > 0
         centre = np.where(at_lo, a[part], mid)
         scale = np.where(at_lo, width, half)
-        x = np.take(nodes, rule, axis=0)
-        x *= scale[:, None]
-        x += centre[:, None]
-        out[part] = scale * np.einsum("ij,ij->i", fn(x, k), np.take(weights, rule, axis=0))
+        x = np.take(nodes, rule, axis=1)
+        x *= scale
+        x += centre
+        vals = np.ascontiguousarray(fn(x, k).T)
+        out[part] = scale * np.einsum("ij,ij->i", vals, np.take(weights, rule, axis=0))
     return out
 
 
@@ -200,11 +212,14 @@ def integrate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``m`` integrands over ``[lo[k], hi[k]]`` in one array pass.
 
-    ``fn(x, owner)`` evaluates integrand ``owner[j]`` at the nodes ``x[j]``
-    of a ``(p, 16)`` array.  Refinement is level-synchronous: each round
-    bisects, in every integral that has not yet met ``integrate``'s test
-    (summed panel error <= max(abs_tol, rel_tol * |total|)), the panels
-    whose error exceeds an even share of half that tolerance.  Returns
+    ``fn(x, owner)`` evaluates integrand ``owner[j]`` at the nodes
+    ``x[:, j]`` of a node-major ``(16, p)`` array, so that a per-panel
+    array such as ``lo[owner]`` broadcasts against ``x`` as it is; the
+    panel sums take a C-contiguous transposed copy of the values (see
+    ``_panels``).  Refinement is level-synchronous: each round bisects,
+    in every integral that has not yet met ``integrate``'s test (summed
+    panel error <= max(abs_tol, rel_tol * |total|)), the panels whose
+    error exceeds an even share of half that tolerance.  Returns
     ``(values, error_bounds)``; empty or reversed intervals give zero.
 
     ``power[k] > -1`` says that integrand k behaves like
@@ -229,7 +244,8 @@ def integrate_batch(
             rule_of = np.zeros(m, dtype=np.intp)  # 0: Legendre, i: Jacobi for ps[i - 1]
             rule_of[jacobi] = idx + 1
             rules = [(_NODES, _WEIGHTS)] + [_jacobi_rule(float(p)) for p in ps]
-            ends = (lo, rule_of, np.array([r[0] for r in rules]), np.array([r[1] for r in rules]))
+            nodes = np.stack([r[0] for r in rules], axis=1)  # node-major, as the panels
+            ends = (lo, rule_of, nodes, np.array([r[1] for r in rules]))
 
     total = np.zeros(m)
     err_total = np.zeros(m)

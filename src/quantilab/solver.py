@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import special
-from scipy.linalg.lapack import dgtsv
 
 from .distributions import (
     DistributionSpec,
@@ -487,9 +486,10 @@ def _newton_matrix(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
     r = 1, where D = 2 f(a).
     """
     ab = _jacobian_banded(spec, st, r)
-    # line k of the band holds row j + k - 1 at column j (padded index j + k)
-    rows = np.arange(st.pts.size) + np.arange(3)[:, None]
-    ab /= np.pad(st.curv, 1, constant_values=1.0)[rows]
+    # line k of the band holds row j + k - 1 at column j
+    ab[0, 1:] /= st.curv[:-1]
+    ab[1] /= st.curv
+    ab[2, :-1] /= st.curv[1:]
     ab[1] -= st.f * _dlog_pdf(spec, st.pts)
     return ab
 
@@ -499,10 +499,12 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
     For n >= 2 that is LAPACK's ``gtsv``, called here directly: the
     wrapper's validation costs more than the solve.  Overwrites ``ab``
-    and ``rhs``.
+    and ``rhs``.  scipy.linalg is imported on the first such solve, so
+    that commands which solve nothing do not load it.
     """
     if ab.shape[1] == 1:
         return rhs / ab[1]
+    from scipy.linalg.lapack import dgtsv
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
     return None if info else x
 

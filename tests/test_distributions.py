@@ -84,6 +84,51 @@ def test_pointwise_functions_give_nan_at_nan(spec):
         assert np.isnan(got).tolist() == [[True, False], [False, True]]
 
 
+EDGE_X = [math.nan, -INF, -1.0, 0.0, INF]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.0, 7.0])
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+def test_gamma_density_at_the_support_edges(a, lam):
+    # log_pdf evaluates its formula on every point and fixes up only these
+    at_zero = INF if a < 1.0 else math.log(lam) if a == 1.0 else -INF
+    want = [math.nan, -INF, -INF, at_zero, -INF]
+    spec = DistributionSpec.gamma(a, lam)
+    np.testing.assert_array_equal(log_pdf(spec, np.array(EDGE_X)), want)
+    np.testing.assert_array_equal(pdf(spec, np.array(EDGE_X)), np.exp(want))
+    for x, w in zip(EDGE_X, want):
+        got, dens = log_pdf(spec, x), pdf(spec, x)
+        assert type(got) is float and type(dens) is float
+        np.testing.assert_array_equal([got, dens], [w, math.exp(w)])
+
+
+def _masked_gamma_log_pdf(a, lam, x):
+    out = np.where(np.isnan(x), math.nan, -INF)
+    inside = (x > 0.0) & (x < INF)
+    xi = x[inside]
+    out[inside] = a * math.log(lam) - math.lgamma(a) + (a - 1.0) * np.log(xi) - lam * xi
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 2.0, 7.0, 40.0])
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+def test_gamma_log_pdf_is_bit_for_bit_the_masked_formula(a, lam):
+    rng = np.random.default_rng(11)
+    x = np.concatenate(
+        [np.geomspace(1e-300, 1e300, 601), rng.uniform(0.0, 30.0, 992), EDGE_X, [-0.0, 5e-324]]
+    )
+    rng.shuffle(x)
+    spec = DistributionSpec.gamma(a, lam)
+    want = _masked_gamma_log_pdf(a, lam, x)
+    want[x == 0.0] = INF if a < 1.0 else math.log(lam) if a == 1.0 else -INF
+    np.testing.assert_array_equal(log_pdf(spec, x), want)
+    np.testing.assert_array_equal(log_pdf(spec, x.reshape(16, -1)), want.reshape(16, -1))
+    inside = x[(x > 0.0) & (x < INF)]
+    np.testing.assert_array_equal(log_pdf(spec, inside), _masked_gamma_log_pdf(a, lam, inside))
+
+
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_pdf_integrates_to_one(spec):
     mass = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0, TIGHT)

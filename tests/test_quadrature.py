@@ -5,7 +5,12 @@ import pytest
 from scipy import special
 
 from quantilab._quad import (
+    _CHUNK,
+    _NODES,
+    _WEIGHTS,
     QuadratureError,
+    _jacobi_rule,
+    _panels,
     integrate,
     integrate_batch,
     integrate_endpoint_power,
@@ -74,10 +79,11 @@ BATCH = [
 
 
 def _stacked(x, k):
+    # x is node-major: column j holds the 16 nodes of panel j
     out = np.empty_like(x)
     for j, fn in enumerate(BATCH):
-        rows = k == j
-        out[rows] = fn(x[rows])
+        cols = k == j
+        out[:, cols] = fn(x[:, cols])
     return out
 
 
@@ -126,7 +132,7 @@ def test_batch_end_power_is_at_each_integrals_own_lower_end():
     lo = np.array([-3.0, 0.5, 7.0, 2.0])
     power = np.array([-0.5, -0.5, 0.0, 1.5])
     vals, _ = integrate_batch(
-        lambda x, k: (x - lo[k, None]) ** power[k, None],
+        lambda x, k: (x - lo[k]) ** power[k],
         lo,
         lo + 1.0,
         power=power,
@@ -153,3 +159,34 @@ def test_batch_zero_end_powers_are_bit_identical_to_none():
     zero = integrate_batch(fn, lo, hi, power=np.zeros(4))
     np.testing.assert_array_equal(zero[0], plain[0])
     np.testing.assert_array_equal(zero[1], plain[1])
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_node_major_panels_sum_as_the_row_major_layout(mixed):
+    # the (16, p) nodes must give each panel the bits of the (p, 16) layout:
+    # half * (F @ _WEIGHTS) for Gauss-Legendre, einsum once a Jacobi rule is in
+    rng = np.random.default_rng(5)
+    lo = np.array([0.0, -1.0, 2.0])
+    p = 2 * _CHUNK + 100 if mixed else _CHUNK  # one BLAS call sees the reference's rows
+    owner = rng.integers(0, 3, p)
+    a = lo[owner] + np.where(rng.random(p) < 0.4, 0.0, rng.uniform(0.1, 3.0, p))
+    b = a + rng.uniform(1e-3, 2.0, p)
+    fn = lambda x, k: np.exp(-0.5 * x) * np.cos(x - lo[k]) + np.abs(x - lo[k]) ** 0.3
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    if not mixed:
+        x = mid[:, None] + half[:, None] * _NODES
+        ref = half * (fn(x, owner[:, None]) @ _WEIGHTS)
+        np.testing.assert_array_equal(_panels(fn, a, b, owner), ref)
+        return
+    rules = [(_NODES, _WEIGHTS), _jacobi_rule(0.3), _jacobi_rule(-0.5)]
+    rule_of = np.array([0, 1, 2])
+    nodes = np.array([r[0] for r in rules])
+    weights = np.array([r[1] for r in rules])
+    ends = (lo, rule_of, np.ascontiguousarray(nodes.T), weights)
+    rule = np.where(a == lo[owner], rule_of[owner], 0)
+    at_lo = rule > 0
+    assert at_lo.any() and (rule == 0).any()
+    scale = np.where(at_lo, b - a, half)
+    x = nodes[rule] * scale[:, None] + np.where(at_lo, a, mid)[:, None]
+    ref = scale * np.einsum("ij,ij->i", fn(x, owner[:, None]), weights[rule])
+    np.testing.assert_array_equal(_panels(fn, a, b, owner, ends), ref)

@@ -942,6 +942,16 @@ def test_subunit_solver_matches_the_recursion_at_n_900(grid_of):
     assert gap <= 5e-12
 
 
+def _fresh_stdout(script: str) -> str:
+    """What ``script`` prints in a fresh interpreter that imports this quantilab."""
+    src = str(Path(quantilab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_library_calls_do_not_import_scipy_optimize():
     script = (
         "import sys\n"
@@ -952,12 +962,19 @@ def test_library_calls_do_not_import_scipy_optimize():
         "ql.rate_constants(ql.RateQuery(ql.DistributionSpec.gaussian(), 2.0, 1.0, 0.9))\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    src = str(Path(quantilab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    assert _fresh_stdout(script) == "False"
+
+
+def test_scipy_linalg_is_imported_on_the_first_tridiagonal_solve():
+    # commands that solve nothing skip its import time
+    script = (
+        "import sys\n"
+        "import quantilab as ql\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "ql.optimal_grid(ql.DistributionSpec.gaussian(), 5, 2.0)\n"
+        "print('scipy.linalg' in sys.modules)\n"
     )
-    assert out.stdout.strip() == "False"
+    assert _fresh_stdout(script).split() == ["False", "True"]
 
 
 # -- cache -----------------------------------------------------------------------
