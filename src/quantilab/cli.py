@@ -4,6 +4,8 @@ the reproduction experiments, with deterministic text/CSV/JSON output."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -34,43 +36,61 @@ _NUMERIC_FAILURES = (
 )
 
 
-def _add_dist_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+def _flag(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
+    return names, kw
+
+
+_DIST_FLAGS = (
+    _flag(
         "--dist",
         choices=["gaussian", "exponential", "gamma"],
         default="gaussian",
         help="distribution family (default gaussian)",
-    )
-    p.add_argument("--m", type=float, default=0.0, help="Gaussian mean")
-    p.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance")
-    p.add_argument(
-        "--lambda", dest="lam", type=float, default=1.0, help="exponential/Gamma rate"
-    )
-    p.add_argument("--a", type=float, default=None, help="Gamma shape")
-    p.add_argument("--d", type=int, default=1, help="dimension (constants only)")
+    ),
+    _flag("--m", type=float, default=0.0, help="Gaussian mean"),
+    _flag("--sigma2", type=float, default=1.0, help="Gaussian variance"),
+    _flag("--lambda", dest="lam", type=float, default=1.0, help="exponential/Gamma rate"),
+    _flag("--a", type=float, help="Gamma shape"),
+    _flag("--d", type=int, default=1, help="dimension (constants only)"),
+)
+_N = _flag("--n", type=int, required=True)
+_R = _flag("--r", type=float, default=2.0)
+_R_REQUIRED = _flag("--r", type=float, required=True)
+_S_REQUIRED = _flag("--s", type=float, required=True)
+_GRID_FILE = _flag("--grid-file", required=True)
+_TEXT_JSON = ("text", "json")
+
+# name -> (help, own flags, takes --cache-dir, --format choices, handler)
+_COMMANDS: dict[str, tuple] = {}
 
 
-def _spec_from_args(args, parser: argparse.ArgumentParser) -> DistributionSpec:
+def _command(name: str, blurb: str, *flags, cache: bool = False, formats=()):
+    """Register a subcommand whose handler returns the text to print.
+
+    ``--cache-dir`` (if ``cache``), ``--format`` (if ``formats``; the first
+    choice is the default) and ``-o/--output`` follow the command's own
+    flags.
+    """
+
+    def register(handler):
+        _COMMANDS[name] = (blurb, flags, cache, formats, handler)
+        return handler
+
+    return register
+
+
+def _spec_from_args(args) -> DistributionSpec:
     if args.dist == "gaussian":
         return DistributionSpec.gaussian(args.m, args.sigma2, args.d)
     if args.dist == "exponential":
         return DistributionSpec.exponential(args.lam)
     if args.a is None:
-        parser.error("the gamma family needs --a")
+        build_parser().error("the gamma family needs --a")
     return DistributionSpec.gamma(args.a, args.lam)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cache_from_args(args) -> GridCache | None:
-    if getattr(args, "cache_dir", None):
-        return GridCache(args.cache_dir)
-    return GridCache.from_env()
+    return GridCache(args.cache_dir) if args.cache_dir else GridCache.from_env()
 
 
 def _grid_text(grid: Grid, fmt: str) -> str:
@@ -103,18 +123,7 @@ def _rows_text(rows, fmt: str) -> str:
     if fmt == "csv":
         return analysis.rows_to_csv(rows)
     if fmt == "json":
-        payload = [
-            {
-                "n": row.n,
-                "a_hat": row.a_hat,
-                "b_hat": row.b_hat,
-                "eps_rmse": row.eps_rmse,
-                "eps_maxabs": row.eps_maxabs,
-                "status": row.status,
-            }
-            for row in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + "\n"
     lines = [f"{'n':>5} {'a_hat':>14} {'b_hat':>14} {'eps_rmse':>12} {'eps_maxabs':>12}"]
     for row in rows:
         if row.status != "ok":
@@ -127,190 +136,149 @@ def _rows_text(rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_command("grid", "solve an L^r-optimal grid", *_DIST_FLAGS, _N, _R,
+          _flag("--grad-tol", type=float, default=1e-10), cache=True, formats=_TEXT_JSON)
+def _grid(args) -> str:
+    spec = _spec_from_args(args)
+    opts = SolverOpts(grad_tol=args.grad_tol)
+    grid = optimal_grid(spec, args.n, args.r, opts, cache=_cache_from_args(args))
+    return _grid_text(grid, args.format)
+
+
+@_command("exp-grid", "exponential grid via the exact recursion",
+          _flag("--lambda", dest="lam", type=float, default=1.0), _N, _R, formats=_TEXT_JSON)
+def _exp_grid(args) -> str:
+    return _grid_text(exp_optimal_grid(args.n, args.r, args.lam), args.format)
+
+
+@_command("dilate", "apply x -> mu + theta (x - mu) to a grid file", _GRID_FILE,
+          _flag("--theta", type=float, required=True), _flag("--mu", type=float, default=0.0),
+          formats=_TEXT_JSON)
+def _dilate(args) -> str:
+    grid = dilate(_read_grid(args.grid_file), DilationParams(args.theta, args.mu))
+    return _grid_text(grid, args.format)
+
+
+@_command("distortion", "r-th power quantization error of a grid", *_DIST_FLAGS, _GRID_FILE, _R)
+def _distortion(args) -> str:
+    spec = _spec_from_args(args)
+    return f"{distortion(_read_grid(args.grid_file), spec, args.r):.12g}\n"
+
+
+@_command("theta-star", "optimal scaling number for (r, s)", *_DIST_FLAGS, _R_REQUIRED,
+          _S_REQUIRED)
+def _theta_star(args) -> str:
+    return f"{dilatation.theta_star(_spec_from_args(args), args.r, args.s):.9g}\n"
+
+
+@_command("constants", "rate constants for one (r, s, theta) query", *_DIST_FLAGS, _R_REQUIRED,
+          _S_REQUIRED, _flag("--theta", type=float, help="default theta_star"),
+          _flag("--mu", type=float),
+          _flag("--j-const", type=float, help="cube coefficient for d >= 2"), formats=_TEXT_JSON)
+def _constants(args) -> str:
+    spec = _spec_from_args(args)
+    ts = dilatation.theta_star(spec, args.r, args.s)
+    theta = args.theta if args.theta is not None else ts
+    payload: dict[str, object] = {
+        "c_fr": c_fr(spec, args.r),
+        "q_r": zador_q(spec, args.r, j_const=args.j_const),
+        "theta_star": ts,
+        "theta": theta,
+    }
+    lo, _ = dilatation.admissible_theta_range(spec, args.r, args.s)
+    payload["theta_min"] = lo
+    if spec.d == 1:
+        query = dilatation.RateQuery(spec, args.r, args.s, theta, args.mu)
+        consts = dilatation.rate_constants(query)
+        payload.update(
+            q_inf=consts.q_inf,
+            q_sup_sub=consts.q_sup_sub,
+            condition_integral=consts.condition_integral,
+            theta_admissible=consts.theta_admissible,
+        )
+    return _payload_text(payload, args.format)
+
+
+def _table(args) -> str:
+    spec = (
+        DistributionSpec.gaussian()
+        if args.command == "table1"
+        else DistributionSpec.exponential()
+    )
+    # read per call: the benchmark's tiny runs patch the sizes
+    ns = analysis.FULL_TABLE_SIZES if args.full_tables else analysis.CI_TABLE_SIZES
+    rows = analysis.table_experiment(spec, 2.0, args.s, ns, cache=_cache_from_args(args))
+    return _rows_text(rows, args.format)
+
+
+for _name, _blurb in (
+    ("table1", "Gaussian grid regression table"),
+    ("table2", "exponential grid regression table"),
+):
+    _command(_name, _blurb, _flag("--s", type=float, default=1.0, help="response exponent (r=2)"),
+             _flag("--full-tables", action="store_true", help="sizes up to 900"), cache=True,
+             formats=("csv", "json", "text"))(_table)
+
+
+@_command("empirical-check", "bin discrepancy of the theta_star-dilated optimal grid",
+          *_DIST_FLAGS, _flag("--n", type=int, default=500), _R,
+          _flag("--s", type=float, default=1.0), _flag("--bins", type=int, default=10),
+          cache=True, formats=_TEXT_JSON)
+def _empirical_check(args) -> str:
+    spec = _spec_from_args(args)
+    grid = solve(spec, args.n, args.r, cache=_cache_from_args(args))
+    theta = dilatation.theta_star(spec, args.r, args.s)
+    mu = dilatation.default_mu(spec)
+    dilated = dilate(grid, DilationParams(theta, mu))
+    report = analysis.empirical_discrepancy(dilated, spec, args.s, args.bins)
+    payload = {
+        "n": report.n,
+        "bins": args.bins,
+        "theta_star": theta,
+        "max_discrepancy": report.max_discrepancy,
+    }
+    return _payload_text(payload, args.format)
+
+
+@_command("counterexample", "Gamma(7,1) identity failure numbers")
+def _counterexample(args) -> str:
+    res = analysis.gamma_counterexample()
+    return (
+        f"lhs = {res.lhs:.12g}\nrhs = {res.rhs:.12g}\n"
+        f"identity violated: {'no' if res.holds else 'yes'}\n"
+    )
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="quantilab",
         description="L^r-optimal 1-D quantizer grids, dilatation and rate constants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("grid", help="solve an L^r-optimal grid")
-    _add_dist_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--grad-tol", type=float, default=1e-10)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("exp-grid", help="exponential grid via the exact recursion")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("dilate", help="apply x -> mu + theta (x - mu) to a grid file")
-    p.add_argument("--grid-file", required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("distortion", help="r-th power quantization error of a grid")
-    _add_dist_flags(p)
-    p.add_argument("--grid-file", required=True)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("theta-star", help="optimal scaling number for (r, s)")
-    _add_dist_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("constants", help="rate constants for one (r, s, theta) query")
-    _add_dist_flags(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--theta", type=float, default=None, help="default theta_star")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--j-const", type=float, default=None, help="cube coefficient for d >= 2")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None)
-
-    for name, blurb in (
-        ("table1", "Gaussian grid regression table"),
-        ("table2", "exponential grid regression table"),
-    ):
+    for name, (blurb, flags, cache, formats, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--s", type=float, default=1.0, help="response exponent (r=2)")
-        p.add_argument("--full-tables", action="store_true", help="sizes up to 900")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-        p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser(
-        "empirical-check",
-        help="bin discrepancy of the theta_star-dilated optimal grid",
-    )
-    _add_dist_flags(p)
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("counterexample", help="Gamma(7,1) identity failure numbers")
-    p.add_argument("-o", "--output", default=None)
-
+        for names, kw in flags:
+            p.add_argument(*names, **kw)
+        if cache:
+            p.add_argument("--cache-dir")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("-o", "--output")
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _run(args, parser: argparse.ArgumentParser) -> int:
-    cmd = args.command
-
-    if cmd == "grid":
-        spec = _spec_from_args(args, parser)
-        opts = SolverOpts(grad_tol=args.grad_tol)
-        grid = optimal_grid(spec, args.n, args.r, opts, cache=_cache_from_args(args))
-        _emit(_grid_text(grid, args.format), args.output)
-        return 0
-
-    if cmd == "exp-grid":
-        grid = exp_optimal_grid(args.n, args.r, args.lam)
-        _emit(_grid_text(grid, args.format), args.output)
-        return 0
-
-    if cmd == "dilate":
-        grid = dilate(_read_grid(args.grid_file), DilationParams(args.theta, args.mu))
-        _emit(_grid_text(grid, args.format), args.output)
-        return 0
-
-    if cmd == "distortion":
-        spec = _spec_from_args(args, parser)
-        val = distortion(_read_grid(args.grid_file), spec, args.r)
-        _emit(f"{val:.12g}\n", args.output)
-        return 0
-
-    if cmd == "theta-star":
-        spec = _spec_from_args(args, parser)
-        _emit(f"{dilatation.theta_star(spec, args.r, args.s):.9g}\n", args.output)
-        return 0
-
-    if cmd == "constants":
-        spec = _spec_from_args(args, parser)
-        ts = dilatation.theta_star(spec, args.r, args.s)
-        theta = args.theta if args.theta is not None else ts
-        payload: dict[str, object] = {
-            "c_fr": c_fr(spec, args.r),
-            "q_r": zador_q(spec, args.r, j_const=args.j_const),
-            "theta_star": ts,
-            "theta": theta,
-        }
-        lo, _ = dilatation.admissible_theta_range(spec, args.r, args.s)
-        payload["theta_min"] = lo
-        if spec.d == 1:
-            query = dilatation.RateQuery(spec, args.r, args.s, theta, args.mu)
-            consts = dilatation.rate_constants(query)
-            payload.update(
-                q_inf=consts.q_inf,
-                q_sup_sub=consts.q_sup_sub,
-                condition_integral=consts.condition_integral,
-                theta_admissible=consts.theta_admissible,
-            )
-        _emit(_payload_text(payload, args.format), args.output)
-        return 0
-
-    if cmd in ("table1", "table2"):
-        spec = (
-            DistributionSpec.gaussian()
-            if cmd == "table1"
-            else DistributionSpec.exponential()
-        )
-        ns = analysis.FULL_TABLE_SIZES if args.full_tables else analysis.CI_TABLE_SIZES
-        rows = analysis.table_experiment(
-            spec, 2.0, args.s, ns, cache=_cache_from_args(args)
-        )
-        _emit(_rows_text(rows, args.format), args.output)
-        return 0
-
-    if cmd == "empirical-check":
-        spec = _spec_from_args(args, parser)
-        grid = solve(spec, args.n, args.r, cache=_cache_from_args(args))
-        theta = dilatation.theta_star(spec, args.r, args.s)
-        mu = dilatation.default_mu(spec)
-        dilated = dilate(grid, DilationParams(theta, mu))
-        report = analysis.empirical_discrepancy(dilated, spec, args.s, args.bins)
-        payload = {
-            "n": report.n,
-            "bins": args.bins,
-            "theta_star": theta,
-            "max_discrepancy": report.max_discrepancy,
-        }
-        _emit(_payload_text(payload, args.format), args.output)
-        return 0
-
-    if cmd == "counterexample":
-        res = analysis.gamma_counterexample()
-        _emit(
-            f"lhs = {res.lhs:.12g}\nrhs = {res.rhs:.12g}\n"
-            f"identity violated: {'no' if res.holds else 'yes'}\n",
-            args.output,
-        )
-        return 0
-
-    parser.error(f"unknown command {cmd!r}")
-    return 2
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args, parser)
+        text = args.handler(args)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except _NUMERIC_FAILURES as err:
         print(f"quantilab: numeric failure: {err}", file=sys.stderr)
         return 1

@@ -181,14 +181,16 @@ def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
     _require_d1(spec, "log_pdf")
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
-        out = -0.5 * math.log(2.0 * math.pi * spec.sigma2) - (xs - spec.m) ** 2 / (
-            2.0 * spec.sigma2
-        )
+        with np.errstate(over="ignore"):  # (x - m)^2 = inf at huge |x| gives -inf
+            out = -0.5 * math.log(2.0 * math.pi * spec.sigma2) - (xs - spec.m) ** 2 / (
+                2.0 * spec.sigma2
+            )
         return _ret(out, scalar)
     a, lam = spec.a, spec.lam
     # the formula on every point, then a fix-up of the few outside (0, inf):
-    # masking every call costs more than the formula itself
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # masking every call costs more than the formula itself; lam x may
+    # overflow to inf at huge x, which gives -inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if a == 1.0:
             out = math.log(lam) - lam * xs
         else:  # a log(lam) - lgamma(a) + (a - 1) log(x) - lam x, summed in place

@@ -578,11 +578,12 @@ def _lloyd_newton(
     from its clipped cells in one batched quadrature pass otherwise.  The
     residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
-    in the far tail.  Otherwise 20 more sweeps run and Newton restarts,
-    up to three times.
+    in the far tail.  Otherwise 20 more sweeps run and Newton restarts
+    once: no solve of a 640-solve sweep, poor seeds included, needed a
+    third run to converge.
     """
     sweeps = newton_iters = 0
-    for _ in range(3):
+    for _ in range(2):
         st, iters, ok = _newton(spec, pts, r, opts)
         pts = st.pts
         newton_iters += iters
@@ -642,7 +643,7 @@ def optimal_grid(
     ``position_tol``.  For r >= 1 each equation is divided by its cell's
     curvature, which lets Newton start at the seed in the tail cells.
     The result must also be a fixed point of the Lloyd sweep, else up to
-    three rescues of 20 sweeps run.  For r = 1 and 2 a Newton state takes
+    two rescues of 20 sweeps run.  For r = 1 and 2 a Newton state takes
     the cdf or sf once per abscissa it needs (``_edge_law``); the
     fixed-point check of r = 2 is max|F| of the final state, and that of
     r = 1 the sign of the residual at a -+ d from the final state's edge

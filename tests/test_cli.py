@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quantilab.analysis import rows_from_csv
-from quantilab.cli import main
+from quantilab.cli import build_parser, main
 from quantilab.quantizer import Grid
 from quantilab.solver import exp_optimal_grid
 
@@ -109,20 +109,11 @@ def test_table1_csv_parses_losslessly(capsys, shared_cache, monkeypatch):
 @pytest.mark.parametrize("s", ["1", "4"])
 @pytest.mark.parametrize("table", ["table1", "table2"])
 def test_table_csv_matches_the_pinned_output(capsys, shared_cache, table, s):
-    # every column byte for byte, except table1's b_hat: the Gaussian grids
-    # are symmetric, so the true intercept is 0 and its value is round-off
+    # byte for byte, as CI compares them: table1's b_hat is round-off
+    # (the Gaussian grids are symmetric), so it pins the solver's last bits
     code, out, _ = run_cli(capsys, table, "--s", s, "--cache-dir", str(shared_cache.root))
     assert code == 0
-    got = [line.split(",") for line in out.splitlines()]
-    pinned = [line.split(",") for line in (DATA / f"{table}_s{s}.csv").read_text().splitlines()]
-    assert len(got) == len(pinned) and got[0] == pinned[0]
-    noise = got[0].index("b_hat") if table == "table1" else None
-    for row, ref in zip(got[1:], pinned[1:]):
-        for col, (val, expected) in enumerate(zip(row, ref, strict=True)):
-            if col == noise:
-                assert abs(float(val)) < 5e-12, row
-            else:
-                assert val == expected, (row, ref)
+    assert out.encode() == (DATA / f"{table}_s{s}.csv").read_bytes()
 
 
 def test_repeat_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
@@ -134,6 +125,28 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("QUANTILAB_CACHE_DIR")
     _, third, _ = run_cli(capsys, *args)
     assert third == first
+
+
+def test_repeated_main_calls_share_one_parser(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("QUANTILAB_CACHE_DIR", raising=False)
+    cache, out_file = tmp_path / "cache", tmp_path / "grid.json"
+    code, out, _ = run_cli(capsys, "grid", "--n", "3", "--cache-dir", str(cache),
+                           "--format", "json", "-o", str(out_file))
+    assert code == 0 and out == ""
+    written = out_file.read_text()
+    cached = {path: path.read_bytes() for path in cache.iterdir()}
+    assert cached
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--dist", "gamma", "--n", "3"])  # missing --a
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the gamma family needs --a\n")
+    # no flag of the first call carries over: text on stdout, no file, no cache
+    code, out, err = run_cli(capsys, "grid", "--n", "3")
+    assert code == 0 and err == ""
+    np.testing.assert_array_equal([float(v) for v in out.split()], json.loads(written))
+    assert out_file.read_text() == written
+    assert {path: path.read_bytes() for path in cache.iterdir()} == cached
+    assert build_parser() is build_parser()
 
 
 def test_empirical_check_json(capsys):

@@ -65,12 +65,15 @@ def test_pdf_gamma7_at_one():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("spec", FAMILIES)
+@pytest.mark.parametrize("spec", FAMILIES + [DistributionSpec.exponential(2.5)])
 def test_pdf_vanishes_at_both_infinities(spec):
-    # a Gamma shape above 1 once took (a - 1) log(x) - lam x = inf - inf at +inf
+    # a Gamma shape above 1 once took (a - 1) log(x) - lam x = inf - inf at +inf;
+    # lam x and (x - m)^2 overflow at huge finite x, which once warned
     assert pdf(spec, INF) == pdf(spec, -INF) == 0.0
+    assert pdf(spec, 1e308) == pdf(spec, -1e308) == 0.0
     assert log_pdf(spec, INF) == log_pdf(spec, -INF) == -INF
-    np.testing.assert_array_equal(pdf(spec, np.array([-INF, 1.0, INF]))[[0, 2]], 0.0)
+    xs = np.array([-INF, -1e308, -1e200, 1.0, 1e200, 1e308, INF])
+    np.testing.assert_array_equal(np.delete(pdf(spec, xs), 3), 0.0)
     np.testing.assert_array_equal(log_pdf(spec, np.array([-INF, INF])), -INF)
 
 
