@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 import tempfile
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -97,7 +97,7 @@ class SolverError(RuntimeError):
 class SolveResult:
     grid: Grid
     residual_sup: float
-    lloyd_sweeps: int
+    lloyd_sweeps: int  # the fixed-point check: 1 on every return
     newton_iters: int
     stationary_only: bool  # True when global optimality is not guaranteed
 
@@ -150,17 +150,14 @@ def _conditional_median(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increasing_roots(
-    g, lo: np.ndarray, hi: np.ndarray, start: np.ndarray | None = None
-) -> np.ndarray:
+def _increasing_roots(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Roots of increasing functions on brackets [lo, hi], all at once.
 
     ``g(x, idx)`` evaluates functions ``idx`` at points ``x``.  Where g
     has one sign over the whole bracket the nearer end is returned.
     Chandrupatla's method: inverse quadratic interpolation where it is
     safe, bisection otherwise, to |x - root| <= 1e-12 + 8.9e-16 |x|.
-    The first trial point is ``start`` (a guess near the root), else the
-    bracket midpoint.
+    The first trial point is the bracket midpoint.
     """
     m = lo.size
     cells = np.arange(m)
@@ -170,10 +167,7 @@ def _increasing_roots(
     idx = np.flatnonzero((g_lo < 0.0) & (g_hi > 0.0))
     x1, f1, x2, f2 = lo[idx], g_lo[idx], hi[idx], g_hi[idx]
     x3, f3 = x2, f2
-    if start is None:
-        t = np.full(idx.size, 0.5)
-    else:  # keep the first trial point off the bracket ends
-        t = np.clip((start[idx] - x1) / (x2 - x1), 0.01, 0.99)
+    t = np.full(idx.size, 0.5)
     for _ in range(200):
         if not idx.size:
             break
@@ -205,19 +199,14 @@ def _increasing_roots(
     return out
 
 
-def _cell_argmins(
-    spec: DistributionSpec,
-    b: np.ndarray,
-    r: float,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
+def _cell_argmins(spec: DistributionSpec, b: np.ndarray, r: float) -> np.ndarray:
     """The L^r-optimal point of every cell [b[i], b[i+1]] (sorted edges).
 
     r = 1: the conditional median; r = 2: the conditional mean; otherwise
     the root of the moment derivative r * integral |x - a|**(r-1)
     sign(a - x) f(x) (unique for these unimodal densities; for r < 1 its
     weight is singular at a) within the cell clipped, once, to the support
-    and tail cuts, searched first at ``start`` when given.
+    and tail cuts.
     """
     if r == 1.0:
         return _conditional_median(spec, b)
@@ -225,7 +214,7 @@ def _cell_argmins(
         return _conditional_mean(spec, b)
     _require_mass(spec, b)
     lo, hi = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
-    return _increasing_roots(_moment_derivative(spec, lo, hi, r), lo, hi, start)
+    return _increasing_roots(_moment_derivative(spec, lo, hi, r), lo, hi)
 
 
 def _moment_derivative(
@@ -294,7 +283,8 @@ def _state(
 ) -> _State | None:
     """The Newton state at ``pts``; with a ``cut``, None unless admissible.
 
-    Admissible: strictly increasing inside the support, every cell with
+    Admissible: inside the support, each point strictly between its
+    cell's edges (so no midpoint rounds onto a point), every cell with
     mass > cut.  A point pushed into a cell of negligible mass has a
     vanishing stationarity residual wherever it sits; such iterates are
     refused before their residual is computed.  Each part of the state
@@ -325,11 +315,11 @@ def _state(
     Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
     Newton solves F = R / D for r >= 1 and R itself for r < 1 (``_newton``).
     """
-    if cut is not None:
-        s_lo, s_hi = spec.support
-        if not (np.all(np.diff(pts) > 0.0) and s_lo < pts[0] and pts[-1] < s_hi):
-            return None
     b = voronoi_bounds(pts)
+    if cut is not None:
+        inside = spec.support[0] < pts[0] and pts[-1] < spec.support[1]
+        if not (inside and np.all(b[:-1] < pts) and np.all(pts < b[1:])):
+            return None
     law = lo = hi = None
     if r == 1.0:
         edges = np.empty(2 * pts.size + 1)
@@ -398,7 +388,7 @@ def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray
 
 
 def _lloyd_sweep(spec: DistributionSpec, pts: np.ndarray, r: float) -> np.ndarray:
-    new = _cell_argmins(spec, voronoi_bounds(pts), r, start=pts)
+    new = _cell_argmins(spec, voronoi_bounds(pts), r)
     if new[0] <= spec.support[0]:
         # only a Gamma density ~ x**(a-1) with a + r < 1 pulls a point there
         raise SolverError(
@@ -434,7 +424,7 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
     When the first left point is clipped to the origin, every root in
     (0, a + d] lies within d of a, but the sweep may send the point to
     the origin itself; that cell's root is then searched as the sweep
-    does, and the origin fails, so that the rescue sweep raises
+    does, and the origin fails, so that the failed solve's sweep raises
     ``_lloyd_sweep``'s error.
     """
     pts = st.pts
@@ -456,7 +446,7 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
         grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
     )
     if left[0] <= spec.support[0]:
-        first = _increasing_roots(grad, st.lo[:1], st.hi[:1], pts[:1])
+        first = _increasing_roots(grad, st.lo[:1], st.hi[:1])
         if first[0] <= spec.support[0]:
             return False
     return bool(
@@ -503,7 +493,7 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     that commands which solve nothing do not load it.
     """
     if ab.shape[1] == 1:
-        return rhs / ab[1]
+        return rhs / ab[1] if ab[1, 0] else None
     from scipy.linalg.lapack import dgtsv
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
     return None if info else x
@@ -524,6 +514,8 @@ def _newton(
     itself: when alpha + r < 1 a Gamma first cell's F tends to 0 as its
     point nears the origin, so sup|F| would be a misleading merit there.
     A step is taken once the sup of the system solved does not grow.
+    A candidate is refused at the cell mass min(tail cut, half the
+    iterate's smallest), so that a seed's sub-cut tail cells can move.
     Converged: sup|R| <= grad_tol and the last step <= position_tol
     (1 + max|x|).  Returns the last state, the iterations and whether it
     converged.
@@ -546,10 +538,11 @@ def _newton(
         step = _tridiagonal_solve(ab, -st.f)
         if step is None:
             break
+        cut = min(_QUAD.tail_mass_cut, 0.5 * float(np.min(st.mass)))
         lam = 1.0
         moved = False
         while lam >= 1e-7:
-            c_st = _state(spec, st.pts + lam * step, r, _QUAD.tail_mass_cut)
+            c_st = _state(spec, st.pts + lam * step, r, cut)
             if c_st is not None:
                 c_merit = float(np.max(np.abs(c_st.f)))
                 if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:
@@ -565,47 +558,44 @@ def _newton(
 
 
 def _lloyd_newton(
-    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Newton from ``pts``, verified as a fixed point of the Lloyd sweep.
+    spec: DistributionSpec, seeds: Iterable[np.ndarray], r: float, opts: SolverOpts
+) -> tuple[_State, int]:
+    """Newton from each seed in turn, verified as a fixed point of the Lloyd sweep.
 
-    Returns the points, the residual, the sweeps and the Newton
-    iterations.  A Newton result is accepted only if a Lloyd sweep would
-    move it by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which
-    ``_sweep_keeps`` decides from the final Newton state without running
-    the sweep (counted as one sweep): from that state alone for r = 2,
-    from its edge law and the law at 2n more points for r = 1, and
-    from its clipped cells in one batched quadrature pass otherwise.  The
-    residual is weighted by cell mass, so
+    Returns the first verified state and the Newton iterations of every
+    run.  A Newton result is accepted only if a Lloyd sweep would move it
+    by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which ``_sweep_keeps``
+    decides from the final Newton state without running the sweep: from
+    that state alone for r = 2, from its edge law and the law at 2n more
+    points for r = 1, and from its clipped cells in one batched
+    quadrature pass otherwise.  The residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
-    in the far tail.  Otherwise 20 more sweeps run and Newton restarts
-    once: no solve of a 640-solve sweep, poor seeds included, needed a
-    third run to converge.
+    in the far tail.  When no seed verifies, one sweep of the last run's
+    points raises ``_lloyd_sweep``'s origin error if that is the cause;
+    otherwise the ``SolverError`` says "no verified convergence".
     """
-    sweeps = newton_iters = 0
-    for _ in range(2):
+    newton_iters = 0
+    for pts in seeds:
         st, iters, ok = _newton(spec, pts, r, opts)
-        pts = st.pts
         newton_iters += iters
-        if ok:
-            sweeps += 1
-            if _sweep_keeps(spec, st, r):
-                return pts, st.res, sweeps, newton_iters
-        for _ in range(20):  # rescue: extra Lloyd sweeps, then retry
-            pts = _lloyd_sweep(spec, pts, r)
-            sweeps += 1
+        if ok and _sweep_keeps(spec, st, r):
+            return st, newton_iters
+    _lloyd_sweep(spec, st.pts, r)
     sup = float(np.max(np.abs(st.res)))
     raise SolverError(
-        f"no verified convergence for n={pts.size}, r={r} (residual sup {sup:.3g})",
-        pts,
+        f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
+        st.pts,
         sup,
     )
 
 
 def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:
+    """The limiting point law's quantiles at the levels (2i - 1) / (2n);
+    one point is moved to its one-cell optimum, the whole line's."""
     law = empirical_measure_law(spec, r)
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return np.asarray(quantile(law, levels), dtype=float)
+    pts = np.asarray(quantile(law, levels), dtype=float)
+    return _lloyd_sweep(spec, pts, r) if n == 1 else pts
 
 
 def _unit_law(spec: DistributionSpec) -> tuple[DistributionSpec, Callable, Callable]:
@@ -642,19 +632,20 @@ def optimal_grid(
     stationarity residual below ``grad_tol`` and its last step below
     ``position_tol``.  For r >= 1 each equation is divided by its cell's
     curvature, which lets Newton start at the seed in the tail cells.
-    The result must also be a fixed point of the Lloyd sweep, else up to
-    two rescues of 20 sweeps run.  For r = 1 and 2 a Newton state takes
-    the cdf or sf once per abscissa it needs (``_edge_law``); the
-    fixed-point check of r = 2 is max|F| of the final state, and that of
-    r = 1 the sign of the residual at a -+ d from the final state's edge
-    law and the law at 2n more points.  Off the closed forms (r not 1 or
-    2) each Newton state (residual and curvatures) and the fixed-point
-    check is one batched quadrature pass over all the cells it needs.
-    Raises ``SolverError`` rather than return an unverified grid.  The
-    solve starts from ``init_grid`` when given, else from the quantiles
-    of the limiting point law.  For log-concave densities (Gaussian,
-    Gamma shape >= 1) the stationary point is the global optimum; Gamma
-    shapes below 1 are flagged ``stationary_only`` in the full result.
+    The result must also be a fixed point of the Lloyd sweep (the full
+    result's one sweep).  For r = 1 and 2 a Newton state takes the cdf
+    or sf once per abscissa it needs (``_edge_law``); the fixed-point
+    check of r = 2 is max|F| of the final state, and that of r = 1 the
+    sign of the residual at a -+ d from the final state's edge law and
+    the law at 2n more points.  Off the closed forms (r not 1 or 2) each
+    Newton state (residual and curvatures) and the fixed-point check is
+    one batched quadrature pass over all the cells it needs.  Raises
+    ``SolverError`` rather than return an unverified grid.  The solve
+    starts from ``init_grid`` when given, and from the quantiles of the
+    limiting point law otherwise or when that run fails.  For
+    log-concave densities (Gaussian, Gamma shape >= 1) the stationary
+    point is the global optimum; Gamma shapes below 1 are flagged
+    ``stationary_only`` in the full result.
     The solve runs on the unit-scale law (N(0, 1) or Gamma(a, 1)); the
     tolerances and the reported residual are those of that law.
     """
@@ -670,22 +661,23 @@ def optimal_grid(
         if hit is not None:
             return hit
 
+    if init_grid is not None and init_grid.n != n:
+        raise ValueError("init_grid size mismatch")
     unit, to_unit, from_unit = _unit_law(spec)
-    if init_grid is not None:
-        if init_grid.n != n:
-            raise ValueError("init_grid size mismatch")
-        pts = to_unit(init_grid.points)
-    else:
-        pts = _initial_points(unit, n, r)
+
+    def seeds() -> Iterator[np.ndarray]:
+        if init_grid is not None:
+            yield to_unit(init_grid.points)
+        yield _initial_points(unit, n, r)
 
     try:
-        pts, res, sweeps, newton_iters = _lloyd_newton(unit, pts, r, opts)
+        st, newton_iters = _lloyd_newton(unit, seeds(), r, opts)
     except SolverError as err:
         err.points = from_unit(err.points)
         raise
 
-    pts = from_unit(pts)
-    res_sup = float(np.max(np.abs(res)))
+    pts = from_unit(st.pts)
+    res_sup = float(np.max(np.abs(st.res)))
     grid = Grid(pts)
     if grid.n != n:
         raise SolverError(
@@ -695,7 +687,7 @@ def optimal_grid(
         cache.store(spec, n, r, opts, grid)
     if full_result:
         stationary_only = spec.family is Family.GAMMA and spec.a < 1.0
-        return SolveResult(grid, res_sup, sweeps, newton_iters, stationary_only)
+        return SolveResult(grid, res_sup, 1, newton_iters, stationary_only)
     return grid
 
 

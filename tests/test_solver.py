@@ -703,22 +703,33 @@ def test_newton_converges_from_the_seed(spec, r):
         (DistributionSpec.gamma(2.0), 100),
         (DistributionSpec.gamma(0.5), 100),
         (DistributionSpec.gamma(7.0), 100),
+        (EXPO, 900),
+        (DistributionSpec.gamma(0.5), 900),
+        (DistributionSpec.gamma(2.0, 1.5), 900),
+        (DistributionSpec.gamma(0.3), 900),
     ],
-    ids=["gauss", "exp", "gamma2", "gamma0.5", "gamma7"],
+    ids=["gauss", "exp", "gamma2", "gamma0.5", "gamma7", "exp-900", "gamma0.5-900",
+         "gamma2-1.5-900", "gamma0.3-900"],
 )
 def test_r6_solves_converge(spec, n):
+    # at n = 900 the seed already has cells below the 1e-20 tail cut
     res = optimal_grid(spec, n, 6.0, full_result=True)
     assert res.grid.n == n and res.residual_sup <= SolverOpts().grad_tol
+    assert res.lloyd_sweeps == 1
     if spec == EXPO:
         np.testing.assert_allclose(
             res.grid.points, exp_optimal_grid(n, 6.0).points, rtol=0, atol=1e-9
         )
 
 
-@pytest.mark.parametrize("a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5)])
+@pytest.mark.parametrize(
+    "a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5), (0.2, 0.3, 5)]
+)
 def test_gamma_optimum_at_the_origin_raises_solver_error(a, r, n):
     # a + r < 1 and the first cell's optimal point is the origin itself,
-    # where its stationarity integral diverges
+    # where its stationarity integral diverges; at (0.2, 0.3, 5) a Newton
+    # candidate's midpoint rounds onto a point, which must be refused
+    # before it is integrated (no warning)
     with pytest.raises(SolverError, match="origin"):
         optimal_grid(DistributionSpec.gamma(a), n, r)
 
@@ -813,10 +824,12 @@ def test_subunit_solves_reach_the_residual_tolerance(spec, r):
 
 
 def test_subunit_gamma_pole_at_origin_solves():
-    # Gamma(0.5) at r <= 0.5: the first cell's moment derivative is -inf at
-    # 0, and on the curvature-scaled system Newton would stall near there
-    for r, n in ((0.5, 3), (0.3, 3), (0.3, 400)):
-        res = optimal_grid(DistributionSpec.gamma(0.5), n, r, full_result=True)
+    # a + r <= 1: the first cell's moment derivative is -inf at 0, and on
+    # the curvature-scaled system Newton would stall near there
+    cases = [(0.5, r, n) for r, n in ((0.5, 3), (0.3, 3), (0.3, 400))]
+    cases += [(a, r, n) for a, r in ((0.3, 0.5), (0.4, 0.3)) for n in (1, 20, 100)]
+    for a, r, n in cases:
+        res = optimal_grid(DistributionSpec.gamma(a), n, r, full_result=True)
         assert res.grid.n == n and res.grid.points[0] > 0.0
         assert res.residual_sup <= SolverOpts().grad_tol and res.stationary_only
         assert res.lloyd_sweeps == 1
@@ -1087,7 +1100,10 @@ def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
 @pytest.mark.parametrize("a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5)])
 def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
     spec = DistributionSpec.gamma(a)
-    pts = solver._initial_points(spec, n, r)
+    if n == 1:  # the one-point seed is swept, so it raises: take the limiting law's median
+        pts = quantile(empirical_measure_law(spec, r), np.array([0.5]))
+    else:
+        pts = solver._initial_points(spec, n, r)
     with pytest.raises(SolverError, match="origin"):
         solver._lloyd_sweep(spec, pts, r)
     assert not solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
@@ -1106,7 +1122,7 @@ def test_sign_test_rejects_a_first_point_near_the_origin_that_the_sweep_sends_th
         for _ in range(80):
             x = cell_argmin(spec, 0.5 * (first + x), math.inf, r)
         pts = np.array([first, x])
-    roots = solver._cell_argmins(spec, voronoi_bounds(pts), r, start=pts)
+    roots = solver._cell_argmins(spec, voronoi_bounds(pts), r)
     assert roots[0] == spec.support[0]
     assert np.all(np.abs(roots[1:] - pts[1:]) <= solver._LLOYD_MOVE_TOL * (1.0 + pts[-1]))
     with pytest.raises(SolverError, match="origin"):
@@ -1130,6 +1146,22 @@ def test_gamma_seed_near_the_origin_solves(a, r):
     seeded = optimal_grid(spec, 5, r, init_grid=Grid(np.linspace(0.01, 5.0, 5))).points
     ref = optimal_grid(spec, 5, r).points
     assert np.max(np.abs(seeded - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("r", [0.5, 4.0])
+@pytest.mark.parametrize(
+    "spec",
+    [GAUSS, EXPO, DistributionSpec.gamma(0.5), DistributionSpec.gamma(2.0),
+     DistributionSpec.gamma(7.0)],
+    ids=["gauss", "exp", "gamma0.5", "gamma2", "gamma7"],
+)
+def test_equally_spaced_seeds_reach_the_default_seed_grid(spec, r):
+    # a seed whose Newton run fails is followed by the default seed
+    seed = Grid(np.linspace(*quantile(spec, np.array([0.001, 0.999])), 100))
+    seeded = optimal_grid(spec, 100, r, init_grid=seed, full_result=True)
+    ref = optimal_grid(spec, 100, r).points
+    assert seeded.lloyd_sweeps == 1
+    assert np.max(np.abs(seeded.grid.points - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
 def _mp_cell_centres(a: float, pts: np.ndarray, r: float) -> np.ndarray:
@@ -1180,3 +1212,5 @@ def test_tridiagonal_solve_reports_a_singular_band():
     with pytest.raises(np.linalg.LinAlgError):
         solve_banded((1, 1), ab, np.ones(3))
     assert solver._tridiagonal_solve(ab.copy(), np.ones(3)) is None
+    # a zero 1x1 system, with no division by zero
+    assert solver._tridiagonal_solve(np.zeros((3, 1)), np.ones(1)) is None
