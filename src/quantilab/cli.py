@@ -12,12 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, dilatation
-from .distributions import (
-    DistributionSpec,
-    UnsupportedDimensionError,
-    c_fr,
-    zador_q,
-)
+from .distributions import DistributionSpec, c_fr, zador_q
 from .quantizer import DilationParams, Grid, dilate, distortion
 from .solver import (
     GridCache,
@@ -31,7 +26,6 @@ from .solver import (
 _NUMERIC_FAILURES = (
     SolverError,
     ArithmeticError,  # QuadratureError, and OverflowError in the closed forms
-    UnsupportedDimensionError,
     dilatation.AdmissibilityError,
 )
 
@@ -51,7 +45,7 @@ _DIST_FLAGS = (
     _flag("--sigma2", type=float, default=1.0, help="Gaussian variance"),
     _flag("--lambda", dest="lam", type=float, default=1.0, help="exponential/Gamma rate"),
     _flag("--a", type=float, help="Gamma shape"),
-    _flag("--d", type=int, default=1, help="dimension (constants only)"),
+    _flag("--d", type=int, default=1, help="dimension (Gaussian only)"),
 )
 _N = _flag("--n", type=int, required=True)
 _R = _flag("--r", type=float, default=2.0)
@@ -82,6 +76,8 @@ def _command(name: str, blurb: str, *flags, cache: bool = False, formats=()):
 def _spec_from_args(args) -> DistributionSpec:
     if args.dist == "gaussian":
         return DistributionSpec.gaussian(args.m, args.sigma2, args.d)
+    if args.d != 1:
+        build_parser().error(f"--d applies to the gaussian family only, not {args.dist}")
     if args.dist == "exponential":
         return DistributionSpec.exponential(args.lam)
     if args.a is None:

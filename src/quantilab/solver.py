@@ -26,6 +26,7 @@ from scipy import special
 from .distributions import (
     DistributionSpec,
     Family,
+    QuadratureError,
     QuadratureOpts,
     _abs_moments,
     _edge_law,
@@ -227,8 +228,9 @@ def _moment_derivative(
     already be clipped to the support and tail cuts (``_effective_bounds``),
     so that the integration clips nothing more.
     """
-    # a Gamma density ~ x**(a-1) with a + r <= 1 makes the derivative -inf
-    # at the origin, where it is not integrated but given a negative value
+    # a Gamma density ~ x**(a-1) with a + r <= 1 makes the derivative -inf at
+    # the origin if 2a + r > 1, +inf if 2a + r < 1; it is given a negative value
+    # there, so a cell whose derivative is positive on (0, hi] has its root at 0
     pole = spec.family is Family.GAMMA and spec.a + r <= 1.0
 
     def grad(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -388,16 +390,8 @@ def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray
 
 
 def _lloyd_sweep(spec: DistributionSpec, pts: np.ndarray, r: float) -> np.ndarray:
-    new = _cell_argmins(spec, voronoi_bounds(pts), r)
-    if new[0] <= spec.support[0]:
-        # only a Gamma density ~ x**(a-1) with a + r < 1 pulls a point there
-        raise SolverError(
-            f"the first cell's optimal point is the origin, where the Gamma shape "
-            f"a={spec.a:g} and r={r:g} (a + r < 1) make the stationarity integral diverge",
-            new,
-            math.nan,
-        )
-    return new
+    """One Lloyd sweep: every point moved to its Voronoi cell's optimum."""
+    return _cell_argmins(spec, voronoi_bounds(pts), r)
 
 
 def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
@@ -420,12 +414,10 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
     cdf, sf or quantile call.  Either way the
     residual or derivative increases in the point, and the sweep's root
     lies within d of a exactly when it is <= 0 at the left point and
-    >= 0 at the right one, or that point is the bracket end.
-    When the first left point is clipped to the origin, every root in
-    (0, a + d] lies within d of a, but the sweep may send the point to
-    the origin itself; that cell's root is then searched as the sweep
-    does, and the origin fails, so that the failed solve's sweep raises
-    ``_lloyd_sweep``'s error.
+    >= 0 at the right one, or that point is the bracket end.  A first
+    point within d of the origin is thus kept even where the sweep
+    sends it to the origin itself; ``optimal_grid`` refuses those laws
+    (2a + r <= 1) before solving.
     """
     pts = st.pts
     d = _LLOYD_MOVE_TOL * _scale(pts)
@@ -445,10 +437,6 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
     g_left, g_right = np.split(
         grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
     )
-    if left[0] <= spec.support[0]:
-        first = _increasing_roots(grad, st.lo[:1], st.hi[:1])
-        if first[0] <= spec.support[0]:
-            return False
     return bool(
         np.all((g_left <= 0.0) | (left == st.lo)) and np.all((g_right >= 0.0) | (right == st.hi))
     )
@@ -515,7 +503,8 @@ def _newton(
     point nears the origin, so sup|F| would be a misleading merit there.
     A step is taken once the sup of the system solved does not grow.
     A candidate is refused at the cell mass min(tail cut, half the
-    iterate's smallest), so that a seed's sub-cut tail cells can move.
+    iterate's smallest), so that a seed's sub-cut tail cells can move,
+    and where its cell integrals overflow (``QuadratureError``).
     Converged: sup|R| <= grad_tol and the last step <= position_tol
     (1 + max|x|).  Returns the last state, the iterations and whether it
     converged.
@@ -542,7 +531,11 @@ def _newton(
         lam = 1.0
         moved = False
         while lam >= 1e-7:
-            c_st = _state(spec, st.pts + lam * step, r, cut)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    c_st = _state(spec, st.pts + lam * step, r, cut)
+            except QuadratureError:
+                c_st = None
             if c_st is not None:
                 c_merit = float(np.max(np.abs(c_st.f)))
                 if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:
@@ -570,9 +563,8 @@ def _lloyd_newton(
     points for r = 1, and from its clipped cells in one batched
     quadrature pass otherwise.  The residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
-    in the far tail.  When no seed verifies, one sweep of the last run's
-    points raises ``_lloyd_sweep``'s origin error if that is the cause;
-    otherwise the ``SolverError`` says "no verified convergence".
+    in the far tail.  When no seed verifies, the ``SolverError`` says
+    "no verified convergence" and carries the last run's points.
     """
     newton_iters = 0
     for pts in seeds:
@@ -580,7 +572,6 @@ def _lloyd_newton(
         newton_iters += iters
         if ok and _sweep_keeps(spec, st, r):
             return st, newton_iters
-    _lloyd_sweep(spec, st.pts, r)
     sup = float(np.max(np.abs(st.res)))
     raise SolverError(
         f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
@@ -590,8 +581,8 @@ def _lloyd_newton(
 
 
 def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:
-    """The limiting point law's quantiles at the levels (2i - 1) / (2n);
-    one point is moved to its one-cell optimum, the whole line's."""
+    """The limiting point law's quantiles at the levels (2i - 1) / (2n); one
+    point is swept to its one-cell optimum, interior for every law solved."""
     law = empirical_measure_law(spec, r)
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     pts = np.asarray(quantile(law, levels), dtype=float)
@@ -648,6 +639,10 @@ def optimal_grid(
     ``stationary_only`` in the full result.
     The solve runs on the unit-scale law (N(0, 1) or Gamma(a, 1)); the
     tolerances and the reported residual are those of that law.
+    A Gamma law with 2a + r <= 1 raises ``SolverError`` before any seed: as
+    x -> 0+ the first cell's moment derivative is ~ x**(a+r-1) (B(r, a) -
+    B(r, 1-a-r)) >= 0 (B(r, .) decreases; at the tie the remainder is
+    positive), so for every n the first point's optimum is the origin.
     """
     opts = opts or SolverOpts()
     if spec.d != 1:
@@ -655,6 +650,12 @@ def optimal_grid(
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_positive(r=r)
+    if spec.family is Family.GAMMA and 2.0 * spec.a + r <= 1.0:
+        raise SolverError(
+            f"the first cell's optimal point is the origin, where the Gamma shape a={spec.a:g} "
+            f"and r={r:g} (2a + r <= 1) make the stationarity integral diverge",
+            np.array([]), math.nan,
+        )
 
     if cache is not None and not full_result:
         hit = cache.load(spec, n, r, opts)

@@ -231,6 +231,25 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "--dist", "gamma", "--a", "2", "--d", "2", "--r", "2", "--s", "1"),
+        ("theta-star", "--dist", "gamma", "--a", "2", "--d", "2", "--r", "2", "--s", "1"),
+        ("theta-star", "--dist", "exponential", "--d", "3", "--r", "2", "--s", "1"),
+    ],
+    ids=["constants-gamma", "theta-star-gamma", "theta-star-exponential"],
+)
+def test_dimension_flag_is_refused_for_non_gaussian_laws(capsys, argv):
+    # these laws are one-dimensional: --d 2 must not print the d = 1 answer
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: --d applies to the gaussian family only, not {argv[2]}\n")
+
+
 def test_numeric_failures_exit_1(capsys):
     code = main(["theta-star", "--dist", "gamma", "--a", "3", "--r", "1", "--s", "5"])
     assert code == 1
@@ -270,13 +289,18 @@ def test_float_overflow_exits_1_with_one_line(capsys, argv):
         ("grid", "--n", "3", "--r", "2", "--d", "2"),
         ("distortion", "--grid-file", "{empty}"),
         ("distortion", "--grid-file", "{missing}"),
+        # a dimension the command does not support is a usage error
+        ("constants", "--r", "2", "--s", "1", "--d", "2"),
+        ("distortion", "--d", "2", "--grid-file", "{grid}"),
     ],
-    ids=["n-zero", "d-two", "empty-grid-file", "missing-grid-file"],
+    ids=["n-zero", "d-two", "empty-grid-file", "missing-grid-file", "constants-d-two",
+         "distortion-d-two"],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
-    empty = tmp_path / "empty.txt"
+    empty, grid = tmp_path / "empty.txt", tmp_path / "grid.txt"
     empty.write_text("")
-    paths = {"empty": empty, "missing": tmp_path / "missing.txt"}
+    grid.write_text(Grid([0.2, 0.9, 1.7]).to_text())
+    paths = {"empty": empty, "missing": tmp_path / "missing.txt", "grid": grid}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert out == ""

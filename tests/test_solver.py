@@ -726,12 +726,44 @@ def test_r6_solves_converge(spec, n):
     "a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5), (0.2, 0.3, 5)]
 )
 def test_gamma_optimum_at_the_origin_raises_solver_error(a, r, n):
-    # a + r < 1 and the first cell's optimal point is the origin itself,
-    # where its stationarity integral diverges; at (0.2, 0.3, 5) a Newton
-    # candidate's midpoint rounds onto a point, which must be refused
-    # before it is integrated (no warning)
-    with pytest.raises(SolverError, match="origin"):
+    # 2a + r <= 1: the first cell's optimal point is the origin itself,
+    # where its stationarity integral diverges
+    with pytest.raises(SolverError, match="origin") as exc:
         optimal_grid(DistributionSpec.gamma(a), n, r)
+    assert exc.value.points.size == 0 and math.isnan(exc.value.residual_sup)
+
+
+@pytest.mark.parametrize("hi", [1.0, math.inf])
+@pytest.mark.parametrize("dr", [-0.01, 0.0, 0.01])
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.4])
+def test_gamma_first_cell_optimum_is_the_origin_exactly_when_2a_plus_r_is_at_most_1(a, dr, hi):
+    # as x -> 0+ the first cell's moment derivative behaves like
+    # x**(a+r-1) (B(r, a) - B(r, 1-a-r)), and B(r, .) decreases; at the tie
+    # the bounded remainder is positive
+    r = 1.0 - 2.0 * a + dr
+    assert (cell_argmin(DistributionSpec.gamma(a), 0.0, hi, r) == 0.0) == (2.0 * a + r <= 1.0)
+
+
+def test_origin_laws_raise_before_any_newton_iteration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an origin law reached the solver")
+
+    monkeypatch.setattr(solver, "_newton", refuse)
+    monkeypatch.setattr(solver, "_cell_argmins", refuse)
+    for a, r, n in ((0.3, 0.3, 1), (0.3, 0.3, 400), (0.25, 0.5, 5), (0.05, 0.9, 50)):
+        with pytest.raises(SolverError, match="origin"):
+            optimal_grid(DistributionSpec.gamma(a), n, r)
+
+
+@pytest.mark.parametrize(
+    "spec, r", [(DistributionSpec.gamma(0.2), 0.7), (GAUSS, 0.5)], ids=["gamma0.2", "gauss"]
+)
+def test_a_candidate_whose_midpoint_rounds_onto_a_point_is_refused(spec, r):
+    # two points one ulp apart: their midpoint is one of them, and the
+    # r < 1 curvature would divide by zero there (an error under this
+    # suite's warning filter) if the candidate were integrated
+    pts = np.array([0.5, 1.0, np.nextafter(1.0, 2.0), 3.0])
+    assert solver._state(spec, pts, r, solver._QUAD.tail_mass_cut) is None
 
 
 def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
@@ -1100,20 +1132,20 @@ def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
 @pytest.mark.parametrize("a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5)])
 def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
     spec = DistributionSpec.gamma(a)
-    if n == 1:  # the one-point seed is swept, so it raises: take the limiting law's median
+    if n == 1:  # the one-point seed is already swept: take the limiting law's median
         pts = quantile(empirical_measure_law(spec, r), np.array([0.5]))
     else:
         pts = solver._initial_points(spec, n, r)
-    with pytest.raises(SolverError, match="origin"):
-        solver._lloyd_sweep(spec, pts, r)
+    assert solver._lloyd_sweep(spec, pts, r)[0] == spec.support[0]
     assert not solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_sign_test_rejects_a_first_point_near_the_origin_that_the_sweep_sends_there(n):
-    # the first point lies within the sweep tolerance of the origin, so the
-    # sign test's left point is the clipped end; every later cell is
-    # stationary, and only cell 0's own root, the origin, can fail the grid
+def test_a_first_point_near_the_origin_that_the_sweep_sends_there_is_refused_by_the_law(n):
+    # the first point lies within the sweep tolerance of the origin and
+    # every later cell is stationary, so the sign test keeps the grid even
+    # though the sweep sends the first point to the origin; the solve
+    # refuses such a law (2a + r <= 1) before it starts
     spec, r = DistributionSpec.gamma(0.3), 0.3
     first = 0.5 * solver._LLOYD_MOVE_TOL
     pts = np.array([first])
@@ -1125,9 +1157,10 @@ def test_sign_test_rejects_a_first_point_near_the_origin_that_the_sweep_sends_th
     roots = solver._cell_argmins(spec, voronoi_bounds(pts), r)
     assert roots[0] == spec.support[0]
     assert np.all(np.abs(roots[1:] - pts[1:]) <= solver._LLOYD_MOVE_TOL * (1.0 + pts[-1]))
+    assert solver._lloyd_sweep(spec, pts, r)[0] == spec.support[0]
+    assert solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
     with pytest.raises(SolverError, match="origin"):
-        solver._lloyd_sweep(spec, pts, r)
-    assert not solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
+        optimal_grid(spec, n, r)
 
 
 def test_gamma_half_with_a_first_point_near_the_pole_solves():
@@ -1156,12 +1189,15 @@ def test_gamma_seed_near_the_origin_solves(a, r):
     ids=["gauss", "exp", "gamma0.5", "gamma2", "gamma7"],
 )
 def test_equally_spaced_seeds_reach_the_default_seed_grid(spec, r):
-    # a seed whose Newton run fails is followed by the default seed
-    seed = Grid(np.linspace(*quantile(spec, np.array([0.001, 0.999])), 100))
-    seeded = optimal_grid(spec, 100, r, init_grid=seed, full_result=True)
-    ref = optimal_grid(spec, 100, r).points
-    assert seeded.lloyd_sweeps == 1
-    assert np.max(np.abs(seeded.grid.points - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    # a seed whose Newton run fails is followed by the default seed; at
+    # n = 5 on [F^-1(1e-6), F^-1(1 - 1e-6)] a Gamma(0.5), r = 4 line-search
+    # candidate overflows its cell integrals and must be refused
+    for n, p in ((100, 0.001), (5, 1e-6)):
+        seed = Grid(np.linspace(*quantile(spec, np.array([p, 1.0 - p])), n))
+        seeded = optimal_grid(spec, n, r, init_grid=seed, full_result=True)
+        ref = optimal_grid(spec, n, r).points
+        assert seeded.lloyd_sweeps == 1
+        assert np.max(np.abs(seeded.grid.points - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
 def _mp_cell_centres(a: float, pts: np.ndarray, r: float) -> np.ndarray:
