@@ -62,6 +62,7 @@ CACHE_ENV_VAR = "QUANTILAB_CACHE_DIR"
 _LLOYD_MOVE_TOL = 1e-6  # largest point move, relative to 1 + max|x|, of a verified grid
 _STEP_DAMPING = 0.5  # Newton line-search step shrink factor
 _MAX_NEWTON_ITERS = 60  # iterations of each Newton run
+_FLOOR_STEP = 1e-13  # largest pending step, relative to 1 + max|x|, of a state at round-off
 # The cell integrals' controls.  Deep tail cut and small absolute floor:
 # stationarity residuals of far-tail cells are minuscule and would
 # otherwise drown in the truncation bias (outer grid points must still
@@ -71,8 +72,13 @@ _QUAD = QuadratureOpts(abs_tol=1e-16, rel_tol=1e-12, max_subdivisions=4000, tail
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Stopping tolerances of ``optimal_grid``'s Newton runs: ``grad_tol``
-    on the stationarity residual and ``position_tol`` on the last step.
+    """Stopping tolerances of ``optimal_grid``'s Newton runs.
+
+    A run stops when sup|R| <= ``grad_tol`` (R the stationarity residual)
+    and its last step is <= ``position_tol`` (1 + max|x|), or at the
+    round-off floor: when the merit it minimises (sup|R / D| for r >= 1,
+    D the cells' curvatures; sup|R| for r < 1) is <= ``grad_tol`` and the
+    pending step is <= 1e-13 (1 + max|x|).
 
     The cell integrals' controls (``_QUAD``) and the Newton budget
     (``_MAX_NEWTON_ITERS``) are fixed.
@@ -506,8 +512,11 @@ def _newton(
     iterate's smallest), so that a seed's sub-cut tail cells can move,
     and where its cell integrals overflow (``QuadratureError``).
     Converged: sup|R| <= grad_tol and the last step <= position_tol
-    (1 + max|x|).  Returns the last state, the iterations and whether it
-    converged.
+    (1 + max|x|); or, once a step is solved, the merit (sup|F|, or sup|R|
+    for r < 1) <= grad_tol and that step <= ``_FLOOR_STEP`` (1 + max|x|),
+    so that no state is computed only to confirm a step at round-off;
+    that step counts as an iteration.  Returns the last state, the
+    iterations and whether it converged.
     """
 
     def converged() -> bool:
@@ -527,6 +536,8 @@ def _newton(
         step = _tridiagonal_solve(ab, -st.f)
         if step is None:
             break
+        if merit <= opts.grad_tol and np.max(np.abs(step)) <= _FLOOR_STEP * _scale(st.pts):
+            return st, iters + 1, True
         cut = min(_QUAD.tail_mass_cut, 0.5 * float(np.min(st.mass)))
         lam = 1.0
         moved = False
@@ -581,12 +592,22 @@ def _lloyd_newton(
 
 
 def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:
-    """The limiting point law's quantiles at the levels (2i - 1) / (2n); one
-    point is swept to its one-cell optimum, interior for every law solved."""
+    """The limiting point law's quantiles at the levels i / (n + 1).
+
+    One point is swept to its one-cell optimum, interior for every law
+    solved.  For a Gamma law with a + r < 1 < 2a + r the first point's
+    optimum lies near the origin, at up to 1e-4 where 2a + r = 1.01, while
+    its quantile is of order 1, and Newton on R would walk it onto the
+    second point: it starts at the optimum of its seed cell
+    [0, (p0 + p1) / 2].  Laws with 2a + r <= 1 never reach the seed.
+    """
     law = empirical_measure_law(spec, r)
-    levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    pts = np.asarray(quantile(law, levels), dtype=float)
-    return _lloyd_sweep(spec, pts, r) if n == 1 else pts
+    pts = np.asarray(quantile(law, np.arange(1, n + 1) / (n + 1.0)), dtype=float)
+    if n == 1:
+        return _lloyd_sweep(spec, pts, r)
+    if spec.family is Family.GAMMA and spec.a + r < 1.0 < 2.0 * spec.a + r:
+        pts[0] = _cell_argmins(spec, np.array([0.0, 0.5 * (pts[0] + pts[1])]), r)[0]
+    return pts
 
 
 def _unit_law(spec: DistributionSpec) -> tuple[DistributionSpec, Callable, Callable]:
@@ -621,8 +642,9 @@ def optimal_grid(
     Every r > 0: damped Newton from the seed, with a tridiagonal
     Jacobian whose diagonal is each cell's analytic curvature, drives the
     stationarity residual below ``grad_tol`` and its last step below
-    ``position_tol``.  For r >= 1 each equation is divided by its cell's
-    curvature, which lets Newton start at the seed in the tail cells.
+    ``position_tol``, or stops at the round-off floor (``SolverOpts``).
+    For r >= 1 each equation is divided by its cell's curvature, which
+    lets Newton start at the seed in the tail cells.
     The result must also be a fixed point of the Lloyd sweep (the full
     result's one sweep).  For r = 1 and 2 a Newton state takes the cdf
     or sf once per abscissa it needs (``_edge_law``); the fixed-point

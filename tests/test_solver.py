@@ -437,6 +437,14 @@ def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
         assert any(args[1] is st for st in computed)
 
 
+def test_a_solve_stops_at_the_round_off_floor(monkeypatch):
+    # the last state no longer only confirms a step: the solve before took 9
+    (states,) = _record_batches(monkeypatch, "_state")
+    res = optimal_grid(GAUSS, 300, 4.0, full_result=True)
+    assert res.lloyd_sweeps == 1
+    assert 0 < sum(out is not None for *_, out in states) <= 6
+
+
 # -- optimal_grid ----------------------------------------------------------------
 
 def test_one_point_grids_are_the_classic_centres(grid_of):
@@ -695,6 +703,19 @@ def test_newton_converges_from_the_seed(spec, r):
         np.testing.assert_allclose(seeded.grid.points, swept.points, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("r", [0.5, 4.0])
+def test_the_seed_is_the_limiting_law_quantiles_at_i_over_n_plus_1(r):
+    n = 7
+    levels = np.arange(1, n + 1) / (n + 1.0)
+    for spec in (GAUSS, DistributionSpec.gamma(0.3)):
+        q = quantile(empirical_measure_law(spec, r), levels)
+        pts = solver._initial_points(spec, n, r)
+        if spec.a + r < 1.0:  # the pole cell: its point starts at its optimum
+            assert pts[0] == cell_argmin(spec, 0.0, 0.5 * (q[0] + q[1]), r) < q[0]
+            pts, q = pts[1:], q[1:]
+        np.testing.assert_array_equal(pts, q)
+
+
 @pytest.mark.parametrize(
     "spec, n",
     [
@@ -720,6 +741,14 @@ def test_r6_solves_converge(spec, n):
         np.testing.assert_allclose(
             res.grid.points, exp_optimal_grid(n, 6.0).points, rtol=0, atol=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_state_at_its_round_off_floor_is_converged(n):
+    # Gamma(7), r = 8, n = 1 holds R = -4.66e-10 at its round-off floor, above
+    # grad_tol, from the first state on; sup|F| and the pending step are nil
+    res = optimal_grid(DistributionSpec.gamma(7.0), n, 8.0, full_result=True)
+    assert res.grid.n == n and res.lloyd_sweeps == 1
 
 
 @pytest.mark.parametrize(
@@ -865,6 +894,18 @@ def test_subunit_gamma_pole_at_origin_solves():
         assert res.grid.n == n and res.grid.points[0] > 0.0
         assert res.residual_sup <= SolverOpts().grad_tol and res.stationary_only
         assert res.lloyd_sweeps == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 5, 50])
+@pytest.mark.parametrize("a, r", [(0.05, 0.91), (0.1, 0.81), (0.3, 0.41), (0.45, 0.11)])
+def test_gamma_just_above_the_origin_line_solves(a, r, n):
+    # 2a + r = 1.01: the first point's optimum lies within 1e-4 of the
+    # origin, and from a seed point of order 1 Newton on R walked it onto
+    # the second point
+    res = optimal_grid(DistributionSpec.gamma(a), n, r, full_result=True)
+    assert res.grid.n == n and 0.0 < res.grid.points[0] < 1e-4
+    assert res.residual_sup <= SolverOpts().grad_tol and res.lloyd_sweeps == 1
 
 
 def test_subunit_exponent_points_minimise_their_cell_moments():
