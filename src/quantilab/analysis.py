@@ -13,10 +13,9 @@ from .dilatation import default_mu, theta_star
 from .distributions import (
     DistributionSpec,
     Family,
-    c_fr,
+    _edge_masses,
     empirical_measure_law,
     quantile,
-    scaled_density_power_integral,
 )
 from .quantizer import Grid
 from .solver import GridCache, SolverError, _exp_grid, _takes_recursion, exp_ak_sequence, solve
@@ -231,28 +230,24 @@ def empirical_identity_check(
     For the Gaussian and exponential families both sides agree: the mass
     the r-limit law puts on the theta_star-contracted interval equals the
     mass the s-limit law puts on the interval itself, and the result holds
-    (lhs, rhs, |lhs - rhs|).
+    (lhs, rhs, |lhs - rhs|).  Each mass is that of the in-family limit
+    law (``empirical_measure_law``) on its interval, a cdf or sf
+    difference (``_edge_masses``).
 
     For Gamma shapes != 1 the identity fails; the result then reports the
-    same quantity the counterexample computes, routed through the
-    density-power integrals of both limit laws:
-    lhs is the difference of the two tail terms, rhs the reference
-    mismatch constant, abs_gap their distance.
+    same quantity the counterexample computes: lhs is the s-law's mass
+    minus the r-law's, equal to the r-law's tail beyond the contracted
+    interval minus the s-law's tail beyond the interval, rhs the
+    reference mismatch constant, abs_gap their distance.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi < lo:
         raise ValueError("interval must be ordered")
     th = theta_star(spec, r, s)
     mu = default_mu(spec)
-    t_lo = (lo - mu) / th + mu
-    t_hi = (hi - mu) / th + mu
-    side_r = (
-        scaled_density_power_integral(spec, 1.0, mu, 0.0, 1.0 / (1.0 + r), t_lo, t_hi)
-        / c_fr(spec, r)
-    )
-    side_s = (
-        scaled_density_power_integral(spec, 1.0, mu, 0.0, 1.0 / (1.0 + s), lo, hi)
-        / c_fr(spec, s)
+    side_r, side_s = (
+        float(_edge_masses(empirical_measure_law(spec, e), np.array(ends))[0])
+        for e, ends in ((r, ((lo - mu) / th + mu, (hi - mu) / th + mu)), (s, (lo, hi)))
     )
     if spec.family is Family.GAMMA and spec.a != 1.0:
         lhs = side_s - side_r

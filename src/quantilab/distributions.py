@@ -7,8 +7,9 @@ Provides densities, distribution/quantile functions, cell-wise moment
 integrals by adaptive quadrature (one cell at a time, or all cells of a
 grid in one batch), and the closed forms tied to each family: the
 density-power normaliser ``c_fr``, the asymptotic distortion coefficient
-``zador_q``, the limiting codebook point density ``empirical_density``
-and the density-power product integral behind the rate constants,
+``zador_q``, the limiting codebook point law ``empirical_measure_law``
+(in family; ``empirical_density`` is its pdf) and the whole-support
+density-power product integral behind the rate constants,
 ``scaled_density_power_integral``.
 """
 
@@ -691,12 +692,9 @@ def empirical_measure_law(spec: DistributionSpec, s: float) -> DistributionSpec:
 
 
 def empirical_density(spec: DistributionSpec, s: float, x) -> np.ndarray | float:
-    """Limiting point density f(x)**(d/(d+s)) / c_fr(spec, s)."""
-    _require_d1(spec, "empirical_density")
-    _require_positive(s=s)
-    xs, scalar = _as_array(x)
-    out = pdf(spec, xs) ** (1.0 / (1.0 + s)) / c_fr(spec, s)
-    return _ret(np.asarray(out, dtype=float), scalar)
+    """Limiting point density f(x)**(d/(d+s)) / c_fr(spec, s): the density
+    of the in-family ``empirical_measure_law``."""
+    return pdf(empirical_measure_law(spec, s), x)
 
 
 # --------------------------------------------------------------------------
@@ -709,49 +707,34 @@ def scaled_density_power_integral(
     mu: float,
     p_scaled: float,
     p_plain: float,
-    lo: float | None = None,
-    hi: float | None = None,
 ) -> float:
     """Integral of f(mu + theta (x - mu))**p_scaled * f(x)**p_plain over
-    the support intersected with [lo, hi] (unbounded by default).
+    the support.
 
     Closed form per family.  Gaussian: the integrand is a Gaussian kernel
     of precision A = p_scaled theta**2 + p_plain, so the integral is a
-    prefactor times sigma sqrt(2 pi / A) times an ``ndtr`` difference.
+    prefactor times sigma sqrt(2 pi / A).
     Gamma (mu = 0 only): the integrand is C x**(k-1) e**(-rho x) with
     k = (a-1)(p_scaled + p_plain) + 1 and rho = lam (theta p_scaled +
-    p_plain), so it is C Gamma(k) rho**(-k) times a regularised
-    incomplete-gamma difference.  Each difference is taken on the side
-    (lower or upper tail) that avoids cancellation, as in
-    ``_edge_masses``.  Raises ValueError when the combination diverges
-    (A <= 0, rho <= 0 or k <= 0); callers decide finiteness analytically
-    and report +inf themselves.
+    p_plain), so it is C Gamma(k) rho**(-k).  Raises ValueError when the
+    combination diverges (A <= 0, rho <= 0 or k <= 0); callers decide
+    finiteness analytically and report +inf themselves.
     """
     _require_d1(spec, "scaled_density_power_integral")
     _require_positive(theta=theta)
-    lo = -_INF if lo is None else lo
-    hi = _INF if hi is None else hi
     total = p_scaled + p_plain
     if spec.family is Family.GAUSSIAN:
         weight = p_scaled * theta**2
         prec = weight + p_plain
         if prec <= 0.0:
             raise ValueError("divergent: combined quadratic coefficient <= 0")
-        if not lo < hi:
-            return 0.0
         # p_scaled theta**2 (x - x0)**2 + p_plain (x - m)**2
         #   = prec (x - centre)**2 + weight p_plain (x0 - m)**2 / prec
         gap = (spec.m - mu) * (1.0 / theta - 1.0)  # x0 - m
-        centre = spec.m + weight * gap / prec
         log_c = -0.5 * total * math.log(2.0 * math.pi * spec.sigma2) - (
             weight * p_plain * gap**2 / (2.0 * prec * spec.sigma2)
         )
-        z_lo, z_hi = (math.sqrt(prec) * (v - centre) / spec.sigma for v in (lo, hi))
-        if z_lo > 0.0:
-            frac = special.ndtr(-z_lo) - special.ndtr(-z_hi)
-        else:
-            frac = special.ndtr(z_hi) - special.ndtr(z_lo)
-        return math.exp(log_c) * spec.sigma * math.sqrt(2.0 * math.pi / prec) * float(frac)
+        return math.exp(log_c) * spec.sigma * math.sqrt(2.0 * math.pi / prec)
     if mu != 0.0:
         raise ValueError("the Gamma family needs mu = 0")
     rho = spec.lam * (theta * p_scaled + p_plain)
@@ -760,17 +743,9 @@ def scaled_density_power_integral(
     k = (spec.a - 1.0) * total + 1.0
     if k <= 0.0:
         raise ValueError("divergent: non-integrable power at the origin")
-    lo = max(lo, 0.0)
-    if not lo < hi:
-        return 0.0
-    log_c = (
+    return math.exp(
         total * (spec.a * math.log(spec.lam) - math.lgamma(spec.a))
         + (spec.a - 1.0) * p_scaled * math.log(theta)
         + math.lgamma(k)
         - k * math.log(rho)
     )
-    if special.gammainc(k, rho * lo) > 0.5:
-        frac = special.gammaincc(k, rho * lo) - special.gammaincc(k, rho * hi)
-    else:
-        frac = special.gammainc(k, rho * hi) - special.gammainc(k, rho * lo)
-    return math.exp(log_c) * float(frac)

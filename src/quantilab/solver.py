@@ -63,6 +63,7 @@ _LLOYD_MOVE_TOL = 1e-6  # largest point move, relative to 1 + max|x|, of a verif
 _STEP_DAMPING = 0.5  # Newton line-search step shrink factor
 _MAX_NEWTON_ITERS = 60  # iterations of each Newton run
 _FLOOR_STEP = 1e-13  # largest pending step, relative to 1 + max|x|, of a state at round-off
+_STALL_STEP = 1e-7  # largest step, relative to 1 + max|x|, of a run stalled at round-off
 # The cell integrals' controls.  Deep tail cut and small absolute floor:
 # stationarity residuals of far-tail cells are minuscule and would
 # otherwise drown in the truncation bias (outer grid points must still
@@ -78,7 +79,9 @@ class SolverOpts:
     and its last step is <= ``position_tol`` (1 + max|x|), or at the
     round-off floor: when the merit it minimises (sup|R / D| for r >= 1,
     D the cells' curvatures; sup|R| for r < 1) is <= ``grad_tol`` and the
-    pending step is <= 1e-13 (1 + max|x|).
+    pending step is <= 1e-13 (1 + max|x|).  A last step that is the third
+    or later and cut the merit by less than half need only be <= 1e-7
+    (1 + max|x|): the run has stalled at round-off.
 
     The cell integrals' controls (``_QUAD``) and the Newton budget
     (``_MAX_NEWTON_ITERS``) are fixed.
@@ -157,13 +160,13 @@ def _conditional_median(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increasing_roots(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _increasing_roots(g, lo: np.ndarray, hi: np.ndarray, abs_tol: float) -> np.ndarray:
     """Roots of increasing functions on brackets [lo, hi], all at once.
 
     ``g(x, idx)`` evaluates functions ``idx`` at points ``x``.  Where g
     has one sign over the whole bracket the nearer end is returned.
     Chandrupatla's method: inverse quadratic interpolation where it is
-    safe, bisection otherwise, to |x - root| <= 1e-12 + 8.9e-16 |x|.
+    safe, bisection otherwise, to |x - root| <= abs_tol + 8.9e-16 |x|.
     The first trial point is the bracket midpoint.
     """
     m = lo.size
@@ -188,7 +191,7 @@ def _increasing_roots(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         xm = np.where(better, x1, x2)
         fm = np.where(better, f1, f2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tl = (1e-12 + 8.9e-16 * np.abs(xm)) / np.abs(x2 - x1)
+            tl = (abs_tol + 8.9e-16 * np.abs(xm)) / np.abs(x2 - x1)
             xi = (x1 - x2) / (x3 - x2)
             phi = (f1 - f2) / (f3 - f2)
             iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (
@@ -213,7 +216,8 @@ def _cell_argmins(spec: DistributionSpec, b: np.ndarray, r: float) -> np.ndarray
     the root of the moment derivative r * integral |x - a|**(r-1)
     sign(a - x) f(x) (unique for these unimodal densities; for r < 1 its
     weight is singular at a) within the cell clipped, once, to the support
-    and tail cuts.
+    and tail cuts.  For a Gamma law with a + r < 1 < 2a + r the roots are
+    found to relative precision: a first optimum can lie at 1e-24.
     """
     if r == 1.0:
         return _conditional_median(spec, b)
@@ -221,7 +225,8 @@ def _cell_argmins(spec: DistributionSpec, b: np.ndarray, r: float) -> np.ndarray
         return _conditional_mean(spec, b)
     _require_mass(spec, b)
     lo, hi = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
-    return _increasing_roots(_moment_derivative(spec, lo, hi, r), lo, hi)
+    pole = spec.family is Family.GAMMA and spec.a + r < 1.0 < 2.0 * spec.a + r
+    return _increasing_roots(_moment_derivative(spec, lo, hi, r), lo, hi, 0.0 if pole else 1e-12)
 
 
 def _moment_derivative(
@@ -512,22 +517,29 @@ def _newton(
     iterate's smallest), so that a seed's sub-cut tail cells can move,
     and where its cell integrals overflow (``QuadratureError``).
     Converged: sup|R| <= grad_tol and the last step <= position_tol
-    (1 + max|x|); or, once a step is solved, the merit (sup|F|, or sup|R|
+    (1 + max|x|), or <= ``_STALL_STEP`` (1 + max|x|) where that step, the
+    third or later, cut the merit by less than half: at large n ||J^-1||
+    (about n**2) turns the round-off of F into steps above position_tol;
+    or, once a step is solved, the merit (sup|F|, or sup|R|
     for r < 1) <= grad_tol and that step <= ``_FLOOR_STEP`` (1 + max|x|),
     so that no state is computed only to confirm a step at round-off;
-    that step counts as an iteration.  Returns the last state, the
-    iterations and whether it converged.
+    that step counts as an iteration.  A seed must be admissible as a
+    candidate is, with every cell's mass > 0, else ``SolverError``.
+    Returns the last state, the iterations and whether it converged.
     """
 
     def converged() -> bool:
+        step_tol = _STALL_STEP if stalled else opts.position_tol
         return bool(
-            np.max(np.abs(st.res)) <= opts.grad_tol
-            and last_step <= opts.position_tol * _scale(st.pts)
+            np.max(np.abs(st.res)) <= opts.grad_tol and last_step <= step_tol * _scale(st.pts)
         )
 
-    st = _state(spec, pts, r)
+    st = _state(spec, pts, r, 0.0)
+    if st is None:
+        raise SolverError(f"inadmissible seed for n={pts.size}, r={r}", pts, math.nan)
     merit = float(np.max(np.abs(st.f)))
     last_step = math.inf
+    stalled = False
     iters = 0
     for _ in range(_MAX_NEWTON_ITERS):
         if converged():
@@ -550,6 +562,7 @@ def _newton(
             if c_st is not None:
                 c_merit = float(np.max(np.abs(c_st.f)))
                 if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:
+                    stalled = iters >= 2 and c_merit > 0.5 * merit
                     st, merit = c_st, c_merit
                     last_step = lam * float(np.max(np.abs(step)))
                     moved = True
@@ -574,21 +587,26 @@ def _lloyd_newton(
     points for r = 1, and from its clipped cells in one batched
     quadrature pass otherwise.  The residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
-    in the far tail.  When no seed verifies, the ``SolverError`` says
-    "no verified convergence" and carries the last run's points.
+    in the far tail.  A seed ``_newton`` refuses is skipped.  When no
+    seed verifies, the last run's ``SolverError`` is raised.
     """
     newton_iters = 0
     for pts in seeds:
-        st, iters, ok = _newton(spec, pts, r, opts)
+        try:
+            st, iters, ok = _newton(spec, pts, r, opts)
+        except SolverError as err:  # an inadmissible seed
+            failure = err
+            continue
         newton_iters += iters
         if ok and _sweep_keeps(spec, st, r):
             return st, newton_iters
-    sup = float(np.max(np.abs(st.res)))
-    raise SolverError(
-        f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
-        st.pts,
-        sup,
-    )
+        sup = float(np.max(np.abs(st.res)))
+        failure = SolverError(
+            f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
+            st.pts,
+            sup,
+        )
+    raise failure
 
 
 def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:

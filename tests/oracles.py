@@ -26,14 +26,11 @@ def quadrature_sdpi(
     p_scaled: float,
     p_plain: float,
     opts: QuadratureOpts = DEFAULT_QUAD,
-    lo: float | None = None,
-    hi: float | None = None,
 ) -> float:
     """Quadrature of f(mu + theta (x - mu))**p_scaled * f(x)**p_plain.
 
-    The integrand is evaluated in log space over the support intersected
-    with [lo, hi]; with the default unbounded window the truncation point
-    is chosen from the analytic decay of the combined exponent.  Raises
+    The integrand is evaluated in log space over the support, truncated
+    where the analytic decay of the combined exponent says.  Raises
     ValueError when the requested combination diverges.
     """
     if theta <= 0.0:
@@ -61,10 +58,6 @@ def quadrature_sdpi(
         centre = (p_scaled * theta**2 * x0 + p_plain * spec.m) / quad_coef
         width = spec.sigma / math.sqrt(quad_coef)
         w_lo, w_hi = centre - 12.0 * width, centre + 12.0 * width
-        if lo is not None:
-            w_lo = max(w_lo, lo)
-        if hi is not None:
-            w_hi = min(w_hi, hi)
         bps = [centre + k * width for k in (-4.0, -1.0, 0.0, 1.0, 4.0)]
         val, _ = integrate(
             lambda x: np.exp(log_integrand(x)), w_lo, w_hi, breakpoints=bps, **kw
@@ -78,25 +71,18 @@ def quadrature_sdpi(
     if power <= -1.0:
         raise ValueError("divergent: non-integrable power at the origin")
     w_hi = (max(power, 0.0) + 60.0) / rate
-    w_lo = 0.0
-    if lo is not None:
-        w_lo = max(w_lo, lo)
-    if hi is not None:
-        w_hi = min(w_hi, hi)
-    if not w_lo < w_hi:
-        return 0.0
     mode = max(power, 0.0) / rate
     bps = [mode + k / rate for k in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-    if power < 0.0 and w_lo == 0.0:
+    if power < 0.0:
         def fn_smooth(x: np.ndarray) -> np.ndarray:
             return np.exp(log_integrand(x) - power * np.log(x))
 
         val, _ = integrate_endpoint_power(
-            fn_smooth, power, w_lo, w_hi, singular_at="lo", breakpoints=bps, **kw
+            fn_smooth, power, 0.0, w_hi, singular_at="lo", breakpoints=bps, **kw
         )
         return val
     val, _ = integrate(
-        lambda x: np.exp(log_integrand(x)), w_lo, w_hi, breakpoints=bps, **kw
+        lambda x: np.exp(log_integrand(x)), 0.0, w_hi, breakpoints=bps, **kw
     )
     return val
 

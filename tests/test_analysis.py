@@ -25,6 +25,7 @@ from quantilab.distributions import (
     DistributionSpec,
     empirical_measure_law,
     quantile,
+    sf,
 )
 from quantilab.quantizer import DilationParams, Grid, dilate
 from quantilab.solver import exp_ak_sequence, exp_optimal_grid, solve
@@ -200,10 +201,25 @@ def test_identity_via_quantile_windows(spec, r, s):
 def test_gamma_identity_failure_reports_counterexample_numbers():
     res = empirical_identity_check(DistributionSpec.gamma(7.0), 2.0, 1.0, (0.0, 1.0))
     ce = gamma_counterexample()
-    assert res.lhs == pytest.approx(ce.lhs, abs=1e-9)  # quadrature route
+    assert res.lhs == pytest.approx(ce.lhs, abs=1e-9)
     assert res.rhs == GAMMA_COUNTEREXAMPLE_RHS
     assert res.abs_gap >= 0.1
     assert res.abs_gap == pytest.approx(0.9931, abs=2e-3)
+
+
+def test_counterexample_lhs_is_the_limit_laws_tail_difference():
+    # at (r, s) = (2, 1) the limit laws of Gamma(7) are Gamma(3, 1/3) and
+    # Gamma(4, 1/2); the closed-form lhs is the first's tail beyond
+    # 1 / theta_star minus the second's tail beyond 1
+    g7 = DistributionSpec.gamma(7.0)
+    law_r, law_s = empirical_measure_law(g7, 2.0), empirical_measure_law(g7, 1.0)
+    assert law_r == DistributionSpec.gamma(3.0, 1.0 / 3.0)
+    assert law_s == DistributionSpec.gamma(4.0, 0.5)
+    tails = sf(law_r, 1.0 / theta_star(g7, 2.0, 1.0)) - sf(law_s, 1.0)
+    res = empirical_identity_check(g7, 2.0, 1.0, (0.0, 1.0))
+    assert all(type(v) is float for v in (res.lhs, res.rhs, res.abs_gap))
+    assert abs(res.lhs - gamma_counterexample().lhs) <= 1e-15
+    assert abs(tails - gamma_counterexample().lhs) <= 1e-15
 
 
 def test_table_rows_keep_status_field():

@@ -655,9 +655,7 @@ SDPI_LAWS = [
 @pytest.mark.parametrize("spec", SDPI_LAWS, ids=lambda s: s.cache_token())
 def test_density_power_integral_matches_quadrature(spec):
     # the (p_scaled, p_plain) of the condition integral, c_fr and the s < r
-    # upper bound, over whole, central, lower-tail and upper-tail windows
-    q10, q90 = (float(v) for v in quantile(spec, np.array([0.1, 0.9])))
-    windows = [(None, None), (q10, q90), (None, q10), (q90, None)]
+    # upper bound, over the whole support
     mus = [spec.m, spec.m + 0.7] if spec.family is Family.GAUSSIAN else [0.0]
     checked = 0
     for r, s in ((2.0, 1.0), (2.0, 4.0), (4.0, 1.0), (1.0, 2.0), (0.5, 0.25)):
@@ -666,29 +664,18 @@ def test_density_power_integral_matches_quadrature(spec):
             powers.append((r / (r - s), -s / (r - s)))
         for theta in (0.5, 0.8, 1.0, 1.3, 2.2):
             for p1, p2 in powers:
-                for lo, hi in windows:
-                    for mu in mus:
-                        args = (spec, theta, mu, p1, p2)
-                        try:
-                            ref = quadrature_sdpi(*args, TIGHT, lo=lo, hi=hi)
-                        except ValueError:  # divergent: both sides must say so
-                            with pytest.raises(ValueError):
-                                scaled_density_power_integral(*args, lo, hi)
-                            continue
-                        got = scaled_density_power_integral(*args, lo, hi)
-                        assert abs(got - ref) <= 1e-9 * abs(ref), (args, lo, hi)
-                        checked += 1
-    assert checked >= 200
-
-
-@pytest.mark.parametrize("spec", FAMILIES)
-def test_density_power_integral_far_tail_windows_keep_relative_accuracy(spec):
-    # p = (0, 1) integrates the density itself: windows deep in either tail
-    # must come out as sf/cdf differences without cancellation
-    for lo, hi in ((quantile_sf(spec, 1e-30), None), (None, quantile(spec, 1e-30))):
-        want = sf(spec, lo) if hi is None else cdf(spec, hi)
-        got = scaled_density_power_integral(spec, 1.0, 0.0, 0.0, 1.0, lo, hi)
-        assert abs(got - want) <= 1e-12 * want
+                for mu in mus:
+                    args = (spec, theta, mu, p1, p2)
+                    try:
+                        ref = quadrature_sdpi(*args, TIGHT)
+                    except ValueError:  # divergent: both sides must say so
+                        with pytest.raises(ValueError):
+                            scaled_density_power_integral(*args)
+                        continue
+                    got = scaled_density_power_integral(*args)
+                    assert abs(got - ref) <= 1e-9 * abs(ref), args
+                    checked += 1
+    assert checked >= 50
 
 
 def test_density_power_integral_divergence_guards():
@@ -700,7 +687,6 @@ def test_density_power_integral_divergence_guards():
         scaled_density_power_integral(DistributionSpec.gamma(0.5), 1.0, 0.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         scaled_density_power_integral(EXPO, 1.0, 0.3, 1.0, 0.0)  # half-line needs mu = 0
-    assert scaled_density_power_integral(GAUSS, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0) == 0.0
 
 
 # -- limiting point density --------------------------------------------------
@@ -728,11 +714,21 @@ def test_empirical_density_outside_support():
 def test_empirical_density_normalised_and_in_family(spec, s):
     law = empirical_measure_law(spec, s)
     xs = np.linspace(*quantile(law, np.array([1e-4, 1.0 - 1e-4])), 31)
-    np.testing.assert_allclose(
-        empirical_density(spec, s, xs), pdf(law, xs), rtol=1e-12, atol=1e-300
-    )
+    np.testing.assert_array_equal(empirical_density(spec, s, xs), pdf(law, xs))
     mass = quadrature_sdpi(spec, 1.0, 0.0, 0.0, 1.0 / (1.0 + s), TIGHT)
     assert mass / c_fr(spec, s) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_limit_law_far_tail_windows_keep_relative_accuracy(spec):
+    # a limit law's mass on a window deep in either tail must come out as
+    # an sf/cdf difference without cancellation
+    for s in (1.0, 4.0):
+        law = empirical_measure_law(spec, s)
+        for lo, hi in ((quantile_sf(law, 1e-30), INF), (-INF, quantile(law, 1e-30))):
+            want = sf(law, lo) if hi == INF else cdf(law, hi)
+            got = _edge_masses(law, np.array([lo, hi]))[0]
+            assert abs(got - want) <= 1e-12 * want, (s, lo, hi)
 
 
 # -- validation --------------------------------------------------------------

@@ -751,6 +751,17 @@ def test_a_state_at_its_round_off_floor_is_converged(n):
     assert res.grid.n == n and res.lloyd_sweeps == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_a_large_n_solve_stops_once_it_stalls_at_round_off(r):
+    # at n = 1e5 the step's round-off (||J^-1|| ~ n**2) stays far above
+    # position_tol, and the run used to end without verified convergence
+    n = 100_000
+    res = optimal_grid(GAUSS, n, r, full_result=True)
+    assert res.grid.n == n and res.lloyd_sweeps == 1
+    assert res.newton_iters <= 10 and res.residual_sup <= SolverOpts().grad_tol
+
+
 @pytest.mark.parametrize(
     "a, r, n", [(0.3, 0.3, 1), (0.3, 0.3, 5), (0.2, 0.2, 5), (0.2, 0.3, 5)]
 )
@@ -906,6 +917,33 @@ def test_gamma_just_above_the_origin_line_solves(a, r, n):
     res = optimal_grid(DistributionSpec.gamma(a), n, r, full_result=True)
     assert res.grid.n == n and 0.0 < res.grid.points[0] < 1e-4
     assert res.residual_sup <= SolverOpts().grad_tol and res.lloyd_sweeps == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [200, 900])
+@pytest.mark.parametrize("a, r", [(0.05, 0.91), (0.1, 0.81)])
+def test_the_pole_cell_seed_is_found_to_relative_precision(a, r, n):
+    # the first point's optimum lies at 1e-16 to 1e-23; a root search to an
+    # absolute 1e-12 returned the origin itself, a seed the state refused
+    # with a ValueError from the quadrature
+    spec = DistributionSpec.gamma(a)
+    seed = solver._initial_points(spec, n, r)[0]
+    res = optimal_grid(spec, n, r, full_result=True)
+    assert 0.0 < res.grid.points[0] < seed < 1e-12
+    assert res.newton_iters <= 6 and res.lloyd_sweeps == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, r", [(0.3, 0.5), (0.5, 0.5)])
+def test_a_seed_on_the_support_edge_is_refused(a, r):
+    # a point at the origin, where the first cell's integrand is not
+    # integrable (a + r <= 1): the run is a SolverError, and the solve goes
+    # on from the default seed
+    spec = DistributionSpec.gamma(a)
+    with pytest.raises(SolverError, match="inadmissible seed"):
+        solver._newton(spec, np.array([0.0, 1.0, 2.0]), r, SolverOpts())
+    seeded = optimal_grid(spec, 3, r, init_grid=Grid(np.array([0.0, 1.0, 2.0])))
+    np.testing.assert_array_equal(seeded.points, optimal_grid(spec, 3, r).points)
 
 
 def test_subunit_exponent_points_minimise_their_cell_moments():
