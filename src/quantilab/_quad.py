@@ -10,9 +10,9 @@ monomial change of variable rather than by brute-force subdivision.
 subdivision budget.  An integral that behaves like ``(x - lo)**p`` at its
 lower end gets a 16-point Gauss-Jacobi panel there (a product rule for the
 algebraic end weight, as in QUADPACK's QAWS), so that end needs no
-bisection.  Panels are summed from a C-contiguous ``(panels, 16)`` copy of
-the integrand's values: BLAS sums a transposed view in another order, and
-the copy keeps every panel sum bit for bit that of a row-major layout.
+bisection.  Every panel is summed on its own, down its column of
+node-major values, so an integral's value does not depend on what it is
+batched with.
 """
 
 from __future__ import annotations
@@ -161,19 +161,19 @@ def _panels(
     """16-point panel sums over [a[j], b[j]], Gauss-Legendre without ``ends``.
 
     ``ends = (lo, rule_of, nodes, weights)``: a panel of integral k that
-    starts at ``lo[k]`` uses column ``rule_of[k]`` of ``nodes`` (16, rules)
-    and row ``rule_of[k]`` of ``weights`` (rules, 16), a Jacobi rule in
-    ``_jacobi_rule`` form; every other panel uses rule 0, Gauss-Legendre
-    about the panel's midpoint.
+    starts at ``lo[k]`` uses column ``rule_of[k]`` of ``nodes`` and of
+    ``weights`` (both (16, rules)), a Jacobi rule in ``_jacobi_rule`` form;
+    every other panel uses rule 0, Gauss-Legendre about the panel's
+    midpoint.
 
     The nodes of a chunk are a ``(16, p)`` array, node-major, so that
     per-panel values broadcast along contiguous rows.  Rules are gathered
     per chunk and the nodes built in place, because extra panel-sized
     temporaries make the allocator hand heap pages back and fault them in
-    again on every call (about 30% of a Gamma(7) s = 2.5 distortion).  The
-    integrand's values are summed from a C-contiguous ``(p, 16)`` copy:
-    BLAS and ``einsum`` sum a transposed view in another order, so the
-    copy keeps each panel's sum bit for bit that of the row-major layout.
+    again on every call (about 30% of a Gamma(7) s = 2.5 distortion).  Each
+    column is summed by halving, with elementwise adds: ``sum(axis=0)``
+    adds a lone column pairwise, p > 1 columns row by row, and BLAS blocks
+    by p.  So a panel sums to the same bits in any batch.
     """
     out = np.empty(a.size)
     for s in range(0, a.size, _CHUNK):
@@ -183,20 +183,21 @@ def _panels(
         half = 0.5 * width
         mid = 0.5 * (a[part] + b[part])
         if ends is None:
+            scale, w = half, _WEIGHTS[:, None]
             x = _NODES[:, None] * half
             x += mid
-            out[part] = half * (np.ascontiguousarray(fn(x, k).T) @ _WEIGHTS)
-            continue
-        lo, rule_of, nodes, weights = ends
-        rule = np.where(a[part] == lo[k], rule_of[k], 0)
-        at_lo = rule > 0
-        centre = np.where(at_lo, a[part], mid)
-        scale = np.where(at_lo, width, half)
-        x = np.take(nodes, rule, axis=1)
-        x *= scale
-        x += centre
-        vals = np.ascontiguousarray(fn(x, k).T)
-        out[part] = scale * np.einsum("ij,ij->i", vals, np.take(weights, rule, axis=0))
+        else:
+            lo, rule_of, nodes, weights = ends
+            rule = np.where(a[part] == lo[k], rule_of[k], 0)
+            at_lo = rule > 0
+            scale, w = np.where(at_lo, width, half), np.take(weights, rule, axis=1)
+            x = np.take(nodes, rule, axis=1)
+            x *= scale
+            x += np.where(at_lo, a[part], mid)
+        np.multiply(fn(x, k), w, out=x)
+        for h in (8, 4, 2, 1):  # a pairwise sum down each column, elementwise
+            x[:h] += x[h : 2 * h]
+        out[part] = scale * x[0]
     return out
 
 
@@ -214,10 +215,10 @@ def integrate_batch(
 
     ``fn(x, owner)`` evaluates integrand ``owner[j]`` at the nodes
     ``x[:, j]`` of a node-major ``(16, p)`` array, so that a per-panel
-    array such as ``lo[owner]`` broadcasts against ``x`` as it is; the
-    panel sums take a C-contiguous transposed copy of the values (see
-    ``_panels``).  Refinement is level-synchronous: each round bisects,
-    in every integral that has not yet met ``integrate``'s test (summed
+    array such as ``lo[owner]`` broadcasts against ``x`` as it is, and an
+    integral's value does not depend on its batch (``_panels``).
+    Refinement is level-synchronous: each round bisects, in every
+    integral that has not yet met ``integrate``'s test (summed
     panel error <= max(abs_tol, rel_tol * |total|)), the panels whose
     error exceeds an even share of half that tolerance.  Returns
     ``(values, error_bounds)``; empty or reversed intervals give zero.
@@ -244,8 +245,7 @@ def integrate_batch(
             rule_of = np.zeros(m, dtype=np.intp)  # 0: Legendre, i: Jacobi for ps[i - 1]
             rule_of[jacobi] = idx + 1
             rules = [(_NODES, _WEIGHTS)] + [_jacobi_rule(float(p)) for p in ps]
-            nodes = np.stack([r[0] for r in rules], axis=1)  # node-major, as the panels
-            ends = (lo, rule_of, nodes, np.array([r[1] for r in rules]))
+            ends = (lo, rule_of, *(np.stack(r, axis=1) for r in zip(*rules)))  # node-major
 
     total = np.zeros(m)
     err_total = np.zeros(m)

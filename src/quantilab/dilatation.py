@@ -124,11 +124,6 @@ def _holder_threshold(spec: DistributionSpec, r: float, s: float) -> float:
     return s / r
 
 
-def _gamma_condition_shape_ok(spec: DistributionSpec, r: float, s: float) -> bool:
-    # integrability at the origin: a (r+1-s) + s > 0
-    return spec.family is Family.GAUSSIAN or spec.a * (r + 1.0 - s) + s > 0.0
-
-
 def admissible_theta_range(
     spec: DistributionSpec, r: float, s: float
 ) -> tuple[float, float]:
@@ -142,6 +137,15 @@ def admissible_theta_range(
     if s >= r:
         return (_condition_threshold(spec, r, s), _INF)
     return (_holder_threshold(spec, r, s), _INF)
+
+
+def _integral_or_inf(query: RateQuery, p_scaled: float, p_plain: float) -> float:
+    """The closed form at a validated query, +inf where it diverges: at a Gamma
+    origin power, or by rounding just above an analytic threshold."""
+    try:
+        return scaled_density_power_integral(query.spec, query.theta, query.mu, p_scaled, p_plain)
+    except ValueError:
+        return _INF
 
 
 def _q_inf_from(query: RateQuery, cond: float) -> float:
@@ -159,8 +163,7 @@ def q_inf(query: RateQuery) -> float:
 
     theta**(s+d) * J_{s,d} * c_fr(spec, r)**(s/d) times the condition
     integral of f_(theta,mu) f**(-s/(d+r)); +inf whenever that integral
-    diverges (decided analytically from the family threshold, never
-    numerically).
+    is (``condition_integral``).
     """
     return _q_inf_from(query, condition_integral(query))
 
@@ -168,21 +171,21 @@ def q_inf(query: RateQuery) -> float:
 def q_sup_sub(query: RateQuery) -> float:
     """Asymptotic upper-bound constant, s < r branch.
 
-    theta**(s+d) * Q_r**(s/r) * (Hoelder integral)**(1 - s/r); +inf below
-    the family threshold.  Calling it with s >= r is a usage error (the
-    s > r bound carries an unknown constant and is not computed here).
+    theta**(s+d) * Q_r**(s/r) * (Hoelder integral)**(1 - s/r); +inf at or
+    below the family threshold and wherever that integral diverges.  Calling
+    it with s >= r is a usage error (the s > r bound carries an unknown
+    constant and is not computed here).
     """
     spec, r, s = query.spec, query.r, query.s
     if s >= r:
         raise ValueError("q_sup_sub is defined for s < r only")
     if spec.d != 1:
         raise ValueError("q_sup_sub evaluation requires d=1")
-    theta, mu = query.theta, query.mu
-    if theta <= _holder_threshold(spec, r, s):
+    if query.theta <= _holder_threshold(spec, r, s):
         return _INF
-    integral = scaled_density_power_integral(spec, theta, mu, r / (r - s), -s / (r - s))
+    integral = _integral_or_inf(query, r / (r - s), -s / (r - s))
     return (
-        theta ** (s + spec.d)
+        query.theta ** (s + spec.d)
         * zador_q(spec, r) ** (s / r)
         * integral ** (1.0 - s / r)
     )
@@ -193,17 +196,15 @@ def condition_integral(query: RateQuery) -> float:
 
     Finiteness of this quantity is equivalent to L^s-rate-optimality of
     the dilated sequence (for s > r; for s < r it is sufficient via the
-    lower bound).  Finiteness is decided from the family threshold; the
-    closed form only runs on convergent parameter combinations.
+    lower bound).  +inf at or below the family threshold, and above it
+    wherever the closed form diverges (``_integral_or_inf``).
     """
     spec, r, s = query.spec, query.r, query.s
     if spec.d != 1:
         raise ValueError("condition_integral evaluation requires d=1")
     if query.theta <= _condition_threshold(spec, r, s):
         return _INF
-    if not _gamma_condition_shape_ok(spec, r, s):
-        return _INF
-    return scaled_density_power_integral(spec, query.theta, query.mu, 1.0, -s / (spec.d + r))
+    return _integral_or_inf(query, 1.0, -s / (spec.d + r))
 
 
 def rate_constants(query: RateQuery) -> RateConstants:

@@ -496,12 +496,8 @@ def _abs_moments(
 
     ``q`` and ``signed`` are scalars or per-cell arrays, so cells with
     different weights (a residual's and a curvature's, or the cells of
-    several grids) share one call.  ``integrate_batch`` refines each
-    integral on its own test, yet a cell need not come out bit for bit as
-    in a call of its own: a batch without Gauss-Jacobi end panels sums its
-    Gauss-Legendre panels with a BLAS matrix-vector product, whose row
-    sums can depend on the number of rows in the batch, and a batch with
-    them sums with ``einsum``.
+    several grids) share one call, and each cell comes out bit for bit as
+    in a call of its own.
 
     Each cell is split at its point, which then sits at or beyond one end
     of each piece.  A piece is integrated in t, the distance from its
@@ -717,8 +713,8 @@ def scaled_density_power_integral(
     Gamma (mu = 0 only): the integrand is C x**(k-1) e**(-rho x) with
     k = (a-1)(p_scaled + p_plain) + 1 and rho = lam (theta p_scaled +
     p_plain), so it is C Gamma(k) rho**(-k).  Raises ValueError when the
-    combination diverges (A <= 0, rho <= 0 or k <= 0); callers decide
-    finiteness analytically and report +inf themselves.
+    combination diverges (A <= 0, rho <= 0 or k <= 0); the rate
+    constants in ``dilatation`` report +inf there.
     """
     _require_d1(spec, "scaled_density_power_integral")
     _require_positive(theta=theta)

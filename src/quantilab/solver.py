@@ -534,7 +534,14 @@ def _newton(
             np.max(np.abs(st.res)) <= opts.grad_tol and last_step <= step_tol * _scale(st.pts)
         )
 
-    st = _state(spec, pts, r, 0.0)
+    def state(pts: np.ndarray, cut: float) -> _State | None:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _state(spec, pts, r, cut)
+        except QuadratureError:
+            return None
+
+    st = state(pts, 0.0)
     if st is None:
         raise SolverError(f"inadmissible seed for n={pts.size}, r={r}", pts, math.nan)
     merit = float(np.max(np.abs(st.f)))
@@ -554,11 +561,7 @@ def _newton(
         lam = 1.0
         moved = False
         while lam >= 1e-7:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    c_st = _state(spec, st.pts + lam * step, r, cut)
-            except QuadratureError:
-                c_st = None
+            c_st = state(st.pts + lam * step, cut)
             if c_st is not None:
                 c_merit = float(np.max(np.abs(c_st.f)))
                 if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:

@@ -205,6 +205,11 @@ def test_q_sup_sub_divergence_below_threshold():
     assert q_sup_sub(RateQuery(EXPO, 2.0, 1.0, 0.5)) == INF
 
 
+def test_q_sup_sub_is_infinite_just_above_threshold():
+    # theta > s / r, but the closed form's rate lam (1.5 theta - 0.5) rounds to 0
+    assert q_sup_sub(RateQuery(EXPO, 3.0, 1.0, math.nextafter(1.0 / 3.0, INF))) == INF
+
+
 def test_q_sup_sub_rejects_s_not_below_r():
     with pytest.raises(ValueError):
         q_sup_sub(RateQuery(GAUSS, 2.0, 2.0, 1.0))

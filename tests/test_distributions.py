@@ -382,8 +382,9 @@ def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
         ((2.0, True), (1.0, False)),  # r = 3
         ((-0.5, True),) * 3,  # one power on three grids
         ((-0.5, True), (0.5, False)),  # r = 0.5: residual and moment
+        ((2.0, True), (0.5, False)),  # integer and fractional powers in one batch
     ],
-    ids=["r1.5", "r3", "r0.5", "r0.5-moment"],
+    ids=["r1.5", "r3", "r0.5", "r0.5-moment", "mixed"],
 )
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
 def test_per_cell_powers_in_one_batch_equal_the_separate_calls(spec, weights):

@@ -162,31 +162,30 @@ def test_batch_zero_end_powers_are_bit_identical_to_none():
 
 
 @pytest.mark.parametrize("mixed", [False, True])
-def test_node_major_panels_sum_as_the_row_major_layout(mixed):
-    # the (16, p) nodes must give each panel the bits of the (p, 16) layout:
-    # half * (F @ _WEIGHTS) for Gauss-Legendre, einsum once a Jacobi rule is in
+def test_each_panel_sums_as_it_does_alone(mixed):
+    # a panel's bits must not depend on the panels it is batched with: two
+    # full chunks and a lone last panel against one call per panel
     rng = np.random.default_rng(5)
     lo = np.array([0.0, -1.0, 2.0])
-    p = 2 * _CHUNK + 100 if mixed else _CHUNK  # one BLAS call sees the reference's rows
+    p = 2 * _CHUNK + 1
     owner = rng.integers(0, 3, p)
     a = lo[owner] + np.where(rng.random(p) < 0.4, 0.0, rng.uniform(0.1, 3.0, p))
     b = a + rng.uniform(1e-3, 2.0, p)
     fn = lambda x, k: np.exp(-0.5 * x) * np.cos(x - lo[k]) + np.abs(x - lo[k]) ** 0.3
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    if not mixed:
-        x = mid[:, None] + half[:, None] * _NODES
-        ref = half * (fn(x, owner[:, None]) @ _WEIGHTS)
-        np.testing.assert_array_equal(_panels(fn, a, b, owner), ref)
-        return
+    ends, scale, rule = None, half, np.zeros(p, dtype=int)
     rules = [(_NODES, _WEIGHTS), _jacobi_rule(0.3), _jacobi_rule(-0.5)]
-    rule_of = np.array([0, 1, 2])
-    nodes = np.array([r[0] for r in rules])
-    weights = np.array([r[1] for r in rules])
-    ends = (lo, rule_of, np.ascontiguousarray(nodes.T), weights)
-    rule = np.where(a == lo[owner], rule_of[owner], 0)
-    at_lo = rule > 0
-    assert at_lo.any() and (rule == 0).any()
-    scale = np.where(at_lo, b - a, half)
-    x = nodes[rule] * scale[:, None] + np.where(at_lo, a, mid)[:, None]
-    ref = scale * np.einsum("ij,ij->i", fn(x, owner[:, None]), weights[rule])
-    np.testing.assert_array_equal(_panels(fn, a, b, owner, ends), ref)
+    if mixed:
+        rule_of = np.array([0, 1, 2])
+        ends = (lo, rule_of, *(np.stack(r, axis=1) for r in zip(*rules)))
+        rule = np.where(a == lo[owner], rule_of[owner], 0)
+        assert (rule > 0).any() and (rule == 0).any()
+        scale = np.where(rule > 0, b - a, half)
+    batch = _panels(fn, a, b, owner, ends)
+    alone = [_panels(fn, a[j : j + 1], b[j : j + 1], owner[j : j + 1], ends)[0] for j in range(p)]
+    np.testing.assert_array_equal(batch, alone)
+    # and each is its panel's 16-point rule
+    nodes = np.array([r[0] for r in rules])[rule]
+    x = nodes * scale[:, None] + np.where(rule > 0, a, mid)[:, None]
+    ref = scale * (fn(x, owner[:, None]) * np.array([r[1] for r in rules])[rule]).sum(axis=1)
+    np.testing.assert_allclose(batch, ref, rtol=1e-14, atol=0.0)

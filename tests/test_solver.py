@@ -946,6 +946,16 @@ def test_a_seed_on_the_support_edge_is_refused(a, r):
     np.testing.assert_array_equal(seeded.points, optimal_grid(spec, 3, r).points)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("init", [None, Grid(np.linspace(1.0, 40.0, 20))])
+def test_a_seed_whose_cell_integrals_overflow_is_refused(init):
+    # at r = 200 the seed's own cell integrals overflow, as a line-search
+    # candidate's can: the seed is inadmissible, not a QuadratureError, and
+    # a user seed is followed by the default one
+    with pytest.raises(SolverError, match="inadmissible seed"):
+        optimal_grid(DistributionSpec.gamma(0.5), 20, 200.0, init_grid=init)
+
+
 def test_subunit_exponent_points_minimise_their_cell_moments():
     res = optimal_grid(EXPO, 3, 0.5, full_result=True)
     assert res.residual_sup <= SolverOpts().grad_tol
