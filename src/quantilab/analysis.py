@@ -14,6 +14,8 @@ from .distributions import (
     DistributionSpec,
     Family,
     _edge_masses,
+    _require_count,
+    _require_interval,
     empirical_measure_law,
     quantile,
 )
@@ -121,9 +123,10 @@ def table_experiment(
     every size takes its first n terms.
     Solver failures yield a row with NaN stats and an error status.
     """
+    _require_count(**{f"ns[{i}]": n for i, n in enumerate(ns)})
     sizes = sorted(set(int(n) for n in ns))
     spacings = {}
-    if sizes and sizes[0] >= 1 and _takes_recursion(spec):
+    if sizes and _takes_recursion(spec):
         for e in (r, s):
             try:
                 spacings[e] = exp_ak_sequence(e, sizes[-1]).values
@@ -189,8 +192,7 @@ def empirical_discrepancy(
     The bins are the ``n_bins`` quantile intervals of the limiting point
     law for exponent ``s``, so each carries mass 1/n_bins in the limit.
     """
-    if n_bins < 2:
-        raise ValueError("need at least two bins")
+    _require_count(2, n_bins=n_bins)
     law = empirical_measure_law(spec, s)
     inner = np.asarray(
         quantile(law, np.arange(1, n_bins) / n_bins), dtype=float
@@ -241,8 +243,7 @@ def empirical_identity_check(
     reference mismatch constant, abs_gap their distance.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if hi < lo:
-        raise ValueError("interval must be ordered")
+    _require_interval(lo, hi)
     th = theta_star(spec, r, s)
     mu = default_mu(spec)
     side_r, side_s = (

@@ -110,18 +110,11 @@ def theta_star(spec: DistributionSpec, r: float, s: float) -> float:
     return (s + a) / (r + a)
 
 
-def _condition_threshold(spec: DistributionSpec, r: float, s: float) -> float:
-    """theta above which the s/(d+r)-power product integral is finite."""
-    if spec.family is Family.GAUSSIAN:
-        return math.sqrt(s / (spec.d + r))
-    return s / (r + 1.0)
-
-
-def _holder_threshold(spec: DistributionSpec, r: float, s: float) -> float:
-    """theta above which the s<r upper-bound integral is finite."""
-    if spec.family is Family.GAUSSIAN:
-        return math.sqrt(s / r)
-    return s / r
+def _threshold(spec: DistributionSpec, s: float, k: float) -> float:
+    """theta above which the product integral with f**(-s/k) is finite: s/k, or
+    its square root for the Gaussian; k = d + r (condition) or r (s < r bound)."""
+    ratio = s / k
+    return math.sqrt(ratio) if spec.family is Family.GAUSSIAN else ratio
 
 
 def admissible_theta_range(
@@ -134,14 +127,17 @@ def admissible_theta_range(
     the (sufficient) upper-bound threshold is returned.
     """
     _require_positive(r=r, s=s)
-    if s >= r:
-        return (_condition_threshold(spec, r, s), _INF)
-    return (_holder_threshold(spec, r, s), _INF)
+    return (_threshold(spec, s, spec.d + r if s >= r else r), _INF)
 
 
-def _integral_or_inf(query: RateQuery, p_scaled: float, p_plain: float) -> float:
-    """The closed form at a validated query, +inf where it diverges: at a Gamma
-    origin power, or by rounding just above an analytic threshold."""
+def _integral_or_inf(query: RateQuery, k: float, p_scaled: float, p_plain: float) -> float:
+    """The closed form at a validated d = 1 query; +inf at or below the threshold
+    of k (``_threshold``), and above it where the closed form diverges: at a
+    Gamma origin power, or by rounding just above the threshold."""
+    if query.spec.d != 1:
+        raise ValueError("rate constant evaluation requires d=1")
+    if query.theta <= _threshold(query.spec, query.s, k):
+        return _INF
     try:
         return scaled_density_power_integral(query.spec, query.theta, query.mu, p_scaled, p_plain)
     except ValueError:
@@ -179,11 +175,9 @@ def q_sup_sub(query: RateQuery) -> float:
     spec, r, s = query.spec, query.r, query.s
     if s >= r:
         raise ValueError("q_sup_sub is defined for s < r only")
-    if spec.d != 1:
-        raise ValueError("q_sup_sub evaluation requires d=1")
-    if query.theta <= _holder_threshold(spec, r, s):
+    integral = _integral_or_inf(query, r, r / (r - s), -s / (r - s))
+    if math.isinf(integral):
         return _INF
-    integral = _integral_or_inf(query, r / (r - s), -s / (r - s))
     return (
         query.theta ** (s + spec.d)
         * zador_q(spec, r) ** (s / r)
@@ -199,12 +193,8 @@ def condition_integral(query: RateQuery) -> float:
     lower bound).  +inf at or below the family threshold, and above it
     wherever the closed form diverges (``_integral_or_inf``).
     """
-    spec, r, s = query.spec, query.r, query.s
-    if spec.d != 1:
-        raise ValueError("condition_integral evaluation requires d=1")
-    if query.theta <= _condition_threshold(spec, r, s):
-        return _INF
-    return _integral_or_inf(query, 1.0, -s / (spec.d + r))
+    k = query.spec.d + query.r
+    return _integral_or_inf(query, k, 1.0, -query.s / k)
 
 
 def rate_constants(query: RateQuery) -> RateConstants:

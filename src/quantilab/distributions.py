@@ -60,6 +60,19 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
+def _require_count(least: int = 1, **values: int) -> None:
+    """Raise ValueError naming the first value that is not an integer >= ``least``."""
+    for name, v in values.items():
+        if not (isinstance(v, (int, np.integer)) and v >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
+def _require_interval(lo: float, hi: float) -> None:
+    """Raise ValueError unless lo <= hi; NaN fails it too."""
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+
+
 class UnsupportedDimensionError(ValueError):
     """An operation that needs d=1 (or an explicit cube coefficient) got d>=2."""
 
@@ -90,12 +103,11 @@ class DistributionSpec:
         if not math.isfinite(self.m):
             raise ValueError(f"m must be finite, got {self.m!r}")
         _require_positive(sigma2=self.sigma2, lam=self.lam, a=self.a)
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError("d must be a positive integer")
+        _require_count(d=self.d)
 
     @classmethod
     def gaussian(cls, m: float = 0.0, sigma2: float = 1.0, d: int = 1) -> "DistributionSpec":
-        return cls(Family.GAUSSIAN, m=float(m), sigma2=float(sigma2), d=int(d))
+        return cls(Family.GAUSSIAN, m=float(m), sigma2=float(sigma2), d=d)
 
     @classmethod
     def exponential(cls, lam: float = 1.0) -> "DistributionSpec":
@@ -247,55 +259,50 @@ def _gamma_p_or_q(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
     return out
 
 
-def cdf(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Distribution function P(X <= x); a Gamma shape below 1 is evaluated
-    near the origin from shape a + 1 (``_gamma_p_or_q``)."""
-    _require_d1(spec, "cdf")
+def _tail(spec: DistributionSpec, x, upper: bool) -> np.ndarray | float:
+    """``sf`` (``upper``) or ``cdf``; a Gamma shape below 1 is evaluated near
+    the origin from shape a + 1 (``_gamma_p_or_q``)."""
+    _require_d1(spec, "sf" if upper else "cdf")
     xs, scalar = _as_array(x)
     if spec.family is Family.GAUSSIAN:
-        out = special.ndtr((xs - spec.m) / spec.sigma)
+        out = special.ndtr((spec.m - xs if upper else xs - spec.m) / spec.sigma)
     else:
-        out = _gamma_p_or_q(spec.a, spec.lam * np.maximum(xs, 0.0), upper=False)
+        out = _gamma_p_or_q(spec.a, spec.lam * np.maximum(xs, 0.0), upper)
     return _ret(out, scalar)
 
 
+def cdf(spec: DistributionSpec, x) -> np.ndarray | float:
+    """Distribution function P(X <= x)."""
+    return _tail(spec, x, False)
+
+
 def sf(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Survival function 1 - cdf, computed without cancellation in the tail;
-    a Gamma shape below 1 is evaluated near the origin from shape a + 1
-    (``_gamma_p_or_q``)."""
-    _require_d1(spec, "sf")
-    xs, scalar = _as_array(x)
+    """Survival function 1 - cdf, computed without cancellation in the tail."""
+    return _tail(spec, x, True)
+
+
+def _inverse_tail(spec: DistributionSpec, p, upper: bool) -> np.ndarray | float:
+    """``quantile_sf`` (``upper``) or ``quantile``: one body for both sides."""
+    _require_d1(spec, "quantile_sf" if upper else "quantile")
+    ps, scalar = _as_array(p)
+    if np.any(ps <= 0.0) or np.any(ps >= 1.0):
+        what = "tail mass" if upper else "quantile level"
+        raise ValueError(f"{what} must lie strictly inside (0, 1)")
     if spec.family is Family.GAUSSIAN:
-        out = special.ndtr(-(xs - spec.m) / spec.sigma)
+        out = spec.m + (-spec.sigma if upper else spec.sigma) * special.ndtri(ps)
     else:
-        out = _gamma_p_or_q(spec.a, spec.lam * np.maximum(xs, 0.0), upper=True)
+        out = (special.gammainccinv if upper else special.gammaincinv)(spec.a, ps) / spec.lam
     return _ret(out, scalar)
 
 
 def quantile(spec: DistributionSpec, p) -> np.ndarray | float:
     """Inverse cdf; rejects probabilities outside the open interval (0, 1)."""
-    _require_d1(spec, "quantile")
-    ps, scalar = _as_array(p)
-    if np.any(ps <= 0.0) or np.any(ps >= 1.0):
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
-    if spec.family is Family.GAUSSIAN:
-        out = spec.m + spec.sigma * special.ndtri(ps)
-    else:
-        out = special.gammaincinv(spec.a, ps) / spec.lam
-    return _ret(out, scalar)
+    return _inverse_tail(spec, p, False)
 
 
 def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
     """Upper-tail quantile: the x with sf(x) = q (accurate for tiny q)."""
-    _require_d1(spec, "quantile_sf")
-    qs, scalar = _as_array(q)
-    if np.any(qs <= 0.0) or np.any(qs >= 1.0):
-        raise ValueError("tail mass must lie strictly inside (0, 1)")
-    if spec.family is Family.GAUSSIAN:
-        out = spec.m - spec.sigma * special.ndtri(qs)
-    else:
-        out = special.gammainccinv(spec.a, qs) / spec.lam
-    return _ret(out, scalar)
+    return _inverse_tail(spec, q, True)
 
 
 class _EdgeLaw(NamedTuple):
@@ -455,7 +462,10 @@ def _abs_moment(
     opts: QuadratureOpts,
     signed: bool = False,
 ) -> float:
-    """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi]."""
+    """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi]; pt finite, lo <= hi."""
+    if not -_INF < pt < _INF:  # NaN fails it too
+        raise ValueError(f"need a finite a, got a={pt!r}")
+    _require_interval(lo, hi)
     lo_e, hi_e = (
         float(v[0])
         for v in _effective_bounds(spec, np.array([lo]), np.array([hi]), opts.tail_mass_cut)
@@ -584,8 +594,6 @@ def cell_moment(
     """
     _require_d1(spec, "cell_moment")
     _require_positive(r=r)
-    if not (-_INF < a < _INF and lo <= hi):  # NaN fails it too
-        raise ValueError(f"need a finite a and lo <= hi, got a={a!r}, lo={lo!r}, hi={hi!r}")
     return _abs_moment(spec, float(a), lo, hi, r, opts, signed=False)
 
 
@@ -604,8 +612,6 @@ def cell_gradient(
     _require_d1(spec, "cell_gradient")
     if not 1.0 <= r < _INF:
         raise ValueError(f"cell_gradient requires a finite r >= 1, got r={r!r}")
-    if not (-_INF < a < _INF and lo <= hi):  # NaN fails it too
-        raise ValueError(f"need a finite a and lo <= hi, got a={a!r}, lo={lo!r}, hi={hi!r}")
     return r * _abs_moment(spec, float(a), lo, hi, r - 1.0, opts, signed=True)
 
 

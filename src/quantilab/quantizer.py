@@ -13,6 +13,7 @@ from .distributions import (
     DistributionSpec,
     QuadratureOpts,
     _abs_moments,
+    _require_interval,
     _require_positive,
 )
 
@@ -77,8 +78,7 @@ class Grid:
 
     @classmethod
     def from_text(cls, text: str) -> "Grid":
-        vals = [float(line) for line in text.split() if line.strip()]
-        return cls(np.asarray(vals))
+        return cls(np.asarray([float(tok) for tok in text.split()]))
 
     def to_json(self) -> str:
         return json.dumps([float(p) for p in self.points])
@@ -128,8 +128,7 @@ def dilate(grid: Grid, params: DilationParams) -> Grid:
 
 def count_in_interval(grid: Grid, lo: float, hi: float) -> int:
     """Number of grid points in the closed interval [lo, hi]."""
-    if not lo <= hi:  # NaN fails it too
-        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    _require_interval(lo, hi)
     pts = grid.points
     i = np.searchsorted(pts, lo, side="left")
     j = np.searchsorted(pts, hi, side="right")

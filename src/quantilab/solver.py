@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
+from . import _quad, distributions, quantizer
 from .distributions import (
     DistributionSpec,
     Family,
@@ -33,6 +34,8 @@ from .distributions import (
     _edge_masses,
     _EdgeLaw,
     _effective_bounds,
+    _require_count,
+    _require_interval,
     _require_positive,
     cdf,
     cell_gradient,  # noqa: F401  (solver.cell_gradient is patched by perfbench's tracer)
@@ -263,8 +266,7 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
     quadrature controls.  Infinite ends are allowed; NaN ends and a
     non-positive or infinite r raise ValueError.
     """
-    if not lo <= hi:
-        raise ValueError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
+    _require_interval(lo, hi)
     _require_positive(r=r)
     return float(_cell_argmins(spec, np.array([lo, hi], float), r)[0])
 
@@ -690,8 +692,7 @@ def optimal_grid(
     opts = opts or SolverOpts()
     if spec.d != 1:
         raise ValueError("grid solving requires d=1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_count(n=n)
     _require_positive(r=r)
     if spec.family is Family.GAMMA and 2.0 * spec.a + r <= 1.0:
         raise SolverError(
@@ -827,8 +828,7 @@ def exp_ak_sequence(r: float, n: int) -> AkSequence:
     t**(r-1) e**t against the backward integral at a_k (a_0 = +inf).
     """
     _require_positive(r=r)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_count(n=n)
     target = math.gamma(r)  # a_0 = +inf case
     hi = 1.0
     while _phi_minus(r, hi) < target:
@@ -873,14 +873,20 @@ def _exp_grid(v: np.ndarray, lam: float) -> Grid:
 # on-disk grid cache
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _code_digest() -> str:
+    """Digest of the source of the modules that compute a grid, read once."""
+    files = (_quad.__file__, distributions.__file__, quantizer.__file__, __file__)
+    return hashlib.sha256(b"".join(Path(f).read_bytes() for f in files)).hexdigest()
+
+
 class GridCache:
     """Text-file store of solved grids keyed by (family, params, n, r, opts).
 
-    The file name carries a digest of the ``SolverOpts`` repr together
-    with the solver's quadrature controls ``_QUAD``, so a grid solved
-    under one set of tolerances, or one quadrature, is never served to a
-    call under another.  The file payload is the Grid text serialisation,
-    so cached and fresh results are bit-identical.
+    The file name carries a digest of the ``SolverOpts`` repr, the solver's
+    quadrature controls ``_QUAD`` and ``_code_digest``, so a grid solved under
+    other tolerances, quadrature or code is never served.  The file payload
+    is the Grid text serialisation, so cached and fresh results are bit-identical.
     """
 
     def __init__(self, root: str | Path):
@@ -893,7 +899,7 @@ class GridCache:
         return cls(root) if root else None
 
     def _path(self, spec: DistributionSpec, n: int, r: float, opts: SolverOpts) -> Path:
-        digest = hashlib.sha256(repr((opts, _QUAD)).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(repr((opts, _QUAD, _code_digest())).encode()).hexdigest()[:16]
         return self.root / f"{spec.cache_token()}__n{n}__r{float(r)!r}__o{digest}.txt"
 
     def load(
@@ -901,18 +907,15 @@ class GridCache:
     ) -> Grid | None:
         """The stored grid, or None on a miss.
 
-        A file that is missing or unreadable, does not parse, or does not
-        hold n finite, strictly increasing points is a miss.
+        A file that is missing or unreadable, does not parse as a Grid, or
+        is not byte for byte the ``to_text`` of an n-point Grid is a miss.
         """
-        path = self._path(spec, n, r, opts)
         try:
-            pts = np.array([float(tok) for tok in path.read_text().split()])
+            text = self._path(spec, n, r, opts).read_text()
+            grid = Grid.from_text(text)
         except (OSError, ValueError):
             return None
-        if pts.size != n or not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0.0):
-            return None
-        grid = Grid(pts)
-        return grid if grid.n == n else None
+        return grid if grid.n == n and grid.to_text() == text else None
 
     def store(
         self, spec: DistributionSpec, n: int, r: float, opts: SolverOpts, grid: Grid

@@ -116,6 +116,32 @@ def test_table_csv_matches_the_pinned_output(capsys, shared_cache, table, s):
     assert out.encode() == (DATA / f"{table}_s{s}.csv").read_bytes()
 
 
+def test_table_json_rows_match_the_pinned_csv(capsys, shared_cache):
+    code, out, _ = run_cli(capsys, "table2", "--s", "4", "--format", "json",
+                           "--cache-dir", str(shared_cache.root))
+    assert code == 0
+    rows = json.loads(out)
+    assert all(row["status"] == "ok" for row in rows)
+    keys = ("n", "a_hat", "b_hat", "eps_rmse", "eps_maxabs")
+    lines = [",".join(keys)] + [
+        ",".join([str(row["n"])] + [f"{row[k]:.9g}" for k in keys[1:]]) for row in rows
+    ]
+    assert "\n".join(lines) + "\n" == (DATA / "table2_s4.csv").read_text()
+
+
+def test_table_text_prints_a_header_and_one_line_per_size(capsys, shared_cache):
+    code, out, _ = run_cli(capsys, "table2", "--s", "4", "--format", "text",
+                           "--cache-dir", str(shared_cache.root))
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header.split() == ["n", "a_hat", "b_hat", "eps_rmse", "eps_maxabs"]
+    pinned = rows_from_csv((DATA / "table2_s4.csv").read_text())
+    assert [line.split()[0] for line in lines] == [str(row.n) for row in pinned]
+    # a_hat is printed to 9 significant digits, as in the CSV
+    assert [float(line.split()[1]) for line in lines] == [row.a_hat for row in pinned]
+    assert all(len(line.split()) == 5 for line in lines)
+
+
 def test_repeat_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QUANTILAB_CACHE_DIR", str(tmp_path))
     args = ("grid", "--dist", "gaussian", "--n", "3", "--r", "2")

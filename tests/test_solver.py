@@ -14,6 +14,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 import quantilab
 from quantilab import distributions, solver
+from quantilab.analysis import empirical_discrepancy, empirical_identity_check, table_experiment
 from quantilab.distributions import (
     DistributionSpec,
     QuadratureOpts,
@@ -91,15 +92,36 @@ _GRID3 = Grid(np.array([0.0, 1.0, 2.0]))
         (lambda: cell_moment(GAUSS, INF, 0.0, 1.0, 2.0), "a=inf"),
         (lambda: distributions.cell_gradient(GAUSS, math.nan, 0.0, 1.0, 2.0), "a=nan"),
         (lambda: distributions.cell_gradient(GAUSS, -INF, 0.0, 1.0, 2.0), "a=-inf"),
+        (lambda: empirical_identity_check(GAUSS, 2.0, 1.0, (math.nan, 1.0)), "lo=nan"),
     ],
     ids=[
         "count-lo", "nearest-x", "argmin-lo", "argmin-r", "moment-lo", "gradient-r",
-        "moment-a-nan", "moment-a-inf", "gradient-a-nan", "gradient-a-inf",
+        "moment-a-nan", "moment-a-inf", "gradient-a-nan", "gradient-a-inf", "identity-lo",
     ],
 )
 def test_nan_and_infinite_arguments_raise_value_error_naming_them(call, bad):
     with pytest.raises(ValueError, match=bad):
         call()
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda n: optimal_grid(GAUSS, n, 2.0), "n"),
+        (lambda n: exp_optimal_grid(n, 2.0), "n"),
+        (lambda n: exp_ak_sequence(2.0, n), "n"),
+        (lambda n: table_experiment(EXPO, 2.0, 1.0, ns=(3, n)), r"ns\[1\]"),
+        (lambda n: empirical_discrepancy(_GRID3, GAUSS, 1.0, n), "n_bins"),
+        (lambda n: DistributionSpec.gaussian(d=n), "d"),
+    ],
+    ids=["optimal-grid", "exp-grid", "ak-sequence", "table-ns", "bins", "spec-d"],
+)
+def test_counts_that_are_not_integers_raise_value_error_naming_them(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        make(2.5)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        make(0)
+    make(np.int64(2))  # numpy integers stay accepted
 
 
 def _argmin_by_minimisation(spec, lo, hi, r):
@@ -1159,6 +1181,19 @@ def test_grid_cache_keys_on_every_solver_option(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solver, "_QUAD", loose)
         assert cache.load(GAUSS, 30, 4.0, SolverOpts()) == stale
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_a_grid_stored_by_other_solver_code_is_not_served(tmp_path, monkeypatch):
+    # a wrong grid under the name that solver code with another digest uses
+    cache = GridCache(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_code_digest", lambda: "other solver code", raising=False)
+        cache.store(GAUSS, 20, 2.0, SolverOpts(), Grid(np.linspace(-3.0, 3.0, 20)))
+    assert cache.load(GAUSS, 20, 2.0, SolverOpts()) is None
+    grid = optimal_grid(GAUSS, 20, 2.0, cache=cache)
+    assert grid == optimal_grid(GAUSS, 20, 2.0)
+    assert cache.load(GAUSS, 20, 2.0, SolverOpts()) == grid
     assert len(list(tmp_path.iterdir())) == 2
 
 
