@@ -20,7 +20,9 @@ from .distributions import (
     quantile,
 )
 from .quantizer import Grid
-from .solver import GridCache, SolverError, _exp_grid, _takes_recursion, exp_ak_sequence, solve
+from .solver import (
+    GridCache, SolverError, _exp_grid, _optimal_grids, _takes_recursion, exp_ak_sequence, solve,
+)
 
 __all__ = [
     "OlsFit",
@@ -120,23 +122,31 @@ def table_experiment(
     Each grid is ``solve``'s under the default solver tolerances.  For
     the exponential law, whose grids come from the spacing recursion,
     each exponent's sequence is built once, for the largest size, and
-    every size takes its first n terms.
-    Solver failures yield a row with NaN stats and an error status.
+    every size takes its first n terms.  Any other law's sizes are looked
+    up in ``cache`` first, and each exponent's misses are solved as one
+    Newton batch (``solver._optimal_grids``), each as its own solve.
+    Solver failures yield a row with NaN stats and an error status; the
+    other rows are as they would be without the failure.
     """
     _require_count(**{f"ns[{i}]": n for i, n in enumerate(ns)})
     sizes = sorted(set(int(n) for n in ns))
-    spacings = {}
-    if sizes and _takes_recursion(spec):
-        for e in (r, s):
-            try:
-                spacings[e] = exp_ak_sequence(e, sizes[-1]).values
-            except SolverError:
-                pass  # each size meets the failure in its own solve
+    grids: dict[tuple[float, int], Grid | Exception] = {}
+    for e in dict.fromkeys((r, s)) if sizes else ():
+        try:
+            if _takes_recursion(spec):
+                spacings = exp_ak_sequence(e, sizes[-1]).values
+                solved = [_exp_grid(spacings[:n], spec.lam) for n in sizes]
+            else:
+                solved = _optimal_grids(spec, sizes, e, cache=cache)
+        except SolverError:
+            continue  # each size meets the failure in its own solve
+        grids.update(zip([(e, n) for n in sizes], solved))
 
     def grid(n: int, e: float) -> Grid:
-        if e in spacings:
-            return _exp_grid(spacings[e][:n], spec.lam)
-        return solve(spec, n, e, cache=cache)
+        out = grids[e, n] if (e, n) in grids else solve(spec, n, e, cache=cache)
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     rows: list[RegressionRow] = []
     for n in sizes:

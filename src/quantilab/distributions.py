@@ -306,8 +306,8 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
 
 
 class _EdgeLaw(NamedTuple):
-    """The law at sorted edges, read one interval [edges[i], edges[i+1]] at
-    a time (``_edge_law``).
+    """The law at sorted edges, or at several sorted runs of them, read one
+    interval [edges[i], edges[i+1]] at a time (``_edge_law``).
 
     ``upper[i]``: interval i takes the sf side, else the cdf side.  ``c``
     holds the cdf of every edge that bounds a lower interval, ``s`` the sf
@@ -330,42 +330,59 @@ class _EdgeLaw(NamedTuple):
         return np.where(self.upper, self.s[:-1], self.c[:-1])
 
 
-def _edge_law(spec: DistributionSpec, edges: np.ndarray) -> _EdgeLaw:
-    """The cdf and sf of sorted ``edges`` (infinite ends allowed) where
-    their intervals need them.
+def _edge_law(
+    spec: DistributionSpec, edges: np.ndarray, runs: list[int] | None = None
+) -> _EdgeLaw:
+    """The cdf and sf of ``edges`` (infinite ends allowed) where their
+    intervals need them: sorted edges, or ``runs`` sorted runs of edges
+    of the given sizes, one after another (the grids of a batch).
 
     Interval i is upper when its lower edge has cdf > 0.5; its mass is
     then an sf difference, else a cdf difference, so neither tail loses
     digits to cancellation.  An edge outside the median band is upper or
-    lower by its position alone; inside the band its cdf decides.  The
-    cdf runs from the first edge to the last lower interval's upper edge
-    and the sf from the first upper interval's lower edge to the last
-    edge, so an edge outside the band takes each function its intervals
-    need once.  Where the cdf's round-off steps back across 0.5 inside
-    the band, the two runs overlap there and the same rule holds.
+    lower by its position alone; inside the band its cdf decides.  In
+    each run the cdf runs from the first edge to the last lower
+    interval's upper edge and the sf from the first upper interval's
+    lower edge to the last edge, so an edge outside the band takes each
+    function its intervals need once.  Where the cdf's round-off steps
+    back across 0.5 inside the band, the two runs overlap there and the
+    same rule holds.  The interval from one run's last edge to the next
+    run's first is not meant; its mass reads 0.
     """
     n = edges.size - 1
-    k, k_hi = edges[:-1].searchsorted(spec._median_band).tolist()
     upper = np.zeros(n, bool)
-    upper[k_hi:] = True
-    c_end, s_start = k, k_hi  # the cdf of edges[:c_end + 1], the sf of edges[s_start:]
-    if k < k_hi:
-        band = upper[k:k_hi] = cdf(spec, edges[k:k_hi]) > 0.5
-        at = np.arange(k, k_hi)
-        s_start = int(at[band].min(initial=k_hi))
-        c_end = int(at[~band].max(initial=k - 1)) + 1
+    c_at, s_at = [], []  # per run, the edges that take the cdf and the sf
+    start = 0
+    for size in runs or (edges.size,):
+        run = edges[start : start + size]
+        k, k_hi = run[:-1].searchsorted(spec._median_band).tolist()
+        upper[start + k_hi : start + size - 1] = True
+        c_end, s_start = k, k_hi  # the cdf of run[:c_end + 1], the sf of run[s_start:]
+        if k < k_hi:
+            band = upper[start + k : start + k_hi] = cdf(spec, run[k:k_hi]) > 0.5
+            at = np.arange(k, k_hi)
+            s_start = int(at[band].min(initial=k_hi))
+            c_end = int(at[~band].max(initial=k - 1)) + 1
+        if c_end:
+            c_at.append(np.s_[start : start + c_end + 1])
+        if s_start < size - 1:
+            s_at.append(np.s_[start + s_start : start + size])
+        start += size
     c, s = np.zeros(n + 1), np.zeros(n + 1)
-    if c_end:
-        c[: c_end + 1] = cdf(spec, edges[: c_end + 1])
-    if s_start < n:
-        s[s_start:] = sf(spec, edges[s_start:])
+    for at, out, fn in ((c_at, c, cdf), (s_at, s, sf)):
+        if at:
+            at = at[0] if len(at) == 1 else np.r_[tuple(at)]
+            out[at] = fn(spec, edges[at])
     return _EdgeLaw(upper, c, s)
 
 
-def _edge_masses(spec: DistributionSpec, edges: np.ndarray) -> np.ndarray:
-    """P([edges[i], edges[i+1]]) for sorted edges (infinite ends allowed),
-    each from the cdf or the sf side as ``_edge_law`` decides."""
-    return _edge_law(spec, edges).masses()
+def _edge_masses(
+    spec: DistributionSpec, edges: np.ndarray, runs: list[int] | None = None
+) -> np.ndarray:
+    """P([edges[i], edges[i+1]]) for sorted edges, or ``runs`` sorted runs
+    of them (infinite ends allowed), each from the cdf or the sf side as
+    ``_edge_law`` decides."""
+    return _edge_law(spec, edges, runs).masses()
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import hashlib
 import math
 import os
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -135,15 +136,18 @@ def _lifted(a: float, lam: float) -> DistributionSpec:
     return DistributionSpec.gamma(a + 1.0, lam)
 
 
-def _partial_mean(spec: DistributionSpec, b: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """integral of x f(x) over each cell [b[i], b[i+1]] of mass ``mass[i]``.
+def _partial_mean(
+    spec: DistributionSpec, b: np.ndarray, mass: np.ndarray, runs: list[int] | None = None
+) -> np.ndarray:
+    """integral of x f(x) over each cell [b[i], b[i+1]] of mass ``mass[i]``
+    (``runs``: as in ``_edge_law``).
 
     Gaussian: m P - sigma2 (f(hi) - f(lo)).  Gamma: x f(x) is a/lam times
     the Gamma(a + 1, lam) density.
     """
     if spec.family is Family.GAUSSIAN:
         return spec.m * mass - spec.sigma2 * np.diff(pdf(spec, b))
-    return (spec.a / spec.lam) * _edge_masses(_lifted(spec.a, spec.lam), b)
+    return (spec.a / spec.lam) * _edge_masses(_lifted(spec.a, spec.lam), b, runs)
 
 
 def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
@@ -276,16 +280,23 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
 # --------------------------------------------------------------------------
 
 class _State(NamedTuple):
-    """A Newton iterate: its points, Voronoi edges ``b``, cell masses, the
-    r = 1 edge law of the interleaved edges (``_EdgeLaw``; else None), the
-    cells clipped to the support and tail cuts (``lo``, ``hi``; r not 1
-    or 2, else None), the residual, the cells' curvatures and the system
-    Newton solves."""
+    """A Newton iterate of one or more grids, one block of points each:
+    the blocks' ``sizes``, and per point its cell's edges ``left`` and
+    ``right`` (a block's outer edges are the support's ends), its cell
+    mass, for r = 1 the side of the half-cell [left, a] in the edge law
+    and the cdf and sf of its left edge there (``upper``, ``c``, ``s``;
+    each read on its own side alone; else None), the cell clipped to the
+    support and tail cuts (``lo``, ``hi``; r not 1 or 2, else None), the
+    residual, the curvature and the system Newton solves."""
 
+    sizes: np.ndarray
     pts: np.ndarray
-    b: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     mass: np.ndarray
-    law: _EdgeLaw | None
+    upper: np.ndarray | None
+    c: np.ndarray | None
+    s: np.ndarray | None
     lo: np.ndarray | None
     hi: np.ndarray | None
     res: np.ndarray
@@ -293,24 +304,64 @@ class _State(NamedTuple):
     f: np.ndarray
 
 
-def _state(
-    spec: DistributionSpec, pts: np.ndarray, r: float, cut: float | None = None
-) -> _State | None:
-    """The Newton state at ``pts``; with a ``cut``, None unless admissible.
+def _blocks(st: _State) -> list[_State]:
+    """Each block of the state ``st`` as a state of its own."""
+    if st.sizes.size == 1:
+        return [st]
+    ends = np.cumsum(st.sizes).tolist()
+    return [
+        _State(st.sizes[j : j + 1], *(v if v is None else v[end - n : end] for v in st[1:]))
+        for j, (n, end) in enumerate(zip(st.sizes.tolist(), ends))
+    ]
 
-    Admissible: inside the support, each point strictly between its
-    cell's edges (so no midpoint rounds onto a point), every cell with
-    mass > cut.  A point pushed into a cell of negligible mass has a
-    vanishing stationarity residual wherever it sits; such iterates are
-    refused before their residual is computed.  Each part of the state
-    is computed once: the Jacobian (``_jacobian_banded``) and the
-    fixed-point check (``_sweep_keeps``) read it.
+
+def _join(states: list[_State]) -> _State:
+    """The blocks of ``states``, one after another, as one state."""
+    if len(states) == 1:
+        return states[0]
+    return _State(*(None if v[0] is None else np.concatenate(v) for v in zip(*states)))
+
+
+def _each(ufunc: np.ufunc, x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over each block of ``x``."""
+    if sizes.size == 1:
+        return ufunc.reduce(x, keepdims=True)
+    return ufunc.reduceat(x, np.cumsum(sizes) - sizes)
+
+
+def _cell_edges(sizes: np.ndarray, n: int, per_cell: int, count: int) -> list:
+    """Where the n cells' left edges, and the ``count`` - 1 entries after
+    each, sit in an array of ``per_cell`` entries per cell and one more
+    per block, block after block: slices for one block."""
+    if sizes.size == 1:
+        return [slice(i, per_cell * n + i, per_cell) for i in range(count)]
+    at = per_cell * np.arange(n) + np.repeat(np.arange(sizes.size), sizes)
+    return [at + i for i in range(count)]
+
+
+def _states(
+    spec: DistributionSpec, grids: list[np.ndarray], r: float, cuts: list[float] | None = None
+) -> list[_State | None]:
+    """The Newton state at each of ``grids``, as one batch; with ``cuts``,
+    None for a grid whose state is not admissible under its cut.
+
+    A grid's state is bit for bit that of a batch of its own: no cell
+    integral or law evaluation depends on its batch (``_edge_law`` takes
+    each grid's edges as a sorted run of their own).  Admissible: each point strictly
+    between its cell's edges (the outer edges are the support's ends; no
+    midpoint rounds onto a point), every cell with mass > the cut.  A
+    point pushed into a cell of negligible mass has a vanishing
+    stationarity residual wherever it sits; such iterates are refused
+    before their residual is computed, and the rest of the batch is
+    computed without them.  Each part of the state is computed once: the
+    Jacobian (``_jacobian_banded``) and the fixed-point check
+    (``_sweep_keeps``) read it.
 
     For r = 1 the law is evaluated once, by ``_edge_law``, at the
-    interleaved edges b0, a0, b1, a1, ..., bn of the cells and their
-    points (``law``).  The residual reads its half-cell masses; each
-    cell mass is the sum of its two halves, read only by the tail-cut
-    test here and by the fixed-point check.
+    interleaved edges b0, a0, b1, a1, ..., bn of each grid's cells and
+    points.  The residual reads its half-cell masses; each cell mass is
+    the sum of its two halves, read only by the tail-cut test here and by
+    the fixed-point check.
 
     The residual R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over
     cell i, and the curvature D_i is the derivative of R_i in a_i with
@@ -330,30 +381,53 @@ def _state(
     Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
     Newton solves F = R / D for r >= 1 and R itself for r < 1 (``_newton``).
     """
-    b = voronoi_bounds(pts)
-    if cut is not None:
-        inside = spec.support[0] < pts[0] and pts[-1] < spec.support[1]
-        if not (inside and np.all(b[:-1] < pts) and np.all(pts < b[1:])):
-            return None
-    law = lo = hi = None
+    sizes = np.array([*map(len, grids)])
+    pts = grids[0] if len(grids) == 1 else np.concatenate(grids)
+    n = pts.size
+    at, after = _cell_edges(sizes, n, 1, 2)
+    if sizes.size == 1:
+        b = voronoi_bounds(pts)
+        b[0], b[-1] = spec.support
+    else:  # the midpoints, and at each grid's first and last cell its own outer edges
+        b = np.empty(n + sizes.size)
+        b[at[1:]] = 0.5 * (pts[:-1] + pts[1:])
+        first = np.cumsum(sizes) - sizes
+        b[at[first]], b[after[first + sizes - 1]] = spec.support
+    left, right = b[at], b[after]
+
+    def refuse(ok: np.ndarray) -> list[_State | None]:  # the admissible grids' states alone
+        kept = [*compress(grids, ok)]
+        states = iter(_states(spec, kept, r, [*compress(cuts, ok)]) if kept else ())
+        return [next(states) if k else None for k in ok]
+
+    if cuts is not None:
+        inside = (left < pts) & (pts < right)
+        if not inside.all():
+            return refuse(_each(np.logical_and, inside, sizes))
+    upper = c = s = lo = hi = None
+    runs = None if sizes.size == 1 else [*(sizes + 1)]  # b's sorted runs
     if r == 1.0:
-        edges = np.empty(2 * pts.size + 1)
-        edges[0::2] = b
-        edges[1::2] = pts
-        law = _edge_law(spec, edges)
-        halves = law.masses()
-        mass = halves[0::2] + halves[1::2]
+        e_left, e_pt, e_right = _cell_edges(sizes, n, 2, 3)
+        edges = np.empty(2 * n + sizes.size)
+        edges[e_left], edges[e_right] = left, right
+        edges[e_pt] = pts
+        law = _edge_law(spec, edges, runs and [*(2 * sizes + 1)])
+        halves = law.masses()  # [left, a] at e_left, [a, right] at e_pt
+        mass = halves[e_left] + halves[e_pt]
     else:
-        mass = _edge_masses(spec, b)
-    if cut is not None and np.min(mass) <= cut:
-        return None
+        masses = _edge_masses(spec, b, runs)
+        mass = masses[at]
+    if cuts is not None:
+        light = mass <= (cuts[0] if sizes.size == 1 else np.repeat(cuts, sizes))
+        if light.any():
+            return refuse(~_each(np.logical_or, light, sizes))
     if r == 1.0:
-        res, curv = halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
+        upper, c, s = law.upper[e_left], law.c[e_left], law.s[e_left]
+        res, curv = halves[e_left] - halves[e_pt], 2.0 * pdf(spec, pts)
     elif r == 2.0:
-        res, curv = 2.0 * (pts * mass - _partial_mean(spec, b, mass)), 2.0 * mass
+        res, curv = 2.0 * (pts * mass - _partial_mean(spec, b, masses, runs)[at]), 2.0 * mass
     else:
-        n = pts.size
-        lo, hi = _effective_bounds(spec, b[:-1], b[1:], _QUAD.tail_mass_cut)
+        lo, hi = _effective_bounds(spec, left, right, _QUAD.tail_mass_cut)
         grad, moment = _abs_moments(
             spec, np.tile(pts, 2), np.tile(lo, 2), np.tile(hi, 2),
             np.repeat((r - 1.0, r - 2.0 if r > 1.0 else r), n), _QUAD,
@@ -377,24 +451,35 @@ def _state(
                     xe_lo + xe_hi + (r + spec.a - 1.0 - spec.lam * pts) * grad + spec.lam * moment
                 ) / pts
             curv = r * curv
-    return _State(pts, b, mass, law, lo, hi, res, curv, res / curv if r >= 1.0 else res)
+    f = res / curv if r >= 1.0 else res
+    return _blocks(_State(sizes, pts, left, right, mass, upper, c, s, lo, hi, res, curv, f))
+
+
+def _state(
+    spec: DistributionSpec, pts: np.ndarray, r: float, cut: float | None = None
+) -> _State | None:
+    """The Newton state of the one grid ``pts`` (``_states``)."""
+    return _states(spec, [pts], r, None if cut is None else [cut])[0]
 
 
 def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
     """Banded (3, n) Jacobian of the residual at the state ``st``;
-    tridiagonal and symmetric.
+    tridiagonal and symmetric, and block-diagonal over its blocks.
 
     Each residual component touches its neighbours only through the
-    shared cell midpoints ``st.b``, each with derivative 1/2.  The
+    shared cell midpoints ``st.right``, each with derivative 1/2.  The
     diagonal is the state's curvature ``st.curv`` less those two
-    couplings.
+    couplings.  A block's last cell ends at the support's end, where the
+    density, and so the coupling to the next block, is 0.
     """
     n = st.pts.size
     ab = np.zeros((3, n))
     ab[1, :] = st.curv
     if n > 1:
         w = 0.5 * np.diff(st.pts)
-        coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, st.b[1:-1])
+        if st.sizes.size > 1:
+            w[np.cumsum(st.sizes)[:-1] - 1] = 1.0  # no power of a width across a border
+        coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, st.right[:-1])
         ab[1, :-1] -= coupling
         ab[1, 1:] -= coupling
         ab[0, 1:] = -coupling
@@ -407,21 +492,22 @@ def _lloyd_sweep(spec: DistributionSpec, pts: np.ndarray, r: float) -> np.ndarra
     return _cell_argmins(spec, voronoi_bounds(pts), r)
 
 
-def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
-    """Whether a Lloyd sweep would move no point of the Newton state ``st``
-    by more than d = ``_LLOYD_MOVE_TOL`` (1 + max|x|).
+def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
+    """Whether a Lloyd sweep would move no point of each block of the
+    Newton state ``st`` by more than d = ``_LLOYD_MOVE_TOL`` (1 + the
+    block's max|x|): one flag per block.
 
-    No sweep runs, and the state's edges, masses, edge law and clipped
-    cells are read, not computed again.  For r = 2, F = R / D = a - M1 / P
-    is each point's distance from its cell's conditional mean, the
-    sweep's move up to round-off, so the test is max|F| <= d with no
-    evaluation of the law.  For r = 1 the residual
+    No sweep runs, and the state's edges, masses, half-cell sides and
+    clipped cells are read, not computed again.  For r = 2,
+    F = R / D = a - M1 / P is each point's distance from its cell's
+    conditional mean, the sweep's move up to round-off, so the test is
+    max|F| <= d with no evaluation of the law.  For r = 1 the residual
     R(x) = P[b_i, x] - P[x, b_(i+1)] is taken at x = a - d and a + d,
     clipped to the cell, with the cell's edges held fixed.  A cell takes
     the side of its half-cell [b_i, a_i] in the state's edge law, and t,
-    that half's tail beyond b_i: R(x) = 2 (cdf(x) - t) - P_i on the cdf
-    side and 2 (t - sf(x)) - P_i on the sf side, with the law at those
-    2n points.
+    that half's tail beyond b_i: R(x) = 2 (cdf(x) - t) - P_i on the
+    cdf side and 2 (t - sf(x)) - P_i on the sf side, with the law at
+    those 2n points.
     Otherwise each cell's moment derivative is evaluated at a - d and
     a + d, clipped to the state's clipped cell, in one batch, with no
     cdf, sf or quantile call.  Either way the
@@ -432,31 +518,33 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> bool:
     sends it to the origin itself; ``optimal_grid`` refuses those laws
     (2a + r <= 1) before solving.
     """
-    pts = st.pts
-    d = _LLOYD_MOVE_TOL * _scale(pts)
+    pts, sizes = st.pts, st.sizes
+    d = _LLOYD_MOVE_TOL * (1.0 + _each(np.maximum, np.abs(pts), sizes))
     if r == 2.0:
-        return bool(np.max(np.abs(st.f)) <= d)
+        return _each(np.maximum, np.abs(st.f), sizes) <= d
+    d = np.repeat(d, sizes)
     if r == 1.0:
-        up, t = st.law.upper[0::2], st.law.tails()[0::2]
-        x = np.stack((np.maximum(pts - d, st.b[:-1]), np.minimum(pts + d, st.b[1:])))
+        up = st.upper
+        t = np.where(up, st.s, st.c)  # the tail of [b_i, a_i] beyond b_i
+        x = np.stack((np.maximum(pts - d, st.left), np.minimum(pts + d, st.right)))
         g = np.empty(x.shape)
         g[:, ~up] = 2.0 * (cdf(spec, x[:, ~up]) - t[~up])
         g[:, up] = 2.0 * (t[up] - sf(spec, x[:, up]))
         g -= st.mass
-        return bool(np.all(g[0] <= 0.0) and np.all(g[1] >= 0.0))
-    grad = _moment_derivative(spec, st.lo, st.hi, r)
-    left, right = np.maximum(pts - d, st.lo), np.minimum(pts + d, st.hi)
-    cells = np.arange(pts.size)
-    g_left, g_right = np.split(
-        grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
-    )
-    return bool(
-        np.all((g_left <= 0.0) | (left == st.lo)) and np.all((g_right >= 0.0) | (right == st.hi))
-    )
+        kept = (g[0] <= 0.0) & (g[1] >= 0.0)
+    else:
+        grad = _moment_derivative(spec, st.lo, st.hi, r)
+        left, right = np.maximum(pts - d, st.lo), np.minimum(pts + d, st.hi)
+        cells = np.arange(pts.size)
+        g_left, g_right = np.split(
+            grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
+        )
+        kept = ((g_left <= 0.0) | (left == st.lo)) & ((g_right >= 0.0) | (right == st.hi))
+    return _each(np.logical_and, kept, sizes)
 
 
 def _scale(pts: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(pts)))
+    return 1.0 + float(np.abs(pts).max())
 
 
 def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -500,10 +588,52 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return None if info else x
 
 
+def _steps(spec: DistributionSpec, states: list[_State], r: float) -> list:
+    """The Newton step of each state, from one tridiagonal solve of their
+    block-diagonal band: its couplings across a block border are 0, so
+    elimination mixes no blocks unless a pivot is 0 or not finite, and
+    then each state is solved alone.  None for a singular state."""
+    st = _join(states)
+    matrix = _newton_matrix if r >= 1.0 else _jacobian_banded
+    step = _tridiagonal_solve(matrix(spec, st, r), -st.f)
+    if len(states) == 1:
+        return [step]
+    if step is not None and np.isfinite(step).all():
+        return np.split(step, np.cumsum(st.sizes)[:-1])
+    return [_steps(spec, [one], r)[0] for one in states]
+
+
+def _candidates(
+    spec: DistributionSpec, grids: list[np.ndarray], cuts: list[float], r: float
+) -> list[_State | None]:
+    """The state at each grid under its cut, from one batch; None where
+    it is not admissible or its cell integrals overflow
+    (``QuadratureError``: the batch is then taken grid by grid, so that
+    the error stays with its own grid)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _states(spec, grids, r, cuts)
+    except QuadratureError:
+        if len(grids) == 1:
+            return [None]
+        return [_candidates(spec, [pts], [cut], r)[0] for pts, cut in zip(grids, cuts)]
+
+
+def _verified(spec: DistributionSpec, states: list[_State], r: float) -> list:
+    """``_sweep_keeps`` of each state, from one batch; where that raises
+    ``QuadratureError``, of each state alone, and a state that raises
+    has its error for a flag."""
+    try:
+        return list(_sweep_keeps(spec, _join(states), r))
+    except QuadratureError as err:
+        return [err] if len(states) == 1 else [_verified(spec, [st], r)[0] for st in states]
+
+
 def _newton(
-    spec: DistributionSpec, pts: np.ndarray, r: float, opts: SolverOpts
-) -> tuple[_State, int, bool]:
-    """Damped Newton on the stationarity system.
+    spec: DistributionSpec, states: list[_State], r: float, opts: SolverOpts
+) -> list[tuple[_State, int, bool]]:
+    """Damped Newton on the stationarity system, one run from each seed
+    state, all runs in one batch.
 
     Every iterate is one ``_state``: its residual R, and the cells'
     curvatures D on the diagonal of the Jacobian (``_jacobian_banded``).
@@ -525,93 +655,129 @@ def _newton(
     or, once a step is solved, the merit (sup|F|, or sup|R|
     for r < 1) <= grad_tol and that step <= ``_FLOOR_STEP`` (1 + max|x|),
     so that no state is computed only to confirm a step at round-off;
-    that step counts as an iteration.  A seed must be admissible as a
-    candidate is, with every cell's mass > 0, else ``SolverError``.
-    Returns the last state, the iterations and whether it converged.
-    """
+    that step counts as an iteration.
 
-    def converged() -> bool:
+    The runs share each iteration: their steps come from one tridiagonal
+    solve (``_steps``) and each line-search round's candidates from one
+    batched state (``_candidates``).  A run's merit, line search and stop
+    tests are its own, and it leaves the batch once it stops, so each
+    grid passes through the very states of a run alone.  Returns each
+    run's last state, iterations and whether it converged.
+    """
+    runs = [(st, float(np.abs(st.f).max()), math.inf, False) for st in states]
+    out: list = [None] * len(runs)  # per run: (state, merit, last step, stalled)
+
+    def converged(j: int) -> bool:
+        st, _, last_step, stalled = runs[j]
         step_tol = _STALL_STEP if stalled else opts.position_tol
         return bool(
-            np.max(np.abs(st.res)) <= opts.grad_tol and last_step <= step_tol * _scale(st.pts)
+            np.abs(st.res).max() <= opts.grad_tol and last_step <= step_tol * _scale(st.pts)
         )
 
-    def state(pts: np.ndarray, cut: float) -> _State | None:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _state(spec, pts, r, cut)
-        except QuadratureError:
-            return None
-
-    st = state(pts, 0.0)
-    if st is None:
-        raise SolverError(f"inadmissible seed for n={pts.size}, r={r}", pts, math.nan)
-    merit = float(np.max(np.abs(st.f)))
-    last_step = math.inf
-    stalled = False
-    iters = 0
-    for _ in range(_MAX_NEWTON_ITERS):
-        if converged():
-            return st, iters, True
-        ab = _newton_matrix(spec, st, r) if r >= 1.0 else _jacobian_banded(spec, st, r)
-        step = _tridiagonal_solve(ab, -st.f)
-        if step is None:
-            break
-        if merit <= opts.grad_tol and np.max(np.abs(step)) <= _FLOOR_STEP * _scale(st.pts):
-            return st, iters + 1, True
-        cut = min(_QUAD.tail_mass_cut, 0.5 * float(np.min(st.mass)))
-        lam = 1.0
-        moved = False
-        while lam >= 1e-7:
-            c_st = state(st.pts + lam * step, cut)
-            if c_st is not None:
-                c_merit = float(np.max(np.abs(c_st.f)))
-                if c_merit <= merit or np.max(np.abs(c_st.res)) <= opts.grad_tol:
-                    stalled = iters >= 2 and c_merit > 0.5 * merit
-                    st, merit = c_st, c_merit
-                    last_step = lam * float(np.max(np.abs(step)))
-                    moved = True
-                    break
+    live = range(len(runs))
+    for iters in range(_MAX_NEWTON_ITERS):
+        stepping = []
+        for j in live:
+            if converged(j):
+                out[j] = (runs[j][0], iters, True)
+            else:
+                stepping.append(j)
+        if not stepping:
+            return out
+        search = []  # the runs that look for a step: each with its step and cut
+        for j, step in zip(stepping, _steps(spec, [runs[j][0] for j in stepping], r)):
+            st, merit = runs[j][:2]
+            if step is None:
+                out[j] = (st, iters, False)
+            elif merit <= opts.grad_tol and np.abs(step).max() <= _FLOOR_STEP * _scale(st.pts):
+                out[j] = (st, iters + 1, True)
+            else:
+                search.append((j, step, min(_QUAD.tail_mass_cut, 0.5 * float(st.mass.min()))))
+        live = []  # the runs that took a step
+        lam = 1.0  # every search starts at a full step, so the runs share lambda
+        while search and lam >= 1e-7:
+            grids = [runs[j][0].pts + lam * step for j, step, _ in search]
+            found = _candidates(spec, grids, [cut for *_, cut in search], r)
+            missed = []
+            for (j, step, cut), c_st in zip(search, found):
+                merit = runs[j][1]
+                if c_st is not None:
+                    c_merit = float(np.abs(c_st.f).max())
+                    if c_merit <= merit or np.abs(c_st.res).max() <= opts.grad_tol:
+                        stalled = iters >= 2 and c_merit > 0.5 * merit
+                        runs[j] = (c_st, c_merit, lam * float(np.abs(step).max()), stalled)
+                        live.append(j)
+                        continue
+                missed.append((j, step, cut))
+            search = missed
             lam *= _STEP_DAMPING
-        iters += 1
-        if not moved:
-            break
-    return st, iters, converged()
+        for j, *_ in search:  # no step: the run stops
+            out[j] = (runs[j][0], iters + 1, False)
+        live.sort()
+    for j in live:
+        out[j] = (runs[j][0], _MAX_NEWTON_ITERS, converged(j))
+    return out
 
 
 def _lloyd_newton(
-    spec: DistributionSpec, seeds: Iterable[np.ndarray], r: float, opts: SolverOpts
-) -> tuple[_State, int]:
-    """Newton from each seed in turn, verified as a fixed point of the Lloyd sweep.
+    spec: DistributionSpec, seeds: list[Iterator[np.ndarray]], r: float, opts: SolverOpts
+) -> list:
+    """Newton from each grid's seeds in turn, verified as a fixed point of
+    the Lloyd sweep; all grids in one batch, each round running the next
+    seed of every grid not yet verified.
 
-    Returns the first verified state and the Newton iterations of every
-    run.  A Newton result is accepted only if a Lloyd sweep would move it
-    by at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which ``_sweep_keeps``
-    decides from the final Newton state without running the sweep: from
-    that state alone for r = 2, from its edge law and the law at 2n more
-    points for r = 1, and from its clipped cells in one batched
+    A Newton result is accepted only if a Lloyd sweep would move it by
+    at most ``_LLOYD_MOVE_TOL`` (1 + max|x|), which ``_sweep_keeps``
+    decides from the final Newton states without running the sweep: from
+    the state alone for r = 2, from its half-cell sides and the law at
+    2n more points for r = 1, and from its clipped cells in one batched
     quadrature pass otherwise.  The residual is weighted by cell mass, so
     it alone cannot tell a stationary grid from one with a point stranded
-    in the far tail.  A seed ``_newton`` refuses is skipped.  When no
-    seed verifies, the last run's ``SolverError`` is raised.
+    in the far tail.  A seed that is not admissible as a candidate is,
+    with every cell's mass > 0, is skipped.  Returns per grid its first
+    verified state's (points, sup|R|, Newton iterations of all its runs);
+    else the last run's ``SolverError``, or the error that building its
+    seed or checking its run raised.
     """
-    newton_iters = 0
-    for pts in seeds:
-        try:
-            st, iters, ok = _newton(spec, pts, r, opts)
-        except SolverError as err:  # an inadmissible seed
-            failure = err
-            continue
-        newton_iters += iters
-        if ok and _sweep_keeps(spec, st, r):
-            return st, newton_iters
-        sup = float(np.max(np.abs(st.res)))
-        failure = SolverError(
-            f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
-            st.pts,
-            sup,
-        )
-    raise failure
+    out: list = [None] * len(seeds)
+    iters = [0] * len(seeds)
+    todo = range(len(seeds))
+    while todo:
+        grids = []
+        for i in todo:
+            try:
+                pts = next(seeds[i], None)
+            except (SolverError, QuadratureError) as err:
+                out[i], pts = err, None
+            if pts is not None:
+                grids.append((i, pts))
+        todo, runs = [], []
+        seeded = _candidates(spec, [p for _, p in grids], [0.0] * len(grids), r) if grids else []
+        for (i, pts), st in zip(grids, seeded):
+            if st is None:
+                out[i] = SolverError(f"inadmissible seed for n={pts.size}, r={r}", pts, math.nan)
+                todo.append(i)
+            else:
+                runs.append((i, st))
+        ends = _newton(spec, [st for _, st in runs], r, opts)
+        done = [st for st, _, ok in ends if ok]
+        checks = iter(_verified(spec, done, r) if done else ())
+        for (i, _), (st, run_iters, ok) in zip(runs, ends):
+            iters[i] += run_iters
+            sup = float(np.abs(st.res).max())
+            check = next(checks) if ok else False
+            if isinstance(check, QuadratureError):
+                out[i] = check
+            elif check:
+                out[i] = (st.pts, sup, iters[i])
+            else:
+                out[i] = SolverError(
+                    f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
+                    st.pts,
+                    sup,
+                )
+                todo.append(i)
+    return out
 
 
 def _initial_points(spec: DistributionSpec, n: int, r: float) -> np.ndarray:
@@ -672,8 +838,8 @@ def optimal_grid(
     result's one sweep).  For r = 1 and 2 a Newton state takes the cdf
     or sf once per abscissa it needs (``_edge_law``); the fixed-point
     check of r = 2 is max|F| of the final state, and that of r = 1 the
-    sign of the residual at a -+ d from the final state's edge law and
-    the law at 2n more points.  Off the closed forms (r not 1 or 2) each
+    sign of the residual at a -+ d from the final state's half-cell
+    sides and the law at 2n more points.  Off the closed forms (r not 1 or 2) each
     Newton state (residual and curvatures) and the fixed-point check is
     one batched quadrature pass over all the cells it needs.  Raises
     ``SolverError`` rather than return an unverified grid.  The solve
@@ -688,11 +854,34 @@ def optimal_grid(
     x -> 0+ the first cell's moment derivative is ~ x**(a+r-1) (B(r, a) -
     B(r, 1-a-r)) >= 0 (B(r, .) decreases; at the tie the remainder is
     positive), so for every n the first point's optimum is the origin.
+    This is the one-size call of ``_optimal_grids``.
+    """
+    (out,) = _optimal_grids(
+        spec, [n], r, opts, init_grid=init_grid, cache=cache, full_result=full_result
+    )
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _optimal_grids(
+    spec: DistributionSpec, ns: Sequence[int], r: float, opts: SolverOpts | None = None, *,
+    init_grid: Grid | None = None, cache: "GridCache | None" = None, full_result: bool = False,
+) -> list:
+    """``optimal_grid`` at each size of ``ns``, as one batch: per size its
+    Grid (or SolveResult), or the ``SolverError`` or ``QuadratureError``
+    that size's own solve raises.
+
+    Every size is looked up in ``cache`` first (not for a full result),
+    and the misses are solved together (``_lloyd_newton``), each bit for
+    bit as alone.  Bad arguments, and a Gamma law whose first optimal
+    point is the origin, raise for all sizes.
     """
     opts = opts or SolverOpts()
     if spec.d != 1:
         raise ValueError("grid solving requires d=1")
-    _require_count(n=n)
+    for n in ns:
+        _require_count(n=n)
     _require_positive(r=r)
     if spec.family is Family.GAMMA and 2.0 * spec.a + r <= 1.0:
         raise SolverError(
@@ -700,40 +889,36 @@ def optimal_grid(
             f"and r={r:g} (2a + r <= 1) make the stationarity integral diverge",
             np.array([]), math.nan,
         )
-
-    if cache is not None and not full_result:
-        hit = cache.load(spec, n, r, opts)
-        if hit is not None:
-            return hit
-
-    if init_grid is not None and init_grid.n != n:
+    out = [None if cache is None or full_result else cache.load(spec, n, r, opts) for n in ns]
+    misses = [i for i, hit in enumerate(out) if hit is None]
+    if init_grid is not None and any(init_grid.n != ns[i] for i in misses):
         raise ValueError("init_grid size mismatch")
     unit, to_unit, from_unit = _unit_law(spec)
 
-    def seeds() -> Iterator[np.ndarray]:
+    def seeds(n: int) -> Iterator[np.ndarray]:
         if init_grid is not None:
             yield to_unit(init_grid.points)
         yield _initial_points(unit, n, r)
 
-    try:
-        st, newton_iters = _lloyd_newton(unit, seeds(), r, opts)
-    except SolverError as err:
-        err.points = from_unit(err.points)
-        raise
-
-    pts = from_unit(st.pts)
-    res_sup = float(np.max(np.abs(st.res)))
-    grid = Grid(pts)
-    if grid.n != n:
-        raise SolverError(
-            f"points collapsed during solve (kept {grid.n} of {n})", pts, res_sup
-        )
-    if cache is not None:
-        cache.store(spec, n, r, opts, grid)
-    if full_result:
-        stationary_only = spec.family is Family.GAMMA and spec.a < 1.0
-        return SolveResult(grid, res_sup, 1, newton_iters, stationary_only)
-    return grid
+    for i, res in zip(misses, _lloyd_newton(unit, [seeds(ns[i]) for i in misses], r, opts)):
+        if isinstance(res, SolverError):
+            res.points = from_unit(res.points)
+        elif not isinstance(res, Exception):
+            pts, res_sup, newton_iters = from_unit(res[0]), res[1], res[2]
+            grid = Grid(pts)
+            if grid.n != ns[i]:
+                res = SolverError(
+                    f"points collapsed during solve (kept {grid.n} of {ns[i]})", pts, res_sup
+                )
+            else:
+                if cache is not None:
+                    cache.store(spec, ns[i], r, opts, grid)
+                res = grid
+                if full_result:
+                    stationary_only = spec.family is Family.GAMMA and spec.a < 1.0
+                    res = SolveResult(grid, res_sup, 1, newton_iters, stationary_only)
+        out[i] = res
+    return out
 
 
 def solve(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from quantilab import analysis
+from quantilab import analysis, solver
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,7 @@ from quantilab.distributions import (
     sf,
 )
 from quantilab.quantizer import DilationParams, Grid, dilate
-from quantilab.solver import exp_ak_sequence, exp_optimal_grid, solve
+from quantilab.solver import GridCache, exp_ak_sequence, exp_optimal_grid, optimal_grid, solve
 
 GAUSS = DistributionSpec.gaussian()
 EXPO = DistributionSpec.exponential()
@@ -102,6 +102,53 @@ def test_table_slopes_converge_to_theta_star():
     gaps = [abs(row.a_hat - 2.0 / 3.0) for row in rows]
     for earlier, later in zip(gaps, gaps[1:]):
         assert later <= 1.10 * earlier
+
+
+def _recording_newton(monkeypatch):
+    """Record the grid sizes of every Newton batch."""
+    real, batches = solver._newton, []
+
+    def recording(spec, states, r, opts):
+        batches.append((r, [st.pts.size for st in states]))
+        return real(spec, states, r, opts)
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    return batches
+
+
+def test_a_table_loads_the_cache_first_and_solves_the_misses_in_one_batch(tmp_path, monkeypatch):
+    ns = (20, 50, 100, 300)
+    cold = table_experiment(GAUSS, 2.0, 1.0, ns)
+    warm = GridCache(tmp_path / "warm")
+    for n in (20, 100):
+        for e in (2.0, 1.0):
+            optimal_grid(GAUSS, n, e, cache=warm)
+    batches = _recording_newton(monkeypatch)
+    assert table_experiment(GAUSS, 2.0, 1.0, ns, cache=warm) == cold
+    assert batches == [(2.0, [50, 300]), (1.0, [50, 300])]
+    # the files written are those optimal_grid writes, byte for byte
+    alone = GridCache(tmp_path / "alone")
+    for n in ns:
+        for e in (2.0, 1.0):
+            optimal_grid(GAUSS, n, e, cache=alone)
+    files = {p.name: p.read_bytes() for p in warm.root.iterdir()}
+    assert files == {p.name: p.read_bytes() for p in alone.root.iterdir()}
+    assert len(files) == 8
+
+
+def test_a_size_that_fails_leaves_the_other_rows_as_they_are(monkeypatch):
+    ns = (20, 50, 100)
+    cold = {row.n: row for row in table_experiment(GAUSS, 2.0, 4.0, ns)}
+    real = solver._sweep_keeps
+
+    def refuse_50(spec, st, r):
+        return real(spec, st, r) & (st.sizes != 50)
+
+    monkeypatch.setattr(solver, "_sweep_keeps", refuse_50)
+    rows = {row.n: row for row in table_experiment(GAUSS, 2.0, 4.0, ns)}
+    assert rows[50].status.startswith("error: no verified convergence for n=50")
+    assert math.isnan(rows[50].a_hat)
+    assert rows[20] == cold[20] and rows[100] == cold[100]
 
 
 def test_regressing_a_grid_on_itself_is_trivial():

@@ -17,9 +17,11 @@ from quantilab import distributions, solver
 from quantilab.analysis import empirical_discrepancy, empirical_identity_check, table_experiment
 from quantilab.distributions import (
     DistributionSpec,
+    QuadratureError,
     QuadratureOpts,
     _abs_moment,
     _abs_moments,
+    _edge_law,
     _edge_masses,
     _effective_bounds,
     cell_moment,
@@ -31,6 +33,7 @@ from quantilab.quantizer import Grid, count_in_interval, distortion, nearest, vo
 from quantilab.solver import (
     AkSequence,
     GridCache,
+    SolveResult,
     SolverError,
     SolverOpts,
     cell_argmin,
@@ -288,11 +291,15 @@ def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
             edges = np.empty(2 * n + 1)
             edges[0::2], edges[1::2] = b, pts
             st = solver._state(spec, pts, 1.0)
-            halves = _edge_masses(spec, edges)
-            np.testing.assert_array_equal(st.law.masses(), halves)
+            law = _edge_law(spec, edges)
+            halves = law.masses()
+            np.testing.assert_array_equal(halves, _edge_masses(spec, edges))
+            np.testing.assert_array_equal(st.res, halves[0::2] - halves[1::2])
             np.testing.assert_array_equal(st.mass, halves[0::2] + halves[1::2])
+            np.testing.assert_array_equal(st.upper, law.upper[0::2])
+            np.testing.assert_array_equal(np.where(st.upper, st.s, st.c), law.tails()[0::2])
             np.testing.assert_allclose(st.mass, _edge_masses(spec, b), rtol=1e-13)
-            parities.add(np.count_nonzero(~st.law.upper) % 2)
+            parities.add(np.count_nonzero(~law.upper) % 2)
     assert parities == {0, 1}
 
 
@@ -300,13 +307,13 @@ def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
 def test_closed_form_solves_take_the_law_once_per_abscissa(r, monkeypatch):
     spec, n = DistributionSpec.gamma(0.5), 300
     counts = _count_law(monkeypatch)
-    real_state, states = solver._state, [0]
+    real_states, states = solver._states, [0]
 
-    def counting_state(*args, **kwargs):
+    def counting_states(*args, **kwargs):
         states[0] += 1
-        return real_state(*args, **kwargs)
+        return real_states(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_state", counting_state)
+    monkeypatch.setattr(solver, "_states", counting_states)
     optimal_grid(spec, n, r)
     law = counts["cdf"] + counts["sf"]
     # a Newton state takes, for r = 1, the 2n + 1 interleaved edges and
@@ -339,20 +346,20 @@ def test_closed_form_fixed_point_check_reads_the_newton_state(spec, r, grid_of, 
 def test_each_newton_state_takes_its_voronoi_edges_once(monkeypatch):
     # the Jacobian and the fixed-point check read the state's edges: 27
     # voronoi_bounds calls for the 9 states of this solve before
-    real_bounds, real_state = solver.voronoi_bounds, solver._state
+    real_bounds, real_states = solver.voronoi_bounds, solver._states
     bounds, states = [0], [0]
 
     def counting_bounds(*args, **kwargs):
         bounds[0] += 1
         return real_bounds(*args, **kwargs)
 
-    def counting_state(*args, **kwargs):
-        st = real_state(*args, **kwargs)
-        states[0] += st is not None
-        return st
+    def counting_states(*args, **kwargs):
+        sts = real_states(*args, **kwargs)
+        states[0] += sum(st is not None for st in sts)
+        return sts
 
     monkeypatch.setattr(solver, "voronoi_bounds", counting_bounds)
-    monkeypatch.setattr(solver, "_state", counting_state)
+    monkeypatch.setattr(solver, "_states", counting_states)
     res = optimal_grid(GAUSS, 300, 4.0, full_result=True)
     assert res.lloyd_sweeps == 1
     assert bounds[0] == states[0] > 0
@@ -445,14 +452,14 @@ def _record_batches(monkeypatch, *names):
 
 @pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
 def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
-    states, jacobians = _record_batches(monkeypatch, "_state", "_jacobian_banded")
+    states, jacobians = _record_batches(monkeypatch, "_states", "_jacobian_banded")
     res = optimal_grid(GAUSS, 20, r, full_result=True)
     assert len(jacobians) == res.newton_iters > 0
     # residual and curvature of a computed Newton state: one batch between
     # them; a refused candidate runs none
-    computed = [out for *_, out in states if out is not None]
-    assert [batches for batches, *_, out in states if out is not None] == [1] * len(computed)
-    assert all(batches == 0 for batches, *_, out in states if out is None)
+    computed = [st for *_, (st,) in states if st is not None]
+    assert [batches for batches, *_, (st,) in states if st is not None] == [1] * len(computed)
+    assert all(batches == 0 for batches, *_, (st,) in states if st is None)
     for batches, args, _, _ in jacobians:
         # no integral of its own: each Jacobian reads a state's curvature
         assert batches == 0
@@ -461,10 +468,10 @@ def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
 
 def test_a_solve_stops_at_the_round_off_floor(monkeypatch):
     # the last state no longer only confirms a step: the solve before took 9
-    (states,) = _record_batches(monkeypatch, "_state")
+    (states,) = _record_batches(monkeypatch, "_states")
     res = optimal_grid(GAUSS, 300, 4.0, full_result=True)
     assert res.lloyd_sweeps == 1
-    assert 0 < sum(out is not None for *_, out in states) <= 6
+    assert 0 < sum(st is not None for *_, (st,) in states) <= 6
 
 
 # -- optimal_grid ----------------------------------------------------------------
@@ -838,7 +845,8 @@ def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
     "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
 )
 def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
-    st, _, _ = solver._newton(spec, solver._initial_points(spec, 200, r), r, SolverOpts())
+    seed = solver._state(spec, solver._initial_points(spec, 200, r), r, 0.0)
+    ((st, _, _),) = solver._newton(spec, [seed], r, SolverOpts())
     pts = st.pts
     b = voronoi_bounds(pts)
     assert np.min(_edge_masses(spec, b)) > solver._QUAD.tail_mass_cut
@@ -962,8 +970,8 @@ def test_a_seed_on_the_support_edge_is_refused(a, r):
     # integrable (a + r <= 1): the run is a SolverError, and the solve goes
     # on from the default seed
     spec = DistributionSpec.gamma(a)
-    with pytest.raises(SolverError, match="inadmissible seed"):
-        solver._newton(spec, np.array([0.0, 1.0, 2.0]), r, SolverOpts())
+    (run,) = solver._lloyd_newton(spec, [iter([np.array([0.0, 1.0, 2.0])])], r, SolverOpts())
+    assert isinstance(run, SolverError) and "inadmissible seed" in str(run)
     seeded = optimal_grid(spec, 3, r, init_grid=Grid(np.array([0.0, 1.0, 2.0])))
     np.testing.assert_array_equal(seeded.points, optimal_grid(spec, 3, r).points)
 
@@ -1374,3 +1382,135 @@ def test_tridiagonal_solve_reports_a_singular_band():
     assert solver._tridiagonal_solve(ab.copy(), np.ones(3)) is None
     # a zero 1x1 system, with no division by zero
     assert solver._tridiagonal_solve(np.zeros((3, 1)), np.ones(1)) is None
+
+
+# -- one Newton batch over several sizes -------------------------------------------
+
+BATCH_LAWS = [GAUSS] + [DistributionSpec.gamma(a) for a in (0.5, 2.0, 7.0)]
+BATCH_IDS = ["gauss", "gamma0.5", "gamma2", "gamma7"]
+BATCH_SIZES = (1, 2, 5, 20, 100)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("spec", BATCH_LAWS, ids=BATCH_IDS)
+def test_a_batch_of_sizes_solves_each_as_its_own_solve_does(spec, r):
+    # every block passes through the states of its own solve: the same
+    # grid, residual and Newton iterations, bit for bit
+    batch = solver._optimal_grids(spec, BATCH_SIZES, r, full_result=True)
+    for n, got in zip(BATCH_SIZES, batch):
+        alone = optimal_grid(spec, n, r, full_result=True)
+        assert isinstance(got, SolveResult), (n, got)
+        assert np.array_equal(got.grid.points, alone.grid.points), n
+        assert got.residual_sup == alone.residual_sup, n
+        assert got.newton_iters == alone.newton_iters, n
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
+def test_a_block_diagonal_newton_solve_equals_the_solves_of_its_blocks(spec, r):
+    # the seed states of six sizes as one batch and one tridiagonal solve:
+    # the couplings across a block border are 0, so elimination never
+    # mixes blocks, with blocks of one and two points among them
+    sizes = (1, 2, 20, 50, 100, 300)
+    seeds = [solver._initial_points(spec, n, r) for n in sizes]
+    batch = solver._states(spec, seeds, r, [0.0] * len(sizes))
+    alone = [solver._state(spec, pts, r, 0.0) for pts in seeds]
+    for got, own in zip(batch, alone):
+        for field, value in zip(own._fields, own):
+            mine = getattr(got, field)
+            if field in ("c", "s") and value is not None:  # each read on its own side
+                side = own.upper if field == "s" else ~own.upper
+                mine, value = mine[side], value[side]
+            assert value is None or np.array_equal(mine, value), field
+    joined = solver._join(batch)
+    ab = solver._newton_matrix(spec, joined, r)
+    borders = np.cumsum(sizes)[:-1]
+    assert np.all(ab[0, borders] == 0.0) and np.all(ab[2, borders - 1] == 0.0)
+    own_abs = [solver._newton_matrix(spec, st, r) for st in alone]
+    for line in range(3):
+        np.testing.assert_array_equal(
+            ab[line], np.concatenate([m[line] for m in own_abs]), strict=True
+        )
+    step = solver._tridiagonal_solve(ab, -joined.f)
+    steps = [solver._tridiagonal_solve(m, -st.f) for m, st in zip(own_abs, alone)]
+    assert np.array_equal(step, np.concatenate(steps))
+    assert [s.pts.size for s in solver._blocks(joined)] == list(sizes)
+
+
+def _refusing(real, size, error=None):
+    """``real`` with the block of ``size`` points refused, or raising
+    ``error`` whenever that block is in the batch."""
+
+    def check(spec, st, r):
+        if error is not None and size in st.sizes:
+            raise error
+        return real(spec, st, r) & (st.sizes != size)
+
+    return check
+
+
+def test_a_block_that_fails_its_check_fails_alone(monkeypatch):
+    sizes = (2, 20, 50, 100)
+    alone = {n: optimal_grid(GAUSS, n, 4.0, full_result=True) for n in sizes}
+    monkeypatch.setattr(solver, "_sweep_keeps", _refusing(solver._sweep_keeps, 50))
+    batch = solver._optimal_grids(GAUSS, sizes, 4.0, full_result=True)
+    for n, got in zip(sizes, batch):
+        if n == 50:
+            assert isinstance(got, SolverError) and "no verified convergence for n=50" in str(got)
+            continue
+        assert np.array_equal(got.grid.points, alone[n].grid.points)
+        assert got.newton_iters == alone[n].newton_iters
+
+
+def test_a_quadrature_error_stays_with_its_own_block(monkeypatch):
+    # a check that raises for one block: the batch is checked block by
+    # block, and only that size meets the error, as its own solve would
+    sizes = (5, 20, 50)
+    alone = {n: optimal_grid(GAUSS, n, 1.5, full_result=True) for n in sizes}
+    error = QuadratureError("budget exhausted", 1.0, 0.0)
+    monkeypatch.setattr(solver, "_sweep_keeps", _refusing(solver._sweep_keeps, 20, error))
+    batch = solver._optimal_grids(GAUSS, sizes, 1.5, full_result=True)
+    assert batch[1] is error
+    for n, got in zip(sizes, batch):
+        if n != 20:
+            assert np.array_equal(got.grid.points, alone[n].grid.points)
+    with pytest.raises(QuadratureError):
+        optimal_grid(GAUSS, 20, 1.5)
+
+
+def test_a_batched_candidate_that_raises_is_computed_block_by_block(monkeypatch):
+    # states whose integrals raise for one grid: that grid's seed is
+    # refused, and every other grid runs as alone
+    real = solver._states
+    sizes = (5, 20, 50)
+    alone = {n: optimal_grid(GAUSS, n, 3.0, full_result=True) for n in sizes}
+
+    def states(spec, grids, r, cuts=None):
+        if any(pts.size == 20 for pts in grids):
+            raise QuadratureError("overflow", math.inf, 0.0)
+        return real(spec, grids, r, cuts)
+
+    monkeypatch.setattr(solver, "_states", states)
+    batch = solver._optimal_grids(GAUSS, sizes, 3.0, full_result=True)
+    assert isinstance(batch[1], SolverError) and "inadmissible seed for n=20" in str(batch[1])
+    for n, got in zip(sizes, batch):
+        if n != 20:
+            assert np.array_equal(got.grid.points, alone[n].grid.points)
+            assert got.newton_iters == alone[n].newton_iters
+
+
+def test_a_refused_candidate_leaves_the_rest_of_its_batch():
+    # a grid whose point leaves its cell is refused before any law
+    # evaluation; the others' states are those of their own batches
+    grids = [np.array([-1.0, 1.0]), np.array([0.5, 0.2]), np.array([-2.0, 0.0, 2.0])]
+    got = solver._states(GAUSS, grids, 4.0, [0.0, 0.0, 0.0])
+    assert got[1] is None
+    for pts, st in zip(grids[::2], got[::2]):
+        own = solver._state(GAUSS, pts, 4.0, 0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(st, own) if b is not None)
+    # a cut refuses the grid whose tail cells are too light
+    light = [np.array([-1.0, 1.0]), np.array([8.0, 9.0])]
+    assert [st is None for st in solver._states(GAUSS, light, 2.0, [0.0, 1e-12])] == [
+        False, True,
+    ]
