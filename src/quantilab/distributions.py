@@ -189,43 +189,46 @@ def _ret(arr: np.ndarray, scalar: bool):
 # density / distribution / quantile
 # --------------------------------------------------------------------------
 
-def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Natural log of the density; -inf outside the support, NaN at NaN."""
-    _require_d1(spec, "log_pdf")
-    xs, scalar = _as_array(x)
+def _log_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
+    """``log_pdf`` at the array ``xs``, under the caller's ``np.errstate``:
+    (x - m)^2 and lam x may overflow to inf at huge |x|, which gives -inf,
+    and log(0) is -inf."""
     if spec.family is Family.GAUSSIAN:
-        with np.errstate(over="ignore"):  # (x - m)^2 = inf at huge |x| gives -inf
-            out = -0.5 * math.log(2.0 * math.pi * spec.sigma2) - (xs - spec.m) ** 2 / (
-                2.0 * spec.sigma2
-            )
-        return _ret(out, scalar)
+        return -0.5 * math.log(2.0 * math.pi * spec.sigma2) - (xs - spec.m) ** 2 / (
+            2.0 * spec.sigma2
+        )
     a, lam = spec.a, spec.lam
     # the formula on every point, then a fix-up of the few outside (0, inf):
-    # masking every call costs more than the formula itself; lam x may
-    # overflow to inf at huge x, which gives -inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if a == 1.0:
-            out = math.log(lam) - lam * xs
-        else:  # a log(lam) - lgamma(a) + (a - 1) log(x) - lam x, summed in place
-            out = np.log(xs)
-            out *= a - 1.0
-            out += a * math.log(lam) - math.lgamma(a)
-            out -= lam * xs
+    # masking every call costs more than the formula itself
+    if a == 1.0:
+        out = math.log(lam) - lam * xs
+    else:  # a log(lam) - lgamma(a) + (a - 1) log(x) - lam x, summed in place
+        out = np.log(xs)
+        out *= a - 1.0
+        out += a * math.log(lam) - math.lgamma(a)
+        out -= lam * xs
     if not (xs.min(initial=_INF) > 0.0 and xs.max(initial=0.0) < _INF):  # NaN fails it too
         # NaN stays NaN and 0 is already +inf (a < 1), log(lam) (a = 1) or
         # -inf (a > 1); below 0 and at +-inf, where the formula gives NaN
         # or a finite value, the log-density is -inf
         out = np.where((xs < 0.0) | (xs == _INF), -_INF, out)
-    return _ret(out, scalar)
+    return out
+
+
+def log_pdf(spec: DistributionSpec, x) -> np.ndarray | float:
+    """Natural log of the density; -inf outside the support, NaN at NaN."""
+    _require_d1(spec, "log_pdf")
+    xs, scalar = _as_array(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _ret(_log_density(spec, xs), scalar)
 
 
 def pdf(spec: DistributionSpec, x) -> np.ndarray | float:
     """Density f(x); zero outside the support."""
+    _require_d1(spec, "pdf")
     xs, scalar = _as_array(x)
-    lp, _ = _as_array(log_pdf(spec, xs))
-    with np.errstate(over="ignore"):
-        out = np.exp(lp)
-    return _ret(out, scalar)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _ret(np.exp(_log_density(spec, xs)), scalar)
 
 
 def _gamma_p_or_q(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
@@ -306,22 +309,26 @@ def quantile_sf(spec: DistributionSpec, q) -> np.ndarray | float:
 
 
 class _EdgeLaw(NamedTuple):
-    """The law at sorted edges, or at several sorted runs of them, read one
-    interval [edges[i], edges[i+1]] at a time (``_edge_law``).
+    """The law at sorted edges, or at runs of them, read one interval
+    [edges[i], edges[i+1]] at a time (``_edge_law``).
 
     ``upper[i]``: interval i takes the sf side, else the cdf side.  ``c``
     holds the cdf of every edge that bounds a lower interval, ``s`` the sf
     of every edge that bounds an upper one; each is 0 outside its run of
-    edges.
+    edges.  ``ends``: the edges where one run ends and the next begins.
     """
 
     upper: np.ndarray
     c: np.ndarray
     s: np.ndarray
+    ends: list[int]
 
     def masses(self) -> np.ndarray:
-        """The interval masses, each on its own side; 0 if empty."""
+        """The interval masses, each on its own side; 0 if empty.  A run's
+        last interval reads its end as +inf: cdf 1, sf 0."""
         mass = np.where(self.upper, self.s[:-1] - self.s[1:], self.c[1:] - self.c[:-1])
+        for i in self.ends:
+            mass[i - 1] = self.s[i - 1] if self.upper[i - 1] else 1.0 - self.c[i - 1]
         return np.maximum(mass, 0.0)
 
     def tails(self) -> np.ndarray:
@@ -331,11 +338,14 @@ class _EdgeLaw(NamedTuple):
 
 
 def _edge_law(
-    spec: DistributionSpec, edges: np.ndarray, runs: list[int] | None = None
+    spec: DistributionSpec, edges: np.ndarray, starts: list[int] | None = None
 ) -> _EdgeLaw:
-    """The cdf and sf of ``edges`` (infinite ends allowed) where their
-    intervals need them: sorted edges, or ``runs`` sorted runs of edges
-    of the given sizes, one after another (the grids of a batch).
+    """The cdf and sf of sorted ``edges`` (infinite ends allowed) where
+    their intervals need them; with ``starts``, of runs of sorted edges,
+    run j from interval ``starts[j]`` on.  A run ends on the next one's
+    first edge, the support's lower end, and reads it as +inf: the grids
+    of a batch on one array, each from one end of the support to the
+    other.
 
     Interval i is upper when its lower edge has cdf > 0.5; its mass is
     then an sf difference, else a cdf difference, so neither tail loses
@@ -346,17 +356,16 @@ def _edge_law(
     lower edge to the last edge, so an edge outside the band takes each
     function its intervals need once.  Where the cdf's round-off steps
     back across 0.5 inside the band, the two runs overlap there and the
-    same rule holds.  The interval from one run's last edge to the next
-    run's first is not meant; its mass reads 0.
+    same rule holds.
     """
     n = edges.size - 1
     upper = np.zeros(n, bool)
-    c_at, s_at = [], []  # per run, the edges that take the cdf and the sf
-    start = 0
-    for size in runs or (edges.size,):
-        run = edges[start : start + size]
+    c, s = np.zeros(n + 1), np.zeros(n + 1)
+    bounds = [*(starts or [0]), n]
+    for start, end in zip(bounds, bounds[1:]):
+        run = edges[start : end + 1]
         k, k_hi = run[:-1].searchsorted(spec._median_band).tolist()
-        upper[start + k_hi : start + size - 1] = True
+        upper[start + k_hi : end] = True
         c_end, s_start = k, k_hi  # the cdf of run[:c_end + 1], the sf of run[s_start:]
         if k < k_hi:
             band = upper[start + k : start + k_hi] = cdf(spec, run[k:k_hi]) > 0.5
@@ -364,25 +373,19 @@ def _edge_law(
             s_start = int(at[band].min(initial=k_hi))
             c_end = int(at[~band].max(initial=k - 1)) + 1
         if c_end:
-            c_at.append(np.s_[start : start + c_end + 1])
-        if s_start < size - 1:
-            s_at.append(np.s_[start + s_start : start + size])
-        start += size
-    c, s = np.zeros(n + 1), np.zeros(n + 1)
-    for at, out, fn in ((c_at, c, cdf), (s_at, s, sf)):
-        if at:
-            at = at[0] if len(at) == 1 else np.r_[tuple(at)]
-            out[at] = fn(spec, edges[at])
-    return _EdgeLaw(upper, c, s)
+            c[start : start + c_end + 1] = cdf(spec, run[: c_end + 1])
+        if s_start < end - start:
+            s[start + s_start : end + 1] = sf(spec, run[s_start:])
+    return _EdgeLaw(upper, c, s, bounds[1:-1])
 
 
 def _edge_masses(
-    spec: DistributionSpec, edges: np.ndarray, runs: list[int] | None = None
+    spec: DistributionSpec, edges: np.ndarray, starts: list[int] | None = None
 ) -> np.ndarray:
-    """P([edges[i], edges[i+1]]) for sorted edges, or ``runs`` sorted runs
-    of them (infinite ends allowed), each from the cdf or the sf side as
-    ``_edge_law`` decides."""
-    return _edge_law(spec, edges, runs).masses()
+    """P([edges[i], edges[i+1]]) for sorted edges, or runs of them
+    (``starts``: as in ``_edge_law``; infinite ends allowed), each from
+    the cdf or the sf side as ``_edge_law`` decides."""
+    return _edge_law(spec, edges, starts).masses()
 
 
 # --------------------------------------------------------------------------

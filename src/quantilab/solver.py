@@ -17,7 +17,7 @@ import os
 import tempfile
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -137,17 +137,18 @@ def _lifted(a: float, lam: float) -> DistributionSpec:
 
 
 def _partial_mean(
-    spec: DistributionSpec, b: np.ndarray, mass: np.ndarray, runs: list[int] | None = None
+    spec: DistributionSpec, b: np.ndarray, mass: np.ndarray, starts: list[int] | None = None
 ) -> np.ndarray:
     """integral of x f(x) over each cell [b[i], b[i+1]] of mass ``mass[i]``
-    (``runs``: as in ``_edge_law``).
+    (``starts``: as in ``_edge_law``).
 
-    Gaussian: m P - sigma2 (f(hi) - f(lo)).  Gamma: x f(x) is a/lam times
-    the Gamma(a + 1, lam) density.
+    Gaussian: m P - sigma2 (f(hi) - f(lo)); the density is 0 at both
+    ends of the support, so an edge shared by two runs reads right either
+    way.  Gamma: x f(x) is a/lam times the Gamma(a + 1, lam) density.
     """
     if spec.family is Family.GAUSSIAN:
         return spec.m * mass - spec.sigma2 * np.diff(pdf(spec, b))
-    return (spec.a / spec.lam) * _edge_masses(_lifted(spec.a, spec.lam), b, runs)
+    return (spec.a / spec.lam) * _edge_masses(_lifted(spec.a, spec.lam), b, starts)
 
 
 def _conditional_mean(spec: DistributionSpec, b: np.ndarray) -> np.ndarray:
@@ -280,16 +281,17 @@ def cell_argmin(spec: DistributionSpec, lo: float, hi: float, r: float) -> float
 # --------------------------------------------------------------------------
 
 class _State(NamedTuple):
-    """A Newton iterate of one or more grids, one block of points each:
-    the blocks' ``sizes``, and per point its cell's edges ``left`` and
-    ``right`` (a block's outer edges are the support's ends), its cell
-    mass, for r = 1 the side of the half-cell [left, a] in the edge law
-    and the cdf and sf of its left edge there (``upper``, ``c``, ``s``;
-    each read on its own side alone; else None), the cell clipped to the
-    support and tail cuts (``lo``, ``hi``; r not 1 or 2, else None), the
-    residual, the curvature and the system Newton solves."""
+    """A Newton iterate of one or more grids, one block of points each,
+    block after block: where each block starts (``starts``), and per
+    point its cell's edges ``left`` and ``right`` (a block's outer edges
+    are the support's ends), its cell mass, for r = 1 the side of the
+    half-cell [left, a] in the edge law and the cdf and sf of ``left``
+    there (``upper``, ``c``, ``s``; each read on its own side alone; else
+    None), the cell clipped to the support and tail cuts (``lo``, ``hi``;
+    r not 1 or 2, else None), the residual, the curvature and the system
+    Newton solves."""
 
-    sizes: np.ndarray
+    starts: list[int]
     pts: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -303,65 +305,86 @@ class _State(NamedTuple):
     curv: np.ndarray
     f: np.ndarray
 
-
-def _blocks(st: _State) -> list[_State]:
-    """Each block of the state ``st`` as a state of its own."""
-    if st.sizes.size == 1:
-        return [st]
-    ends = np.cumsum(st.sizes).tolist()
-    return [
-        _State(st.sizes[j : j + 1], *(v if v is None else v[end - n : end] for v in st[1:]))
-        for j, (n, end) in enumerate(zip(st.sizes.tolist(), ends))
-    ]
+    def sizes(self) -> list[int]:
+        return _sizes(self.starts, self.pts.size)
 
 
-def _join(states: list[_State]) -> _State:
-    """The blocks of ``states``, one after another, as one state."""
-    if len(states) == 1:
-        return states[0]
-    return _State(*(None if v[0] is None else np.concatenate(v) for v in zip(*states)))
+def _sizes(starts: list[int], n: int) -> list[int]:
+    """The sizes of blocks that start at ``starts``, n points in all."""
+    return [j - i for i, j in zip(starts, [*starts[1:], n])]
 
 
-def _each(ufunc: np.ufunc, x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``ufunc`` reduced over each block of ``x``."""
-    if sizes.size == 1:
-        return ufunc.reduce(x, keepdims=True)
-    return ufunc.reduceat(x, np.cumsum(sizes) - sizes)
+def _starts(sizes: Sequence[int]) -> list[int]:
+    """Where blocks of ``sizes`` points, one after another, start."""
+    return [0, *accumulate(sizes[:-1])]
 
 
-def _cell_edges(sizes: np.ndarray, n: int, per_cell: int, count: int) -> list:
-    """Where the n cells' left edges, and the ``count`` - 1 entries after
-    each, sit in an array of ``per_cell`` entries per cell and one more
-    per block, block after block: slices for one block."""
-    if sizes.size == 1:
-        return [slice(i, per_cell * n + i, per_cell) for i in range(count)]
-    at = per_cell * np.arange(n) + np.repeat(np.arange(sizes.size), sizes)
-    return [at + i for i in range(count)]
+def _take(st: _State, keep: Sequence[bool]) -> _State:
+    """The blocks ``keep`` (a flag per block) of the state ``st``, as one state."""
+    if all(keep):
+        return st
+    sizes = st.sizes()
+    at = np.repeat(keep, sizes)
+    return _State(_starts([*compress(sizes, keep)]), *(v if v is None else v[at] for v in st[1:]))
+
+
+def _join(st: _State | None, more: _State) -> _State:
+    """The blocks of ``st`` (none if None), then those of ``more``, as one state."""
+    if st is None:
+        return more
+    return _State(
+        [*st.starts, *(i + st.pts.size for i in more.starts)],
+        *(v if v is None else np.concatenate((v, w)) for v, w in zip(st[1:], more[1:])),
+    )
+
+
+def _alone(fn: Callable, starts: list[int], n: int) -> list:
+    """``fn(j, at)`` for each block j of a batch of n points alone (``at``
+    its points' slice; blocks at ``starts``): its result, or the
+    ``QuadratureError`` it raised.  A batch falls back on it where one of
+    its blocks spoils it, so that the failure stays with that block."""
+    bounds = [*starts, n]
+    out = []
+    for j, at in enumerate(map(slice, bounds, bounds[1:])):
+        try:
+            out.append(fn(j, at))
+        except QuadratureError as err:
+            out.append(err)
+    return out
 
 
 def _states(
-    spec: DistributionSpec, grids: list[np.ndarray], r: float, cuts: list[float] | None = None
-) -> list[_State | None]:
-    """The Newton state at each of ``grids``, as one batch; with ``cuts``,
-    None for a grid whose state is not admissible under its cut.
+    spec: DistributionSpec,
+    pts: np.ndarray,
+    starts: list[int],
+    r: float,
+    cuts: list[float] | None = None,
+) -> tuple[_State | None, list[bool]]:
+    """The Newton state at grids ``pts``, one block each (blocks at
+    ``starts``), as one batch, and which grids it holds: with ``cuts``
+    (one per grid), those admissible under their cuts (the state is None
+    where none is); without, all.
 
     A grid's state is bit for bit that of a batch of its own: no cell
-    integral or law evaluation depends on its batch (``_edge_law`` takes
-    each grid's edges as a sorted run of their own).  Admissible: each point strictly
-    between its cell's edges (the outer edges are the support's ends; no
-    midpoint rounds onto a point), every cell with mass > the cut.  A
-    point pushed into a cell of negligible mass has a vanishing
-    stationarity residual wherever it sits; such iterates are refused
-    before their residual is computed, and the rest of the batch is
-    computed without them.  Each part of the state is computed once: the
-    Jacobian (``_jacobian_banded``) and the fixed-point check
+    integral or law evaluation depends on its batch.  Admissible: each
+    point strictly between its cell's edges (the outer edges are the
+    support's ends; no midpoint rounds onto a point), every cell with
+    mass > the cut.  A point pushed into a cell of negligible mass has a
+    vanishing stationarity residual wherever it sits; such iterates are
+    refused before their residual is computed, and the rest of the batch
+    is computed without them.  Each part of the state is computed once:
+    the Jacobian (``_jacobian_banded``) and the fixed-point check
     (``_sweep_keeps``) read it.
 
-    For r = 1 the law is evaluated once, by ``_edge_law``, at the
-    interleaved edges b0, a0, b1, a1, ..., bn of each grid's cells and
-    points.  The residual reads its half-cell masses; each cell mass is
-    the sum of its two halves, read only by the tail-cut test here and by
-    the fixed-point check.
+    The law takes the edges of all grids as one array ``b``, each cell's
+    left edge and then the support's upper end: a grid's edges run from
+    its first cell's left edge, the support's lower end, to the next
+    grid's, which it reads as the upper end (``_edge_law``'s runs).  For
+    r = 1 the law is evaluated once, by ``_edge_law``, at the interleaved
+    edges b0, a0, b1, a1, ..., bn of the cells and their points.  The
+    residual reads its half-cell masses; each cell mass is the sum of its
+    two halves, read only by the tail-cut test here and by the
+    fixed-point check.
 
     The residual R_i = r integral |x - a|**(r-1) sign(a - x) f(x) over
     cell i, and the curvature D_i is the derivative of R_i in a_i with
@@ -381,51 +404,45 @@ def _states(
     Gamma(alpha + 1, lam) density, so the lo term vanishes at the origin.
     Newton solves F = R / D for r >= 1 and R itself for r < 1 (``_newton``).
     """
-    sizes = np.array([*map(len, grids)])
-    pts = grids[0] if len(grids) == 1 else np.concatenate(grids)
     n = pts.size
-    at, after = _cell_edges(sizes, n, 1, 2)
-    if sizes.size == 1:
-        b = voronoi_bounds(pts)
-        b[0], b[-1] = spec.support
-    else:  # the midpoints, and at each grid's first and last cell its own outer edges
-        b = np.empty(n + sizes.size)
-        b[at[1:]] = 0.5 * (pts[:-1] + pts[1:])
-        first = np.cumsum(sizes) - sizes
-        b[at[first]], b[after[first + sizes - 1]] = spec.support
-    left, right = b[at], b[after]
+    b = voronoi_bounds(pts)  # each cell's left edge, then the support's upper end
+    right = b[1:].copy()
+    for i in starts:  # each grid's own ends
+        b[i], right[i - 1] = spec.support
+    left = b[:-1]
 
-    def refuse(ok: np.ndarray) -> list[_State | None]:  # the admissible grids' states alone
-        kept = [*compress(grids, ok)]
-        states = iter(_states(spec, kept, r, [*compress(cuts, ok)]) if kept else ())
-        return [next(states) if k else None for k in ok]
+    def refuse(ok: list[bool]) -> tuple[_State | None, list[bool]]:  # the admissible grids alone
+        if not any(ok):
+            return None, ok
+        sizes = _sizes(starts, n)
+        st, took = _states(
+            spec, pts[np.repeat(ok, sizes)], _starts([*compress(sizes, ok)]), r, [*compress(cuts, ok)]
+        )
+        took = iter(took)
+        return st, [k and next(took) for k in ok]
 
     if cuts is not None:
-        inside = (left < pts) & (pts < right)
+        inside = np.logical_and.reduceat((left < pts) & (pts < right), starts)
         if not inside.all():
-            return refuse(_each(np.logical_and, inside, sizes))
+            return refuse(inside.tolist())
     upper = c = s = lo = hi = None
-    runs = None if sizes.size == 1 else [*(sizes + 1)]  # b's sorted runs
     if r == 1.0:
-        e_left, e_pt, e_right = _cell_edges(sizes, n, 2, 3)
-        edges = np.empty(2 * n + sizes.size)
-        edges[e_left], edges[e_right] = left, right
-        edges[e_pt] = pts
-        law = _edge_law(spec, edges, runs and [*(2 * sizes + 1)])
-        halves = law.masses()  # [left, a] at e_left, [a, right] at e_pt
-        mass = halves[e_left] + halves[e_pt]
+        edges = np.empty(2 * n + 1)
+        edges[0::2], edges[1::2] = b, pts
+        law = _edge_law(spec, edges, [2 * i for i in starts])
+        halves = law.masses()  # [left, a] at even places, [a, right] at odd ones
+        mass = halves[0::2] + halves[1::2]
     else:
-        masses = _edge_masses(spec, b, runs)
-        mass = masses[at]
+        mass = _edge_masses(spec, b, starts)
     if cuts is not None:
-        light = mass <= (cuts[0] if sizes.size == 1 else np.repeat(cuts, sizes))
+        light = np.minimum.reduceat(mass, starts) <= cuts
         if light.any():
-            return refuse(~_each(np.logical_or, light, sizes))
+            return refuse((~light).tolist())
     if r == 1.0:
-        upper, c, s = law.upper[e_left], law.c[e_left], law.s[e_left]
-        res, curv = halves[e_left] - halves[e_pt], 2.0 * pdf(spec, pts)
+        upper, c, s = law.upper[0::2], law.c[0:-1:2], law.s[0:-1:2]
+        res, curv = halves[0::2] - halves[1::2], 2.0 * pdf(spec, pts)
     elif r == 2.0:
-        res, curv = 2.0 * (pts * mass - _partial_mean(spec, b, masses, runs)[at]), 2.0 * mass
+        res, curv = 2.0 * (pts * mass - _partial_mean(spec, b, mass, starts)), 2.0 * mass
     else:
         lo, hi = _effective_bounds(spec, left, right, _QUAD.tail_mass_cut)
         grad, moment = _abs_moments(
@@ -452,14 +469,25 @@ def _states(
                 ) / pts
             curv = r * curv
     f = res / curv if r >= 1.0 else res
-    return _blocks(_State(sizes, pts, left, right, mass, upper, c, s, lo, hi, res, curv, f))
+    st = _State(starts, pts, left, right, mass, upper, c, s, lo, hi, res, curv, f)
+    return st, [True] * len(starts)
 
 
-def _state(
-    spec: DistributionSpec, pts: np.ndarray, r: float, cut: float | None = None
-) -> _State | None:
-    """The Newton state of the one grid ``pts`` (``_states``)."""
-    return _states(spec, [pts], r, None if cut is None else [cut])[0]
+def _candidates(
+    spec: DistributionSpec, pts: np.ndarray, starts: list[int], r: float, cuts: list[float]
+) -> tuple[_State | None, list[bool]]:
+    """``_states`` under ``cuts``; where the batch's cell integrals
+    overflow (``QuadratureError``), each grid alone, and a grid whose own
+    integrals overflow is not admissible either."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _states(spec, pts, starts, r, cuts)
+        except QuadratureError:
+            alone = _alone(
+                lambda j, at: _states(spec, pts[at], [0], r, cuts[j : j + 1]), starts, pts.size
+            )
+    ok = [not isinstance(got, QuadratureError) and got[1][0] for got in alone]
+    return functools.reduce(_join, (got[0] for got, k in zip(alone, ok) if k), None), ok
 
 
 def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
@@ -477,8 +505,8 @@ def _jacobian_banded(spec: DistributionSpec, st: _State, r: float) -> np.ndarray
     ab[1, :] = st.curv
     if n > 1:
         w = 0.5 * np.diff(st.pts)
-        if st.sizes.size > 1:
-            w[np.cumsum(st.sizes)[:-1] - 1] = 1.0  # no power of a width across a border
+        for i in st.starts[1:]:
+            w[i - 1] = 1.0  # no power of a width across a border
         coupling = 0.5 * r * w ** (r - 1.0) * pdf(spec, st.right[:-1])
         ab[1, :-1] -= coupling
         ab[1, 1:] -= coupling
@@ -518,11 +546,11 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
     sends it to the origin itself; ``optimal_grid`` refuses those laws
     (2a + r <= 1) before solving.
     """
-    pts, sizes = st.pts, st.sizes
-    d = _LLOYD_MOVE_TOL * (1.0 + _each(np.maximum, np.abs(pts), sizes))
+    pts, starts = st.pts, st.starts
+    d = _LLOYD_MOVE_TOL * (1.0 + np.maximum.reduceat(np.abs(pts), starts))
     if r == 2.0:
-        return _each(np.maximum, np.abs(st.f), sizes) <= d
-    d = np.repeat(d, sizes)
+        return np.maximum.reduceat(np.abs(st.f), starts) <= d
+    d = np.repeat(d, st.sizes())
     if r == 1.0:
         up = st.upper
         t = np.where(up, st.s, st.c)  # the tail of [b_i, a_i] beyond b_i
@@ -540,11 +568,31 @@ def _sweep_keeps(spec: DistributionSpec, st: _State, r: float) -> np.ndarray:
             grad(np.concatenate((left, right)), np.concatenate((cells, cells))), 2
         )
         kept = ((g_left <= 0.0) | (left == st.lo)) & ((g_right >= 0.0) | (right == st.hi))
-    return _each(np.logical_and, kept, sizes)
+    return np.logical_and.reduceat(kept, starts)
 
 
-def _scale(pts: np.ndarray) -> float:
-    return 1.0 + float(np.abs(pts).max())
+def _verified(spec: DistributionSpec, st: _State, r: float) -> list:
+    """``_sweep_keeps`` of each block of ``st``; where the batch raises
+    ``QuadratureError``, of each block alone, and a block that raises has
+    its error for a flag."""
+    try:
+        return list(_sweep_keeps(spec, st, r))
+    except QuadratureError:
+        blocks = range(len(st.starts))
+        return _alone(
+            lambda j, _: _sweep_keeps(spec, _take(st, [i == j for i in blocks]), r)[0],
+            st.starts, st.pts.size,
+        )
+
+
+def _sups(x: np.ndarray, starts: list[int]) -> list[float]:
+    """max|x| over each block (blocks at ``starts``)."""
+    return np.maximum.reduceat(np.abs(x), starts).tolist()
+
+
+def _scales(st: _State) -> list[float]:
+    """1 + max|x| of each block of the state ``st``."""
+    return [1.0 + s for s in _sups(st.pts, st.starts)]
 
 
 def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -588,54 +636,29 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return None if info else x
 
 
-def _steps(spec: DistributionSpec, states: list[_State], r: float) -> list:
-    """The Newton step of each state, from one tridiagonal solve of their
-    block-diagonal band: its couplings across a block border are 0, so
-    elimination mixes no blocks unless a pivot is 0 or not finite, and
-    then each state is solved alone.  None for a singular state."""
-    st = _join(states)
+def _steps(spec: DistributionSpec, st: _State, r: float) -> tuple[np.ndarray, list[bool]]:
+    """The Newton step of every block of the state ``st``, and which
+    blocks are singular (their steps read 0): one tridiagonal solve of
+    the block-diagonal band, whose couplings across a block border are 0,
+    so elimination mixes no blocks unless a pivot is 0 or not finite;
+    each block is then solved alone."""
     matrix = _newton_matrix if r >= 1.0 else _jacobian_banded
     step = _tridiagonal_solve(matrix(spec, st, r), -st.f)
-    if len(states) == 1:
-        return [step]
     if step is not None and np.isfinite(step).all():
-        return np.split(step, np.cumsum(st.sizes)[:-1])
-    return [_steps(spec, [one], r)[0] for one in states]
-
-
-def _candidates(
-    spec: DistributionSpec, grids: list[np.ndarray], cuts: list[float], r: float
-) -> list[_State | None]:
-    """The state at each grid under its cut, from one batch; None where
-    it is not admissible or its cell integrals overflow
-    (``QuadratureError``: the batch is then taken grid by grid, so that
-    the error stays with its own grid)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _states(spec, grids, r, cuts)
-    except QuadratureError:
-        if len(grids) == 1:
-            return [None]
-        return [_candidates(spec, [pts], [cut], r)[0] for pts, cut in zip(grids, cuts)]
-
-
-def _verified(spec: DistributionSpec, states: list[_State], r: float) -> list:
-    """``_sweep_keeps`` of each state, from one batch; where that raises
-    ``QuadratureError``, of each state alone, and a state that raises
-    has its error for a flag."""
-    try:
-        return list(_sweep_keeps(spec, _join(states), r))
-    except QuadratureError as err:
-        return [err] if len(states) == 1 else [_verified(spec, [st], r)[0] for st in states]
+        return step, [False] * len(st.starts)
+    ab = matrix(spec, st, r)
+    steps = _alone(lambda _, at: _tridiagonal_solve(ab[:, at], -st.f[at]), st.starts, st.pts.size)
+    step = [np.zeros(m) if x is None else x for x, m in zip(steps, st.sizes())]
+    return np.concatenate(step), [x is None for x in steps]
 
 
 def _newton(
-    spec: DistributionSpec, states: list[_State], r: float, opts: SolverOpts
-) -> list[tuple[_State, int, bool]]:
-    """Damped Newton on the stationarity system, one run from each seed
-    state, all runs in one batch.
+    spec: DistributionSpec, st: _State, r: float, opts: SolverOpts
+) -> tuple[_State, list[int], list[int], list[bool]]:
+    """Damped Newton on the stationarity system, one run from each block
+    of the seed state ``st``, all runs in one batch.
 
-    Every iterate is one ``_state``: its residual R, and the cells'
+    Every iterate is one ``_states``: its residual R, and the cells'
     curvatures D on the diagonal of the Jacobian (``_jacobian_banded``).
     For r >= 1 each equation R_i = 0 is
     divided by D_i, so that F_i = R_i / D_i is the distance point i still
@@ -659,64 +682,92 @@ def _newton(
 
     The runs share each iteration: their steps come from one tridiagonal
     solve (``_steps``) and each line-search round's candidates from one
-    batched state (``_candidates``).  A run's merit, line search and stop
-    tests are its own, and it leaves the batch once it stops, so each
-    grid passes through the very states of a run alone.  Returns each
-    run's last state, iterations and whether it converged.
+    batched state.  A run's merit, line search and stop tests are its
+    own, and it leaves the batch once it stops, so each grid passes
+    through the very states of a run alone.  Returns the runs' last
+    states as one state, block after block in the order the runs
+    stopped, the run (seed block) of each of its blocks, and per run its
+    iterations and whether it converged.
     """
-    runs = [(st, float(np.abs(st.f).max()), math.inf, False) for st in states]
-    out: list = [None] * len(runs)  # per run: (state, merit, last step, stalled)
+    runs = list(range(len(st.starts)))  # the run of each block of st
+    merit = _sups(st.f, st.starts)  # per run, as the next four
+    last, stalled = [math.inf] * len(runs), [False] * len(runs)
+    iters, ok = [0] * len(runs), [False] * len(runs)
+    done, order = None, []
 
-    def converged(j: int) -> bool:
-        st, _, last_step, stalled = runs[j]
-        step_tol = _STALL_STEP if stalled else opts.position_tol
-        return bool(
-            np.abs(st.res).max() <= opts.grad_tol and last_step <= step_tol * _scale(st.pts)
-        )
+    def leave(gone: list[bool], at: int, converged: bool) -> None:  # blocks of st that stop
+        nonlocal done
+        if any(gone):
+            done = _join(done, _take(st, gone))
+            for j in compress(runs, gone):
+                order.append(j)
+                iters[j], ok[j] = at, converged
 
-    live = range(len(runs))
-    for iters in range(_MAX_NEWTON_ITERS):
-        stepping = []
-        for j in live:
-            if converged(j):
-                out[j] = (runs[j][0], iters, True)
-            else:
-                stepping.append(j)
-        if not stepping:
-            return out
-        search = []  # the runs that look for a step: each with its step and cut
-        for j, step in zip(stepping, _steps(spec, [runs[j][0] for j in stepping], r)):
-            st, merit = runs[j][:2]
-            if step is None:
-                out[j] = (st, iters, False)
-            elif merit <= opts.grad_tol and np.abs(step).max() <= _FLOOR_STEP * _scale(st.pts):
-                out[j] = (st, iters + 1, True)
-            else:
-                search.append((j, step, min(_QUAD.tail_mass_cut, 0.5 * float(st.mass.min()))))
-        live = []  # the runs that took a step
-        lam = 1.0  # every search starts at a full step, so the runs share lambda
-        while search and lam >= 1e-7:
-            grids = [runs[j][0].pts + lam * step for j, step, _ in search]
-            found = _candidates(spec, grids, [cut for *_, cut in search], r)
-            missed = []
-            for (j, step, cut), c_st in zip(search, found):
-                merit = runs[j][1]
-                if c_st is not None:
-                    c_merit = float(np.abs(c_st.f).max())
-                    if c_merit <= merit or np.abs(c_st.res).max() <= opts.grad_tol:
-                        stalled = iters >= 2 and c_merit > 0.5 * merit
-                        runs[j] = (c_st, c_merit, lam * float(np.abs(step).max()), stalled)
-                        live.append(j)
-                        continue
-                missed.append((j, step, cut))
-            search = missed
+    for it in range(_MAX_NEWTON_ITERS + 1):
+        conv = [x <= opts.grad_tol for x in _sups(st.res, st.starts)]
+        if any(conv):
+            conv = [
+                c and last[j] <= (_STALL_STEP if stalled[j] else opts.position_tol) * s
+                for c, j, s in zip(conv, runs, _scales(st))
+            ]
+        if any(conv) or it == _MAX_NEWTON_ITERS:
+            leave(conv, it, True)
+            keep = [not c for c in conv]
+            if it == _MAX_NEWTON_ITERS or not any(keep):
+                leave(keep, it, False)
+                break
+            st, runs = _take(st, keep), [*compress(runs, keep)]
+        step, singular = _steps(spec, st, r)
+        floor = [merit[j] <= opts.grad_tol for j in runs]
+        if any(floor):
+            floor = [
+                f and not g and x <= _FLOOR_STEP * s
+                for f, g, x, s in zip(floor, singular, _sups(step, st.starts), _scales(st))
+            ]
+        if any(singular) or any(floor):
+            leave(singular, it, False)
+            leave(floor, it + 1, True)
+            search = [not (g or f) for g, f in zip(singular, floor)]
+            if not any(search):
+                break
+            step = step[np.repeat(search, st.sizes())]
+            st, runs = _take(st, search), [*compress(runs, search)]
+        pts, starts, who = st.pts, st.starts, runs
+        cuts = np.minimum.reduceat(st.mass, starts).tolist()
+        cuts = [min(_QUAD.tail_mass_cut, 0.5 * m) for m in cuts]
+        size = _sups(step, starts)  # per searching run, its step's largest move
+        nxt, nxt_runs, lam = None, [], 1.0
+        while who and lam >= 1e-7:
+            c_st, took = _candidates(spec, pts + lam * step, starts, r, cuts)
+            moved = {}  # per run that takes a step, its new merit
+            if c_st is not None:
+                found = [*compress(who, took)]
+                c_merit = _sups(c_st.f, c_st.starts)
+                good = [m <= merit[j] for m, j in zip(c_merit, found)]
+                if not all(good):
+                    res_sup = _sups(c_st.res, c_st.starts)
+                    good = [g or x <= opts.grad_tol for g, x in zip(good, res_sup)]
+                moved = {j: m for j, m, g in zip(found, c_merit, good) if g}
+                if moved:
+                    nxt, nxt_runs = _join(nxt, _take(c_st, good)), nxt_runs + [*moved]
+            rest = []  # the runs that search on
+            for j, s in zip(who, size):
+                rest.append(j not in moved)
+                if j in moved:
+                    stalled[j] = it >= 2 and moved[j] > 0.5 * merit[j]
+                    last[j], merit[j] = lam * s, moved[j]
+            if moved:
+                who, size, cuts = ([*compress(v, rest)] for v in (who, size, cuts))
+                if who:
+                    sizes = _sizes(starts, pts.size)
+                    at, starts = np.repeat(rest, sizes), _starts([*compress(sizes, rest)])
+                    pts, step = pts[at], step[at]
             lam *= _STEP_DAMPING
-        for j, *_ in search:  # no step: the run stops
-            out[j] = (runs[j][0], iters + 1, False)
-        live.sort()
-    for j in live:
-        out[j] = (runs[j][0], _MAX_NEWTON_ITERS, converged(j))
-    return out
+        leave([j in who for j in runs], it + 1, False)  # no step: these runs stop
+        if nxt is None:
+            break
+        st, runs = nxt, nxt_runs
+    return done, order, iters, ok
 
 
 def _lloyd_newton(
@@ -743,37 +794,43 @@ def _lloyd_newton(
     iters = [0] * len(seeds)
     todo = range(len(seeds))
     while todo:
-        grids = []
+        ids, grids = [], []
         for i in todo:
             try:
                 pts = next(seeds[i], None)
             except (SolverError, QuadratureError) as err:
                 out[i], pts = err, None
             if pts is not None:
-                grids.append((i, pts))
-        todo, runs = [], []
-        seeded = _candidates(spec, [p for _, p in grids], [0.0] * len(grids), r) if grids else []
-        for (i, pts), st in zip(grids, seeded):
-            if st is None:
+                ids.append(i)
+                grids.append(pts)
+        if not ids:
+            break
+        starts = _starts([pts.size for pts in grids])
+        seeded, took = _candidates(spec, np.concatenate(grids), starts, r, [0.0] * len(ids))
+        todo = []
+        for i, pts, ok in zip(ids, grids, took):
+            if not ok:
                 out[i] = SolverError(f"inadmissible seed for n={pts.size}, r={r}", pts, math.nan)
                 todo.append(i)
-            else:
-                runs.append((i, st))
-        ends = _newton(spec, [st for _, st in runs], r, opts)
-        done = [st for st, _, ok in ends if ok]
-        checks = iter(_verified(spec, done, r) if done else ())
-        for (i, _), (st, run_iters, ok) in zip(runs, ends):
-            iters[i] += run_iters
-            sup = float(np.abs(st.res).max())
-            check = next(checks) if ok else False
+        if seeded is None:
+            continue
+        ids = [*compress(ids, took)]
+        done, order, run_iters, converged = _newton(spec, seeded, r, opts)
+        verify = [converged[j] for j in order]
+        checks = iter(_verified(spec, _take(done, verify), r) if any(verify) else ())
+        bounds = [*done.starts, done.pts.size]
+        for j, at, sup in zip(order, map(slice, bounds, bounds[1:]), _sups(done.res, done.starts)):
+            i, pts = ids[j], done.pts[at]
+            iters[i] += run_iters[j]
+            check = next(checks) if converged[j] else False
             if isinstance(check, QuadratureError):
                 out[i] = check
             elif check:
-                out[i] = (st.pts, sup, iters[i])
+                out[i] = (pts, sup, iters[i])
             else:
                 out[i] = SolverError(
-                    f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
-                    st.pts,
+                    f"no verified convergence for n={pts.size}, r={r} (residual sup {sup:.3g})",
+                    pts,
                     sup,
                 )
                 todo.append(i)

@@ -108,9 +108,9 @@ def _recording_newton(monkeypatch):
     """Record the grid sizes of every Newton batch."""
     real, batches = solver._newton, []
 
-    def recording(spec, states, r, opts):
-        batches.append((r, [st.pts.size for st in states]))
-        return real(spec, states, r, opts)
+    def recording(spec, st, r, opts):
+        batches.append((r, st.sizes()))
+        return real(spec, st, r, opts)
 
     monkeypatch.setattr(solver, "_newton", recording)
     return batches
@@ -142,7 +142,7 @@ def test_a_size_that_fails_leaves_the_other_rows_as_they_are(monkeypatch):
     real = solver._sweep_keeps
 
     def refuse_50(spec, st, r):
-        return real(spec, st, r) & (st.sizes != 50)
+        return real(spec, st, r) & (np.array(st.sizes()) != 50)
 
     monkeypatch.setattr(solver, "_sweep_keeps", refuse_50)
     rows = {row.n: row for row in table_experiment(GAUSS, 2.0, 4.0, ns)}

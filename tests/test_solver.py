@@ -208,6 +208,11 @@ def _off_stationary(spec, n, r, seed):
     return quantile(empirical_measure_law(spec, r), levels)
 
 
+def _state(spec, pts, r, cut=None):
+    """The Newton state of the one grid ``pts``; None if ``cut`` refuses it."""
+    return solver._states(spec, pts, [0], r, None if cut is None else [cut])[0]
+
+
 @pytest.mark.parametrize("n", [1, 3, 40, 900])
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
@@ -215,7 +220,7 @@ def test_closed_form_residual_matches_quadrature(spec, r, n):
     pts = _off_stationary(spec, n, r, seed=n)
     b = voronoi_bounds(pts)
     quad = _abs_moments(spec, pts, b[:-1], b[1:], r - 1.0, solver._QUAD, signed=True)
-    res = solver._state(spec, pts, r).res
+    res = _state(spec, pts, r).res
     np.testing.assert_allclose(res, r * quad, rtol=0, atol=1e-13)
 
 
@@ -232,11 +237,11 @@ JACOBIAN_CASES = [
 @pytest.mark.parametrize("spec, r", JACOBIAN_CASES)
 def test_jacobian_matches_central_differences_of_the_residual(spec, r, n):
     def residual(x):
-        return solver._state(spec, x, r).res
+        return _state(spec, x, r).res
 
     pts = _off_stationary(spec, n, r, seed=n)
     h = 1e-4 * (np.min(np.diff(pts)) if n > 1 else 1.0)
-    ab = solver._jacobian_banded(spec, solver._state(spec, pts, r), r)
+    ab = solver._jacobian_banded(spec, _state(spec, pts, r), r)
     fd = np.zeros((3, n))
     for k in range(3):  # residual i sees points i - 1, i, i + 1 only
         moved = np.arange(n) % 3 == k
@@ -290,7 +295,7 @@ def test_median_state_takes_its_cell_masses_from_the_half_cell_edges(spec):
             b = voronoi_bounds(pts)
             edges = np.empty(2 * n + 1)
             edges[0::2], edges[1::2] = b, pts
-            st = solver._state(spec, pts, 1.0)
+            st = _state(spec, pts, 1.0)
             law = _edge_law(spec, edges)
             halves = law.masses()
             np.testing.assert_array_equal(halves, _edge_masses(spec, edges))
@@ -335,7 +340,7 @@ def test_closed_form_solves_take_the_law_once_per_abscissa(r, monkeypatch):
 def test_closed_form_fixed_point_check_reads_the_newton_state(spec, r, grid_of, monkeypatch):
     n = 300
     pts = grid_of(spec, n, r).points
-    state = solver._state(spec, pts, r)
+    state = _state(spec, pts, r)
     counts = _count_law(monkeypatch)
     assert solver._sweep_keeps(spec, state, r)
     # r = 1: the residual at a -+ d; r = 2: max|F| of the state itself
@@ -354,9 +359,9 @@ def test_each_newton_state_takes_its_voronoi_edges_once(monkeypatch):
         return real_bounds(*args, **kwargs)
 
     def counting_states(*args, **kwargs):
-        sts = real_states(*args, **kwargs)
-        states[0] += sum(st is not None for st in sts)
-        return sts
+        st, ok = real_states(*args, **kwargs)
+        states[0] += st is not None
+        return st, ok
 
     monkeypatch.setattr(solver, "voronoi_bounds", counting_bounds)
     monkeypatch.setattr(solver, "_states", counting_states)
@@ -373,7 +378,7 @@ def test_quadrature_fixed_point_check_reads_the_clipped_cells_of_the_state(
     # no mass test and no second clip: a Gaussian n = 300 check sent 305
     # abscissae to cdf and sf and made 2 tail inversions before
     pts = grid_of(spec, 300, r).points
-    state = solver._state(spec, pts, r)
+    state = _state(spec, pts, r)
     counts = _count_law(monkeypatch)
     assert solver._sweep_keeps(spec, state, r)
     assert counts == dict.fromkeys(("cdf", "sf", "quantile", "quantile_sf"), 0)
@@ -384,12 +389,12 @@ def test_newton_matrix_matches_central_differences_of_the_scaled_residual(spec):
     # r = 1: F = R / (2 f(a)), and dD/da = D (log f)' holds exactly
     n = 20
     pts = _off_stationary(spec, n, 1.0, seed=n)
-    st = solver._state(spec, pts, 1.0)
+    st = _state(spec, pts, 1.0)
     np.testing.assert_array_equal(st.curv, 2.0 * pdf(spec, pts))
     ab = solver._newton_matrix(spec, st, 1.0)
 
     def scaled(x):
-        return solver._state(spec, x, 1.0).res / (2.0 * pdf(spec, x))
+        return _state(spec, x, 1.0).res / (2.0 * pdf(spec, x))
 
     h = 1e-4 * np.min(np.diff(pts))
     fd = np.zeros((3, n))
@@ -417,7 +422,7 @@ def test_each_cell_set_is_clipped_to_its_tail_cuts_once(monkeypatch):
 
     monkeypatch.setattr(distributions, "quantile_sf", counting)
     pts = _off_stationary(GAUSS, 3, 0.5, seed=3)
-    solver._state(GAUSS, pts, 0.5)
+    _state(GAUSS, pts, 0.5)
     assert calls[0] == 1
     calls[0] = 0
     solver._lloyd_sweep(GAUSS, pts, 0.5)
@@ -457,9 +462,9 @@ def test_newton_hands_each_iterates_curvature_to_the_jacobian(r, monkeypatch):
     assert len(jacobians) == res.newton_iters > 0
     # residual and curvature of a computed Newton state: one batch between
     # them; a refused candidate runs none
-    computed = [st for *_, (st,) in states if st is not None]
-    assert [batches for batches, *_, (st,) in states if st is not None] == [1] * len(computed)
-    assert all(batches == 0 for batches, *_, (st,) in states if st is None)
+    computed = [st for *_, (st, _) in states if st is not None]
+    assert [batches for batches, *_, (st, _) in states if st is not None] == [1] * len(computed)
+    assert all(batches == 0 for batches, *_, (st, _) in states if st is None)
     for batches, args, _, _ in jacobians:
         # no integral of its own: each Jacobian reads a state's curvature
         assert batches == 0
@@ -471,7 +476,7 @@ def test_a_solve_stops_at_the_round_off_floor(monkeypatch):
     (states,) = _record_batches(monkeypatch, "_states")
     res = optimal_grid(GAUSS, 300, 4.0, full_result=True)
     assert res.lloyd_sweeps == 1
-    assert 0 < sum(st is not None for *_, (st,) in states) <= 6
+    assert 0 < sum(st is not None for *_, (st, _) in states) <= 6
 
 
 # -- optimal_grid ----------------------------------------------------------------
@@ -832,7 +837,7 @@ def test_a_candidate_whose_midpoint_rounds_onto_a_point_is_refused(spec, r):
     # r < 1 curvature would divide by zero there (an error under this
     # suite's warning filter) if the candidate were integrated
     pts = np.array([0.5, 1.0, np.nextafter(1.0, 2.0), 3.0])
-    assert solver._state(spec, pts, r, solver._QUAD.tail_mass_cut) is None
+    assert _state(spec, pts, r, solver._QUAD.tail_mass_cut) is None
 
 
 def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
@@ -845,8 +850,8 @@ def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
     "spec, r", [(EXPO, 2.0), (GAUSS, 4.0)], ids=["exp-r2", "gauss-r4"]
 )
 def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
-    seed = solver._state(spec, solver._initial_points(spec, 200, r), r, 0.0)
-    ((st, _, _),) = solver._newton(spec, [seed], r, SolverOpts())
+    seed = _state(spec, solver._initial_points(spec, 200, r), r, 0.0)
+    st = solver._newton(spec, seed, r, SolverOpts())[0]
     pts = st.pts
     b = voronoi_bounds(pts)
     assert np.min(_edge_masses(spec, b)) > solver._QUAD.tail_mass_cut
@@ -1254,7 +1259,7 @@ def test_sign_test_agrees_with_a_lloyd_sweep(spec, r, grid_of):
             swept = solver._lloyd_sweep(spec, pts, r)
             move = np.max(np.abs(swept - pts))
             fixed = move <= solver._LLOYD_MOVE_TOL * (1.0 + np.max(np.abs(pts)))
-            assert solver._sweep_keeps(spec, solver._state(spec, pts, r), r) == fixed, (
+            assert solver._sweep_keeps(spec, _state(spec, pts, r), r) == fixed, (
                 n, eps, move,
             )
             decisions.add(bool(fixed))
@@ -1269,7 +1274,7 @@ def test_sign_test_rejects_a_grid_the_sweep_sends_to_the_origin(a, r, n):
     else:
         pts = solver._initial_points(spec, n, r)
     assert solver._lloyd_sweep(spec, pts, r)[0] == spec.support[0]
-    assert not solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
+    assert not solver._sweep_keeps(spec, _state(spec, pts, r), r)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1290,7 +1295,7 @@ def test_a_first_point_near_the_origin_that_the_sweep_sends_there_is_refused_by_
     assert roots[0] == spec.support[0]
     assert np.all(np.abs(roots[1:] - pts[1:]) <= solver._LLOYD_MOVE_TOL * (1.0 + pts[-1]))
     assert solver._lloyd_sweep(spec, pts, r)[0] == spec.support[0]
-    assert solver._sweep_keeps(spec, solver._state(spec, pts, r), r)
+    assert solver._sweep_keeps(spec, _state(spec, pts, r), r)
     with pytest.raises(SolverError, match="origin"):
         optimal_grid(spec, n, r)
 
@@ -1406,6 +1411,16 @@ def test_a_batch_of_sizes_solves_each_as_its_own_solve_does(spec, r):
         assert got.newton_iters == alone.newton_iters, n
 
 
+def _batch(grids):
+    """The grids one after another, and where each starts."""
+    return np.concatenate(grids), [0, *np.cumsum([pts.size for pts in grids[:-1]]).tolist()]
+
+
+def _blocks(st):
+    """Each block of the state ``st`` as a state of its own."""
+    return [solver._take(st, [i == j for i in range(len(st.starts))]) for j in range(len(st.starts))]
+
+
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
 @pytest.mark.parametrize("spec", [GAUSS, DistributionSpec.gamma(2.0)], ids=["gauss", "gamma2"])
 def test_a_block_diagonal_newton_solve_equals_the_solves_of_its_blocks(spec, r):
@@ -1414,16 +1429,16 @@ def test_a_block_diagonal_newton_solve_equals_the_solves_of_its_blocks(spec, r):
     # mixes blocks, with blocks of one and two points among them
     sizes = (1, 2, 20, 50, 100, 300)
     seeds = [solver._initial_points(spec, n, r) for n in sizes]
-    batch = solver._states(spec, seeds, r, [0.0] * len(sizes))
-    alone = [solver._state(spec, pts, r, 0.0) for pts in seeds]
-    for got, own in zip(batch, alone):
+    joined, ok = solver._states(spec, *_batch(seeds), r, [0.0] * len(sizes))
+    assert ok == [True] * len(sizes) and joined.sizes() == list(sizes)
+    alone = [_state(spec, pts, r, 0.0) for pts in seeds]
+    for got, own in zip(_blocks(joined), alone):
         for field, value in zip(own._fields, own):
             mine = getattr(got, field)
             if field in ("c", "s") and value is not None:  # each read on its own side
                 side = own.upper if field == "s" else ~own.upper
                 mine, value = mine[side], value[side]
             assert value is None or np.array_equal(mine, value), field
-    joined = solver._join(batch)
     ab = solver._newton_matrix(spec, joined, r)
     borders = np.cumsum(sizes)[:-1]
     assert np.all(ab[0, borders] == 0.0) and np.all(ab[2, borders - 1] == 0.0)
@@ -1435,7 +1450,6 @@ def test_a_block_diagonal_newton_solve_equals_the_solves_of_its_blocks(spec, r):
     step = solver._tridiagonal_solve(ab, -joined.f)
     steps = [solver._tridiagonal_solve(m, -st.f) for m, st in zip(own_abs, alone)]
     assert np.array_equal(step, np.concatenate(steps))
-    assert [s.pts.size for s in solver._blocks(joined)] == list(sizes)
 
 
 def _refusing(real, size, error=None):
@@ -1443,9 +1457,9 @@ def _refusing(real, size, error=None):
     ``error`` whenever that block is in the batch."""
 
     def check(spec, st, r):
-        if error is not None and size in st.sizes:
+        if error is not None and size in st.sizes():
             raise error
-        return real(spec, st, r) & (st.sizes != size)
+        return real(spec, st, r) & (np.array(st.sizes()) != size)
 
     return check
 
@@ -1486,10 +1500,10 @@ def test_a_batched_candidate_that_raises_is_computed_block_by_block(monkeypatch)
     sizes = (5, 20, 50)
     alone = {n: optimal_grid(GAUSS, n, 3.0, full_result=True) for n in sizes}
 
-    def states(spec, grids, r, cuts=None):
-        if any(pts.size == 20 for pts in grids):
+    def states(spec, pts, starts, r, cuts=None):
+        if 20 in solver._sizes(starts, pts.size):
             raise QuadratureError("overflow", math.inf, 0.0)
-        return real(spec, grids, r, cuts)
+        return real(spec, pts, starts, r, cuts)
 
     monkeypatch.setattr(solver, "_states", states)
     batch = solver._optimal_grids(GAUSS, sizes, 3.0, full_result=True)
@@ -1500,17 +1514,38 @@ def test_a_batched_candidate_that_raises_is_computed_block_by_block(monkeypatch)
             assert got.newton_iters == alone[n].newton_iters
 
 
+def test_a_singular_block_stops_alone(monkeypatch):
+    # a block whose Newton matrix is singular spoils the batch's solve:
+    # each block is then solved alone, and only that run stops
+    sizes = (5, 20, 50)
+    alone = {n: optimal_grid(GAUSS, n, 2.0, full_result=True) for n in sizes}
+    real = solver._newton_matrix
+
+    def singular_20(spec, st, r):
+        ab = real(spec, st, r)
+        if 20 in st.sizes():
+            at = st.starts[st.sizes().index(20)]
+            ab[:, at : at + 20] = 0.0
+        return ab
+
+    monkeypatch.setattr(solver, "_newton_matrix", singular_20)
+    batch = solver._optimal_grids(GAUSS, sizes, 2.0, full_result=True)
+    assert isinstance(batch[1], SolverError) and "no verified convergence for n=20" in str(batch[1])
+    for n, got in zip(sizes, batch):
+        if n != 20:
+            assert np.array_equal(got.grid.points, alone[n].grid.points)
+            assert got.newton_iters == alone[n].newton_iters
+
+
 def test_a_refused_candidate_leaves_the_rest_of_its_batch():
     # a grid whose point leaves its cell is refused before any law
     # evaluation; the others' states are those of their own batches
     grids = [np.array([-1.0, 1.0]), np.array([0.5, 0.2]), np.array([-2.0, 0.0, 2.0])]
-    got = solver._states(GAUSS, grids, 4.0, [0.0, 0.0, 0.0])
-    assert got[1] is None
-    for pts, st in zip(grids[::2], got[::2]):
-        own = solver._state(GAUSS, pts, 4.0, 0.0)
-        assert all(np.array_equal(a, b) for a, b in zip(st, own) if b is not None)
+    got, ok = solver._states(GAUSS, *_batch(grids), 4.0, [0.0, 0.0, 0.0])
+    assert ok == [True, False, True]
+    for pts, st in zip(grids[::2], _blocks(got)):
+        own = _state(GAUSS, pts, 4.0, 0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(st[1:], own[1:]) if b is not None)
     # a cut refuses the grid whose tail cells are too light
     light = [np.array([-1.0, 1.0]), np.array([8.0, 9.0])]
-    assert [st is None for st in solver._states(GAUSS, light, 2.0, [0.0, 1e-12])] == [
-        False, True,
-    ]
+    assert solver._states(GAUSS, *_batch(light), 2.0, [0.0, 1e-12])[1] == [True, False]
