@@ -328,6 +328,11 @@ def _take(st: _State, keep: Sequence[bool]) -> _State:
     return _State(_starts([*compress(sizes, keep)]), *(v if v is None else v[at] for v in st[1:]))
 
 
+def _block(st: _State, i: int) -> _State:
+    """Block i of the state ``st``, as a state of its own."""
+    return _take(st, [j == i for j in range(len(st.starts))])
+
+
 def _join(st: _State | None, more: _State) -> _State:
     """The blocks of ``st`` (none if None), then those of ``more``, as one state."""
     if st is None:
@@ -415,9 +420,8 @@ def _states(
         if not any(ok):
             return None, ok
         sizes = _sizes(starts, n)
-        st, took = _states(
-            spec, pts[np.repeat(ok, sizes)], _starts([*compress(sizes, ok)]), r, [*compress(cuts, ok)]
-        )
+        kept = pts[np.repeat(ok, sizes)]
+        st, took = _states(spec, kept, _starts([*compress(sizes, ok)]), r, [*compress(cuts, ok)])
         took = iter(took)
         return st, [k and next(took) for k in ok]
 
@@ -578,21 +582,12 @@ def _verified(spec: DistributionSpec, st: _State, r: float) -> list:
     try:
         return list(_sweep_keeps(spec, st, r))
     except QuadratureError:
-        blocks = range(len(st.starts))
-        return _alone(
-            lambda j, _: _sweep_keeps(spec, _take(st, [i == j for i in blocks]), r)[0],
-            st.starts, st.pts.size,
-        )
+        return _alone(lambda j, _: _sweep_keeps(spec, _block(st, j), r)[0], st.starts, st.pts.size)
 
 
 def _sups(x: np.ndarray, starts: list[int]) -> list[float]:
     """max|x| over each block (blocks at ``starts``)."""
     return np.maximum.reduceat(np.abs(x), starts).tolist()
-
-
-def _scales(st: _State) -> list[float]:
-    """1 + max|x| of each block of the state ``st``."""
-    return [1.0 + s for s in _sups(st.pts, st.starts)]
 
 
 def _dlog_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -636,25 +631,30 @@ def _tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return None if info else x
 
 
-def _steps(spec: DistributionSpec, st: _State, r: float) -> tuple[np.ndarray, list[bool]]:
-    """The Newton step of every block of the state ``st``, and which
-    blocks are singular (their steps read 0): one tridiagonal solve of
-    the block-diagonal band, whose couplings across a block border are 0,
-    so elimination mixes no blocks unless a pivot is 0 or not finite;
-    each block is then solved alone."""
+def _steps(
+    spec: DistributionSpec, st: _State, r: float
+) -> tuple[np.ndarray, list[float], list[bool]]:
+    """The Newton step of every block of the state ``st``, each step's
+    largest move, and which blocks are singular (their steps read 0): one
+    tridiagonal solve of the block-diagonal band, whose couplings across
+    a block border are 0, so elimination mixes no blocks unless a pivot
+    is 0 or not finite; each block is then solved alone."""
     matrix = _newton_matrix if r >= 1.0 else _jacobian_banded
     step = _tridiagonal_solve(matrix(spec, st, r), -st.f)
-    if step is not None and np.isfinite(step).all():
-        return step, [False] * len(st.starts)
+    if step is not None:
+        size = _sups(step, st.starts)
+        if all(map(math.isfinite, size)):
+            return step, size, [False] * len(size)
     ab = matrix(spec, st, r)
     steps = _alone(lambda _, at: _tridiagonal_solve(ab[:, at], -st.f[at]), st.starts, st.pts.size)
-    step = [np.zeros(m) if x is None else x for x, m in zip(steps, st.sizes())]
-    return np.concatenate(step), [x is None for x in steps]
+    singular = [x is None for x in steps]
+    step = np.concatenate([np.zeros(m) if x is None else x for x, m in zip(steps, st.sizes())])
+    return step, _sups(step, st.starts), singular
 
 
 def _newton(
     spec: DistributionSpec, st: _State, r: float, opts: SolverOpts
-) -> tuple[_State, list[int], list[int], list[bool]]:
+) -> list[tuple[_State, int, bool]]:
     """Damped Newton on the stationarity system, one run from each block
     of the seed state ``st``, all runs in one batch.
 
@@ -684,45 +684,38 @@ def _newton(
     solve (``_steps``) and each line-search round's candidates from one
     batched state.  A run's merit, line search and stop tests are its
     own, and it leaves the batch once it stops, so each grid passes
-    through the very states of a run alone.  Returns the runs' last
-    states as one state, block after block in the order the runs
-    stopped, the run (seed block) of each of its blocks, and per run its
-    iterations and whether it converged.
+    through the very states of a run alone.  Returns per run (seed
+    block) its last state, iterations and whether it converged.
     """
     runs = list(range(len(st.starts)))  # the run of each block of st
-    merit = _sups(st.f, st.starts)  # per run, as the next four
+    merit = _sups(st.f, st.starts)  # per run, as the next two
     last, stalled = [math.inf] * len(runs), [False] * len(runs)
-    iters, ok = [0] * len(runs), [False] * len(runs)
-    done, order = None, []
+    out: list = [None] * len(runs)
 
-    def leave(gone: list[bool], at: int, converged: bool) -> None:  # blocks of st that stop
-        nonlocal done
-        if any(gone):
-            done = _join(done, _take(st, gone))
-            for j in compress(runs, gone):
-                order.append(j)
-                iters[j], ok[j] = at, converged
+    def leave(gone: list[bool], iters: int, converged: bool) -> None:  # blocks of st that stop
+        for i in compress(range(len(gone)), gone):
+            out[runs[i]] = (_block(st, i), iters, converged)
 
     for it in range(_MAX_NEWTON_ITERS + 1):
-        conv = [x <= opts.grad_tol for x in _sups(st.res, st.starts)]
-        if any(conv):
+        res_sup = _sups(st.res, st.starts)
+        if any(x <= opts.grad_tol for x in res_sup) or it == _MAX_NEWTON_ITERS:
             conv = [
-                c and last[j] <= (_STALL_STEP if stalled[j] else opts.position_tol) * s
-                for c, j, s in zip(conv, runs, _scales(st))
+                x <= opts.grad_tol
+                and last[j] <= (_STALL_STEP if stalled[j] else opts.position_tol) * (1.0 + a)
+                for x, j, a in zip(res_sup, runs, _sups(st.pts, st.starts))
             ]
-        if any(conv) or it == _MAX_NEWTON_ITERS:
             leave(conv, it, True)
             keep = [not c for c in conv]
             if it == _MAX_NEWTON_ITERS or not any(keep):
                 leave(keep, it, False)
                 break
             st, runs = _take(st, keep), [*compress(runs, keep)]
-        step, singular = _steps(spec, st, r)
+        step, size, singular = _steps(spec, st, r)
         floor = [merit[j] <= opts.grad_tol for j in runs]
         if any(floor):
             floor = [
-                f and not g and x <= _FLOOR_STEP * s
-                for f, g, x, s in zip(floor, singular, _sups(step, st.starts), _scales(st))
+                f and not g and x <= _FLOOR_STEP * (1.0 + a)
+                for f, g, x, a in zip(floor, singular, size, _sups(st.pts, st.starts))
             ]
         if any(singular) or any(floor):
             leave(singular, it, False)
@@ -730,44 +723,43 @@ def _newton(
             search = [not (g or f) for g, f in zip(singular, floor)]
             if not any(search):
                 break
-            step = step[np.repeat(search, st.sizes())]
+            step, size = step[np.repeat(search, st.sizes())], [*compress(size, search)]
             st, runs = _take(st, search), [*compress(runs, search)]
-        pts, starts, who = st.pts, st.starts, runs
-        cuts = np.minimum.reduceat(st.mass, starts).tolist()
+        cuts = np.minimum.reduceat(st.mass, st.starts).tolist()
         cuts = [min(_QUAD.tail_mass_cut, 0.5 * m) for m in cuts]
-        size = _sups(step, starts)  # per searching run, its step's largest move
+        pts, starts, who = st.pts, st.starts, runs
         nxt, nxt_runs, lam = None, [], 1.0
-        while who and lam >= 1e-7:
+        while lam >= 1e-7:
             c_st, took = _candidates(spec, pts + lam * step, starts, r, cuts)
-            moved = {}  # per run that takes a step, its new merit
+            rest = [True] * len(who)  # per searching run, whether it searches on
             if c_st is not None:
-                found = [*compress(who, took)]
                 c_merit = _sups(c_st.f, c_st.starts)
-                good = [m <= merit[j] for m, j in zip(c_merit, found)]
-                if not all(good):
+                found = [*compress(range(len(who)), took)]
+                ok = [m <= merit[who[i]] for m, i in zip(c_merit, found)]
+                if not all(ok):
                     res_sup = _sups(c_st.res, c_st.starts)
-                    good = [g or x <= opts.grad_tol for g, x in zip(good, res_sup)]
-                moved = {j: m for j, m, g in zip(found, c_merit, good) if g}
-                if moved:
-                    nxt, nxt_runs = _join(nxt, _take(c_st, good)), nxt_runs + [*moved]
-            rest = []  # the runs that search on
-            for j, s in zip(who, size):
-                rest.append(j not in moved)
-                if j in moved:
-                    stalled[j] = it >= 2 and moved[j] > 0.5 * merit[j]
-                    last[j], merit[j] = lam * s, moved[j]
-            if moved:
+                    ok = [g or x <= opts.grad_tol for g, x in zip(ok, res_sup)]
+                for i, m in compress(zip(found, c_merit), ok):
+                    j = who[i]
+                    stalled[j] = it >= 2 and m > 0.5 * merit[j]
+                    last[j], merit[j], rest[i] = lam * size[i], m, False
+                if any(ok):
+                    nxt = _join(nxt, _take(c_st, ok))
+                    nxt_runs += [who[i] for i in compress(found, ok)]
+            if not any(rest):
+                break
+            if not all(rest):
                 who, size, cuts = ([*compress(v, rest)] for v in (who, size, cuts))
-                if who:
-                    sizes = _sizes(starts, pts.size)
-                    at, starts = np.repeat(rest, sizes), _starts([*compress(sizes, rest)])
-                    pts, step = pts[at], step[at]
+                sizes = _sizes(starts, pts.size)
+                at, starts = np.repeat(rest, sizes), _starts([*compress(sizes, rest)])
+                pts, step = pts[at], step[at]
             lam *= _STEP_DAMPING
-        leave([j in who for j in runs], it + 1, False)  # no step: these runs stop
+        else:  # no step: these runs stop
+            leave([j in who for j in runs], it + 1, False)
         if nxt is None:
             break
         st, runs = nxt, nxt_runs
-    return done, order, iters, ok
+    return out
 
 
 def _lloyd_newton(
@@ -814,23 +806,21 @@ def _lloyd_newton(
                 todo.append(i)
         if seeded is None:
             continue
-        ids = [*compress(ids, took)]
-        done, order, run_iters, converged = _newton(spec, seeded, r, opts)
-        verify = [converged[j] for j in order]
-        checks = iter(_verified(spec, _take(done, verify), r) if any(verify) else ())
-        bounds = [*done.starts, done.pts.size]
-        for j, at, sup in zip(order, map(slice, bounds, bounds[1:]), _sups(done.res, done.starts)):
-            i, pts = ids[j], done.pts[at]
-            iters[i] += run_iters[j]
-            check = next(checks) if converged[j] else False
+        ends = _newton(spec, seeded, r, opts)
+        done = [st for st, _, ok in ends if ok]
+        checks = iter(_verified(spec, functools.reduce(_join, done), r) if done else ())
+        for i, (st, run_iters, ok) in zip(compress(ids, took), ends):
+            iters[i] += run_iters
+            sup = float(np.abs(st.res).max())
+            check = next(checks) if ok else False
             if isinstance(check, QuadratureError):
                 out[i] = check
             elif check:
-                out[i] = (pts, sup, iters[i])
+                out[i] = (st.pts, sup, iters[i])
             else:
                 out[i] = SolverError(
-                    f"no verified convergence for n={pts.size}, r={r} (residual sup {sup:.3g})",
-                    pts,
+                    f"no verified convergence for n={st.pts.size}, r={r} (residual sup {sup:.3g})",
+                    st.pts,
                     sup,
                 )
                 todo.append(i)

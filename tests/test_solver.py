@@ -851,7 +851,7 @@ def test_gamma_with_a_plus_r_below_one_and_an_interior_optimum_solves():
 )
 def test_newton_keeps_every_cell_above_the_tail_cut(spec, r):
     seed = _state(spec, solver._initial_points(spec, 200, r), r, 0.0)
-    st = solver._newton(spec, seed, r, SolverOpts())[0]
+    st = solver._newton(spec, seed, r, SolverOpts())[0][0]
     pts = st.pts
     b = voronoi_bounds(pts)
     assert np.min(_edge_masses(spec, b)) > solver._QUAD.tail_mass_cut
@@ -1418,7 +1418,7 @@ def _batch(grids):
 
 def _blocks(st):
     """Each block of the state ``st`` as a state of its own."""
-    return [solver._take(st, [i == j for i in range(len(st.starts))]) for j in range(len(st.starts))]
+    return [solver._block(st, i) for i in range(len(st.starts))]
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
