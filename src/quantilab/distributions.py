@@ -4,8 +4,9 @@ The exponential law is the Gamma law with shape 1:
 ``DistributionSpec.exponential(lam)`` equals ``DistributionSpec.gamma(1.0, lam)``.
 
 Provides densities, distribution/quantile functions, cell-wise moment
-integrals by adaptive quadrature (one cell at a time, or all cells of a
-grid in one batch), and the closed forms tied to each family: the
+integrals by adaptive quadrature (each cell split into pieces by one
+routine, ``_pieces``, and the pieces integrated one at a time or those of
+a grid in one batch), and the closed forms tied to each family: the
 density-power normaliser ``c_fr``, the asymptotic distortion coefficient
 ``zador_q``, the limiting codebook point law ``empirical_measure_law``
 (in family; ``empirical_density`` is its pdf) and the whole-support
@@ -288,7 +289,7 @@ def _inverse_tail(spec: DistributionSpec, p, upper: bool) -> np.ndarray | float:
     """``quantile_sf`` (``upper``) or ``quantile``: one body for both sides."""
     _require_d1(spec, "quantile_sf" if upper else "quantile")
     ps, scalar = _as_array(p)
-    if np.any(ps <= 0.0) or np.any(ps >= 1.0):
+    if not np.all((ps > 0.0) & (ps < 1.0)):  # NaN fails it too
         what = "tail mass" if upper else "quantile level"
         raise ValueError(f"{what} must lie strictly inside (0, 1)")
     if spec.family is Family.GAUSSIAN:
@@ -417,126 +418,22 @@ def _effective_bounds(spec: DistributionSpec, lo, hi, cut: float):
     return lo_e, hi_e
 
 
-def _weighted_piece(
-    spec: DistributionSpec,
-    pt: float,
-    a0: float,
-    b0: float,
-    q: float,
-    opts: QuadratureOpts,
-) -> float:
-    """integral of |x - pt|**q * f(x) over [a0, b0]; pt never interior."""
-    if not a0 < b0:
-        return 0.0
-    kw = dict(
-        abs_tol=opts.abs_tol,
-        rel_tol=opts.rel_tol,
-        max_subdivisions=opts.max_subdivisions,
-    )
-    gamma_sing = spec.family is Family.GAMMA and spec.a < 1.0 and a0 == 0.0
-    pt_sing = q < 0.0 and (pt == a0 or pt == b0)
-    if gamma_sing and pt_sing and pt == b0:
-        # singular weight at both ends; give each its own sub-interval
-        c = 0.5 * b0
-        return _weighted_piece(spec, pt, a0, c, q, opts) + _weighted_piece(
-            spec, pt, c, b0, q, opts
-        )
-    if gamma_sing:
-        scale = math.exp(spec.a * math.log(spec.lam) - math.lgamma(spec.a))
-        lam = spec.lam
-        if pt == a0:
-            # weight and density powers share the endpoint: merge them
-            merged = q + spec.a - 1.0
-            if merged <= -1.0:
-                raise ValueError("non-integrable singularity at the support edge")
-            return integrate_endpoint_power(
-                lambda x: scale * np.exp(-lam * x), merged, a0, b0,
-                singular_at="lo", **kw,
-            )[0]
+def _pieces(spec: DistributionSpec, pt, lo, hi, q, opts: QuadratureOpts, signed=False):
+    """The split of the cell integrals |x - pt|**q * [sign(pt - x)] * f(x)
+    over [lo, hi] (arrays of cells) into pieces, as ``(cell, sign, width,
+    end_power, integrand)``: piece j adds ``sign[j]`` times the integral
+    of ``integrand(t, j)`` over [0, width[j]] to cell ``cell[j]``.
 
-        def fn(x: np.ndarray) -> np.ndarray:
-            return np.abs(x - pt) ** q * scale * np.exp(-lam * x)
-
-        return integrate_endpoint_power(
-            fn, spec.a - 1.0, a0, b0, singular_at="lo", breakpoints=(pt,), **kw
-        )[0]
-    if pt_sing:
-        end = "lo" if pt == a0 else "hi"
-        return integrate_endpoint_power(
-            lambda x: pdf(spec, x), q, a0, b0, singular_at=end, **kw
-        )[0]
-    if q == 0.0:
-        fn = lambda x: pdf(spec, x)
-    else:
-        fn = lambda x: np.abs(x - pt) ** q * pdf(spec, x)
-    bps = (pt,) if a0 < pt < b0 else ()
-    return integrate(fn, a0, b0, breakpoints=bps, **kw)[0]
-
-
-def _abs_moment(
-    spec: DistributionSpec,
-    pt: float,
-    lo: float,
-    hi: float,
-    q: float,
-    opts: QuadratureOpts,
-    signed: bool = False,
-) -> float:
-    """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi]; pt finite, lo <= hi."""
-    if not -_INF < pt < _INF:  # NaN fails it too
-        raise ValueError(f"need a finite a, got a={pt!r}")
-    _require_interval(lo, hi)
-    lo_e, hi_e = (
-        float(v[0])
-        for v in _effective_bounds(spec, np.array([lo]), np.array([hi]), opts.tail_mass_cut)
-    )
-    if not lo_e < hi_e:
-        return 0.0
-    if signed:
-        if pt <= lo_e:
-            pieces = [(lo_e, hi_e, -1.0)]
-        elif pt >= hi_e:
-            pieces = [(lo_e, hi_e, 1.0)]
-        else:
-            pieces = [(lo_e, pt, 1.0), (pt, hi_e, -1.0)]
-    else:
-        if lo_e < pt < hi_e:
-            pieces = [(lo_e, pt, 1.0), (pt, hi_e, 1.0)]
-        else:
-            pieces = [(lo_e, hi_e, 1.0)]
-    total = 0.0
-    for a0, b0, sgn in pieces:
-        total += sgn * _weighted_piece(spec, pt, a0, b0, q, opts)
-    return total
-
-
-def _abs_moments(
-    spec: DistributionSpec,
-    pt: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    q,
-    opts: QuadratureOpts,
-    signed=False,
-) -> np.ndarray:
-    """Array form of ``_abs_moment``: the cells' values from one batched
-    integration.  No error bound is returned: a cell that misses its
-    tolerance raises ``QuadratureError`` instead.  Cells are clipped by
-    ``_effective_bounds``; cells already clipped clip to themselves.
-
-    ``q`` and ``signed`` are scalars or per-cell arrays, so cells with
-    different weights (a residual's and a curvature's, or the cells of
-    several grids) share one call, and each cell comes out bit for bit as
-    in a call of its own.
-
+    Cells are clipped by ``_effective_bounds``; cells already clipped clip
+    to themselves.  ``q`` and ``signed`` are scalars or per-cell arrays.
     Each cell is split at its point, which then sits at or beyond one end
     of each piece.  A piece is integrated in t, the distance from its
-    singular end (the point, or the origin for a Gamma shape below 1),
-    over [0, b - a].  It passes ``integrate_batch`` its power at t = 0:
-    q at the point, a - 1 at the origin, their sum where the two meet.
-    A power that is not a non-negative integer gets a Gauss-Jacobi end
-    panel there.  For non-integer q, the Gamma piece [0, pt] is cut in
-    half so that each singular end has its own piece.
+    singular end (the point, or the origin for a Gamma shape below 1), and
+    ``end_power`` is its power at t = 0: q at the point, a - 1 at the
+    origin, their sum where the two meet.  For non-integer q, the Gamma
+    piece [0, pt] is cut in half so that each singular end has its own
+    piece.  ``integrand`` takes ``integrate_batch``'s node-major nodes and
+    per-panel pieces, or one piece's nodes and index.
     """
     pt = np.asarray(pt, dtype=float)
     m = pt.size
@@ -571,12 +468,12 @@ def _abs_moments(
     at_pt = shift == 0.0
     t_pow = np.where(at_pt, q[cell], 0.0)
     shift_pow = np.where(at_pt, 0.0, q[cell])
-    end_pow = t_pow + np.where(origin, spec.a - 1.0, 0.0)  # integrate_batch rejects <= -1
+    end_pow = t_pow + np.where(origin, spec.a - 1.0, 0.0)  # the integrators reject <= -1
     # factors whose power is 0 everywhere are skipped: the product is bit-identical
     has_t_pow = bool(np.any(t_pow != 0.0))
     has_shift_pow = bool(np.any(shift_pow != 0.0))
 
-    def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def integrand(t: np.ndarray, k) -> np.ndarray:
         # t is node-major (16, p), so per-panel values broadcast along rows
         x = step[k] * t
         x += end[k]
@@ -587,16 +484,67 @@ def _abs_moments(
             f *= np.abs(t + shift[k]) ** shift_pow[k]
         return f
 
-    val, _ = integrate_batch(
-        integrand,
-        np.zeros(a.size),
-        b - a,
-        power=end_pow,
-        abs_tol=opts.abs_tol,
-        rel_tol=opts.rel_tol,
-        max_subdivisions=opts.max_subdivisions,
+    return cell, sign, b - a, end_pow, integrand
+
+
+def _abs_moment(
+    spec: DistributionSpec,
+    pt: float,
+    lo: float,
+    hi: float,
+    q: float,
+    opts: QuadratureOpts,
+    signed: bool = False,
+) -> float:
+    """integral of |x-pt|**q * [sign(pt-x)] * f(x) over [lo, hi]; pt finite, lo <= hi.
+
+    The pieces of ``_pieces``, one at a time by the scalar integrators:
+    ``integrate_endpoint_power`` takes out a negative end power, and
+    ``integrate`` takes the rest, bisecting towards a non-smooth end.
+    """
+    if not -_INF < pt < _INF:  # NaN fails it too
+        raise ValueError(f"need a finite a, got a={pt!r}")
+    _require_interval(lo, hi)
+    _, sign, width, power, integrand = _pieces(
+        spec, np.array([pt]), np.array([lo]), np.array([hi]), q, opts, signed
     )
-    return np.bincount(cell, sign * val, m)
+    kw = dict(abs_tol=opts.abs_tol, rel_tol=opts.rel_tol, max_subdivisions=opts.max_subdivisions)
+    total = 0.0
+    for k, (w, p) in enumerate(zip(width.tolist(), power.tolist())):
+        if p < 0.0:
+            fn = lambda t, k=k, p=p: integrand(t, k) / t**p
+            val = integrate_endpoint_power(fn, p, 0.0, w, **kw)[0]
+        else:
+            val = integrate(lambda t, k=k: integrand(t, k), 0.0, w, **kw)[0]
+        total += sign[k] * val
+    return float(total)
+
+
+def _abs_moments(
+    spec: DistributionSpec,
+    pt: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    q,
+    opts: QuadratureOpts,
+    signed=False,
+) -> np.ndarray:
+    """Array form of ``_abs_moment``: the cells' values from one batched
+    integration of their ``_pieces``.  No error bound is returned: a cell
+    that misses its tolerance raises ``QuadratureError`` instead.
+
+    ``q`` and ``signed`` are scalars or per-cell arrays, so cells with
+    different weights (a residual's and a curvature's, or the cells of
+    several grids) share one call, and each cell comes out bit for bit as
+    in a call of its own.  A piece's end power that is not a non-negative
+    integer gets a Gauss-Jacobi end panel (``integrate_batch``).
+    """
+    cell, sign, width, power, integrand = _pieces(spec, pt, lo, hi, q, opts, signed)
+    val, _ = integrate_batch(
+        integrand, np.zeros(width.size), width, power=power, abs_tol=opts.abs_tol,
+        rel_tol=opts.rel_tol, max_subdivisions=opts.max_subdivisions,
+    )
+    return np.bincount(cell, sign * val, np.size(pt))
 
 
 def cell_moment(

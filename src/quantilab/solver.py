@@ -936,10 +936,10 @@ def _optimal_grids(
             f"and r={r:g} (2a + r <= 1) make the stationarity integral diverge",
             np.array([]), math.nan,
         )
+    if init_grid is not None and any(init_grid.n != n for n in ns):  # a cache hit too
+        raise ValueError("init_grid size mismatch")
     out = [None if cache is None or full_result else cache.load(spec, n, r, opts) for n in ns]
     misses = [i for i, hit in enumerate(out) if hit is None]
-    if init_grid is not None and any(init_grid.n != ns[i] for i in misses):
-        raise ValueError("init_grid size mismatch")
     unit, to_unit, from_unit = _unit_law(spec)
 
     def seeds(n: int) -> Iterator[np.ndarray]:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -259,6 +260,15 @@ def test_quantile_rejects_bad_levels(p):
         quantile(GAUSS, p)
 
 
+@pytest.mark.parametrize("inverse", [quantile, quantile_sf])
+@pytest.mark.parametrize("spec", [GAUSS, GAMMA7], ids=["gauss", "gamma"])
+def test_quantile_rejects_nan_levels(spec, inverse):
+    # NaN fails every comparison, so a sign test alone lets it through
+    for p in (math.nan, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError):
+            inverse(spec, p)
+
+
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_quantile_inverts_cdf(spec):
     for p in (1e-6, 0.021, 0.5, 0.77, 1.0 - 1e-6):
@@ -347,7 +357,7 @@ def test_cell_moment_budget_exhaustion_is_diagnosable():
     assert exc.value.error_bound > 0.0
 
 
-# -- batched cell integrals against the scalar oracle -------------------------
+# -- both cell-integral paths against mpmath ----------------------------------
 
 ORACLE_SPECS = [
     DistributionSpec.gaussian(0.3, 2.0),
@@ -357,22 +367,35 @@ ORACLE_SPECS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_side(spec, pt, lo, hi, q):
+    """One side of a cell's point, [lo, pt] or [pt, hi], by mpmath."""
+    return mp_cell_moment(spec, pt, lo, hi, q, dps=20)
+
+
 @pytest.mark.parametrize("opts", [DEFAULT_QUAD, SOLVER_QUAD], ids=["default", "solver"])
 @pytest.mark.parametrize("n", [1, 3, 5, 40])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["gauss", "exp", "gamma2", "gamma0.5"])
-def test_batched_cell_integrals_match_scalar_oracle(spec, n, opts):
+def test_cell_integrals_match_mpmath_on_both_paths(spec, n, opts):
     law = empirical_measure_law(spec, 2.0)
     pts = np.asarray(quantile(law, (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)))
     b = voronoi_bounds(pts)  # the two end cells are the unbounded tails
+    # mpmath does not cut the tails: it takes the cells as the paths clip them
+    lo_e, hi_e = _effective_bounds(spec, b[:-1], b[1:], opts.tail_mass_cut)
     # r = 1.5: gradient weight, Jacobian weight (singular at the point), moment
     for q, signed in ((0.5, True), (-0.5, False), (1.5, False)):
         vals = _abs_moments(spec, pts, b[:-1], b[1:], q, opts, signed)
         for i in range(n):
-            ref = _abs_moment(spec, float(pts[i]), b[i], b[i + 1], q, opts, signed)
-            # a signed integral can cancel to ~0; its two pieces carry the error
-            size = _abs_moment(spec, float(pts[i]), b[i], b[i + 1], q, opts)
-            tol = max(opts.abs_tol, opts.rel_tol * abs(size))
+            pt, lo, hi = float(pts[i]), float(lo_e[i]), float(hi_e[i])
+            assert lo <= pt <= hi
+            below = _mp_side(spec, pt, lo, pt, q)
+            above = _mp_side(spec, pt, pt, hi, q)
+            ref = below - above if signed else below + above
+            # a signed integral can cancel to ~0; its two sides carry the error
+            tol = max(opts.abs_tol, opts.rel_tol * (below + above))
+            one = _abs_moment(spec, pt, b[i], b[i + 1], q, opts, signed)
             assert abs(vals[i] - ref) <= tol, (q, signed, i, vals[i], ref)
+            assert abs(one - ref) <= tol, (q, signed, i, one, ref)
 
 
 @pytest.mark.parametrize(

@@ -1159,6 +1159,13 @@ def test_grid_cache_round_trip(tmp_path):
     assert files[0].read_text() == first.to_text()
 
 
+def test_init_grid_size_is_checked_on_a_cache_hit_too(tmp_path):
+    cache = GridCache(tmp_path)
+    optimal_grid(GAUSS, 20, 2.0, cache=cache)
+    with pytest.raises(ValueError, match="init_grid size mismatch"):
+        optimal_grid(GAUSS, 20, 2.0, init_grid=Grid(np.linspace(-1.0, 1.0, 5)), cache=cache)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
